@@ -17,6 +17,12 @@ from c1atlas.classify import (
 from c1atlas.errors import ParseError, RHHasNoNCModuli
 
 TG_SAMPLE = Path(__file__).parent / "data" / "tg_table_sample.json"
+# Recorded action catalogs of products that reach every symmetry branch: a
+# factor swap, D4 triality, identical factors split by another one, the E6
+# flip on two factors, and pairs inside one factor next to pairs across two.
+PRODUCTS = json.loads(
+    (Path(__file__).parent / "data" / "classify_products.json").read_text(encoding="utf-8")
+)
 
 
 def test_moduli_ch_descriptor():
@@ -199,3 +205,11 @@ def test_diagonal_pair_orbits_match_independent_enumeration():
             continue
         orbits.add(frozenset({frozenset({i, k}), frozenset({8 - i, 8 - k})}))
     assert len(emitted) == len(orbits) == 9
+
+
+@pytest.mark.parametrize(
+    "expected", PRODUCTS, ids=[" x ".join(p["spaces"]) for p in PRODUCTS]
+)
+def test_product_catalogs_match_recorded_output(catalog, expected):
+    factors = [find_space(catalog, name) for name in expected["spaces"]]
+    assert classify(factors).to_json() == expected
