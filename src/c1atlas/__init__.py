@@ -57,7 +57,6 @@ from .nilcon import (
     analyze,
     analyze_all,
     ce_reduction_check,
-    corner_check,
     multiplicity_check,
     snake_check,
     survivors,

@@ -170,24 +170,6 @@ class BoundaryComponent:
         return self.flat_rank == 0
 
 
-def _connected_components(rs: RootSystem, phi: frozenset):
-    remaining = set(phi)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in rs.dynkin_neighbors(i):
-                if j in remaining and j not in comp:
-                    comp.add(j)
-                    frontier.append(j)
-        remaining -= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def _classify_subdiagram(space: SpaceEntry, nodes: tuple) -> RootSystemType:
     """Family and rank of the subsystem generated by a connected node set."""
     rs = space.root_system()
@@ -252,7 +234,7 @@ def boundary_component(space: SpaceEntry, phi: Iterable[int]) -> BoundaryCompone
     if not phi <= set(range(1, rs.rank + 1)):
         raise ValueError(f"phi {sorted(phi)} out of range for rank {rs.rank}")
     factors = []
-    for nodes in _connected_components(rs, phi):
+    for nodes in rs.components(phi):
         rtype = _classify_subdiagram(space, nodes)
         grading = rs.grading(phi)
         sub_pos = [

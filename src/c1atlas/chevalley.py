@@ -115,36 +115,18 @@ class ChevalleyAlgebra:
             [("h", i) for i in range(1, rs.rank + 1)] + [("e", lam) for lam in self.roots]
         )
         self.dim = len(self.basis)
-        self._n_pos = self._positive_constants()
+        self._n_pos = {}
+        self._positive_constants()
         self._table = self._bracket_table()
         self._cartan_gram, self._root_gram = self._killing_gram()
 
     # -- structure constants -----------------------------------------------
     def _positive_constants(self):
-        """N(a, b) for positive special pairs a < b, extraspecial signs +."""
+        """Fill N(a, b) for positive special pairs a < b, extraspecial signs +."""
         rs = self.rs
         pos = sorted(rs.positives)
         posset = set(p.coeffs for p in pos)
-        table: dict = {}
-
-        def n_any(lam: Root, mu: Root) -> Fraction:
-            """N(lam, mu) for arbitrary sign pattern; assumes lam + mu is a root."""
-            lp, mp = lam.is_positive, mu.is_positive
-            if lp and mp:
-                if (lam, mu) in table:
-                    return table[(lam, mu)]
-                return -table[(mu, lam)]
-            if not lp and not mp:
-                return -n_any(-lam, -mu)
-            if not lp:
-                return -n_any(mu, lam)
-            nu = Root(lam.shifted(mu))
-            if nu.is_positive:
-                ratio = rs.length_sq(nu) / rs.length_sq(lam)
-                return ratio * n_any(nu, -mu)
-            ratio = rs.length_sq(nu) / rs.length_sq(mu)
-            return ratio * n_any(-nu, lam)
-
+        table = self._n_pos
         for gamma in pos:
             if gamma.height == 1:
                 continue
@@ -161,40 +143,37 @@ class ChevalleyAlgebra:
                 acc = Fraction(0)
                 d1 = xi.shifted(alpha, -1)
                 if d1 in posset or tuple(-c for c in d1) in posset:
-                    acc += n_any(-alpha, xi) * n_any(Root(d1), eta)
+                    acc += self._n_any(-alpha, xi) * self._n_any(Root(d1), eta)
                 d2 = eta.shifted(alpha, -1)
                 if d2 in posset or tuple(-c for c in d2) in posset:
-                    acc += n_any(-alpha, eta) * n_any(xi, Root(d2))
-                table[(xi, eta)] = acc / n_any(-alpha, gamma)
-        for value in table.values():
-            assert value.denominator == 1, "non-integral structure constant"
-        return {k: int(v) for k, v in table.items()}
+                    acc += self._n_any(-alpha, eta) * self._n_any(xi, Root(d2))
+                table[(xi, eta)] = acc / self._n_any(-alpha, gamma)
+        if any(value.denominator != 1 for value in table.values()):
+            raise IdentityViolation("non-integral structure constant")
 
-    def structure_constant(self, lam: Root, mu: Root) -> int:
-        """N(lam, mu) with [e_lam, e_mu] = N(lam, mu) e_(lam+mu); 0 if not a root."""
-        s = lam.shifted(mu)
-        if not self.rs.contains(s) or all(c == 0 for c in s):
-            return 0
-        return self._n_any_public(lam, mu)
-
-    def _n_any_public(self, lam, mu):
+    def _n_any(self, lam: Root, mu: Root) -> Fraction:
+        """N(lam, mu) for any sign pattern from the positive table; lam + mu is a root."""
         lp, mp = lam.is_positive, mu.is_positive
         if lp and mp:
             if (lam, mu) in self._n_pos:
                 return self._n_pos[(lam, mu)]
             return -self._n_pos[(mu, lam)]
         if not lp and not mp:
-            return -self._n_any_public(-lam, -mu)
+            return -self._n_any(-lam, -mu)
         if not lp:
-            return -self._n_any_public(mu, lam)
+            return -self._n_any(mu, lam)
         nu = Root(lam.shifted(mu))
         rs = self.rs
         if nu.is_positive:
-            val = rs.length_sq(nu) / rs.length_sq(lam) * self._n_any_public(nu, -mu)
-        else:
-            val = rs.length_sq(nu) / rs.length_sq(mu) * self._n_any_public(-nu, lam)
-        assert val.denominator == 1
-        return int(val)
+            return rs.length_sq(nu) / rs.length_sq(lam) * self._n_any(nu, -mu)
+        return rs.length_sq(nu) / rs.length_sq(mu) * self._n_any(-nu, lam)
+
+    def structure_constant(self, lam: Root, mu: Root) -> int:
+        """N(lam, mu) with [e_lam, e_mu] = N(lam, mu) e_(lam+mu); 0 if not a root."""
+        s = lam.shifted(mu)
+        if not self.rs.contains(s):
+            return 0
+        return int(self.bracket_basis(("e", lam), ("e", mu)).get(("e", Root(s)), 0))
 
     def coroot_coefficients(self, lam: Root):
         """Integers c_i with lam-dual = sum c_i alpha_i-dual."""
@@ -229,7 +208,9 @@ class ChevalleyAlgebra:
                         ("h", i + 1): Fraction(sign * c) for i, c in enumerate(coro) if c
                     }
                 elif rs.contains(s):
-                    n = self._n_any_public(lam, mu)
+                    n = self._n_any(lam, mu)
+                    if n.denominator != 1:
+                        raise IdentityViolation(f"non-integral N({lam}, {mu})")
                     if n:
                         table[key] = {("e", Root(s)): Fraction(n)}
         return table

@@ -28,6 +28,7 @@ from .catalog import (
     RankOneType,
     SpaceEntry,
     boundary_component,
+    homothetic_rank_one_pair,
     rank_one_recognize,
 )
 from .errors import ParseError, RHHasNoNCModuli
@@ -123,88 +124,41 @@ def _fmt(v):
     return str(v)
 
 
-# -- product-level diagram symmetries ------------------------------------------
+# -- diagram symmetries -----------------------------------------------------------
 
 def _factor_auts(space: SpaceEntry):
-    rs = space.root_system()
-    return rs.weighted_diagram_automorphisms(space.simple_mults())
+    return space.root_system().weighted_diagram_automorphisms(space.simple_mults())
 
 
-def _node_orbits(factors):
-    """Orbits of (factor index, simple index) pairs under the product symmetries.
+def _images(auts, nodes) -> set:
+    """Images of a node tuple under one factor's weighted diagram symmetries.
 
-    Generators: each factor's weighted diagram symmetries, plus a swap of any
-    two factors that are literally the same catalog entry.
+    The symmetries form a group, so two node tuples of a factor lie in one
+    orbit exactly when they share their least image, and the orbit has as
+    many members as there are distinct images.  Identical factors of a
+    product share a catalog name, so (name, least image) keys an orbit under
+    the product symmetries, which also permute identical factors.
     """
-    nodes = [
-        (f, i)
-        for f, space in enumerate(factors)
-        for i in range(1, space.rank + 1)
-    ]
-    parent = {n: n for n in nodes}
-
-    def find(n):
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for f, space in enumerate(factors):
-        for sigma in _factor_auts(space):
-            for i in range(1, space.rank + 1):
-                union((f, i), (f, sigma[i - 1]))
-    for f1, s1 in enumerate(factors):
-        for f2 in range(f1 + 1, len(factors)):
-            if factors[f2].name == s1.name:
-                for i in range(1, s1.rank + 1):
-                    union((f1, i), (f2, i))
-    orbits: dict = {}
-    for n in nodes:
-        orbits.setdefault(find(n), []).append(n)
-    return sorted(sorted(members) for members in orbits.values())
+    return {tuple(sorted(sigma[i - 1] for i in nodes)) for sigma in auts}
 
 
-def _connected_subsets(space: SpaceEntry):
-    rs = space.root_system()
-    r = rs.rank
-    out = []
-    for mask in range(1, 1 << r):
-        phi = frozenset(i + 1 for i in range(r) if mask & (1 << i))
-        seed = min(phi)
-        seen = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for y in rs.dynkin_neighbors(x):
-                if y in phi and y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        if seen == phi:
-            out.append(phi)
-    return out
-
-
-def _orbit_representatives(space: SpaceEntry, subsets):
-    """Deduplicate simple subsets along the weighted diagram symmetries."""
-    auts = _factor_auts(space)
+def _orbit_representatives(auts, node_sets):
+    """The first node set of each orbit, in the given order, with its orbit size."""
     seen = set()
-    reps = []
-    for phi in sorted(subsets, key=lambda s: (len(s), sorted(s))):
-        canon = min(
-            tuple(sorted(sigma[i - 1] for i in phi)) for sigma in auts
-        )
-        if canon not in seen:
-            seen.add(canon)
-            orbit = {
-                tuple(sorted(sigma[i - 1] for i in phi)) for sigma in auts
-            }
-            reps.append((phi, len(orbit)))
-    return reps
+    for nodes in node_sets:
+        images = _images(auts, nodes)
+        least = min(images)
+        if least not in seen:
+            seen.add(least)
+            yield nodes, len(images)
+
+
+def _connected_subsets(rs):
+    subsets = (
+        frozenset(i + 1 for i in range(rs.rank) if mask & (1 << i))
+        for mask in range(1, 1 << rs.rank)
+    )
+    return [phi for phi in subsets if len(rs.components(phi)) == 1]
 
 
 # -- the type-(e) derivation ----------------------------------------------------
@@ -217,28 +171,17 @@ def derive_type_e_spaces(catalog):
     """
     out = []
     for space in sorted(catalog, key=lambda s: s.name):
-        rs = space.root_system()
-        hits = []
-        for i in range(1, rs.rank + 1):
+        hits = {}
+        for i in range(1, space.rank + 1):
             rec = rank_one_recognize(space.simple_mult(i), space.double_mult(i))
             if rec is None or rec.kind == "RH":
                 continue
             if rec.kind == "CH" and rec.n < 3:
                 continue  # the CH^2 moduli set is empty
-            hits.append((frozenset([i]), rec))
-        for phi, rec in _dedupe_boundary_hits(space, hits):
-            out.append((space, phi, rec))
+            hits[(i,)] = rec
+        for nodes, _ in _orbit_representatives(_factor_auts(space), hits):
+            out.append((space, frozenset(nodes), hits[nodes]))
     return out
-
-
-def _dedupe_boundary_hits(space, hits):
-    auts = _factor_auts(space)
-    seen = set()
-    for phi, rec in sorted(hits, key=lambda t: sorted(t[0])):
-        canon = min(tuple(sorted(sigma[i - 1] for i in phi)) for sigma in auts)
-        if canon not in seen:
-            seen.add(canon)
-            yield phi, rec
 
 
 # -- totally geodesic table ------------------------------------------------------
@@ -282,6 +225,11 @@ def classify(factors, tg_table=None) -> ActionCatalog:
         raise ValueError("need at least one de Rham factor")
     families = []
     total_rank = sum(s.rank for s in factors)
+    auts = [_factor_auts(s) for s in factors]
+
+    def orbit_key(f, nodes):
+        """Key of the orbit of a node tuple of factor f under the product symmetries."""
+        return factors[f].name, min(_images(auts[f], nodes))
 
     families.append(
         ActionFamily(
@@ -294,7 +242,11 @@ def classify(factors, tg_table=None) -> ActionCatalog:
         )
     )
 
-    for orbit in _node_orbits(factors):
+    orbits: dict = {}
+    for f, space in enumerate(factors):
+        for i in range(1, space.rank + 1):
+            orbits.setdefault(orbit_key(f, (i,)), []).append((f, i))
+    for orbit in orbits.values():  # ordered by least member
         f, i = orbit[0]
         families.append(
             ActionFamily(
@@ -309,7 +261,8 @@ def classify(factors, tg_table=None) -> ActionCatalog:
         )
 
     for f, space in enumerate(factors):
-        for phi, orbit_size in _orbit_representatives(space, _connected_subsets(space)):
+        subsets = sorted(_connected_subsets(space.root_system()), key=lambda s: (len(s), sorted(s)))
+        for phi, orbit_size in _orbit_representatives(auts[f], subsets):
             comp = boundary_component(space, phi)
             name = _boundary_name(space, comp)
             entry = {
@@ -327,7 +280,7 @@ def classify(factors, tg_table=None) -> ActionCatalog:
                 ActionFamily("CE_TOTALLY_GEODESIC", entry, provenance="canonical extension of totally geodesic orbit")
             )
 
-    families.extend(_diagonal_families(factors))
+    families.extend(_diagonal_families(factors, orbit_key))
     families.extend(_nilpotent_families(factors))
 
     return ActionCatalog(
@@ -335,46 +288,21 @@ def classify(factors, tg_table=None) -> ActionCatalog:
     )
 
 
-def _diagonal_families(factors):
+def _diagonal_families(factors, orbit_key):
     """Reducible rank-2 boundary components with isometric rank-one factors.
 
     Within a factor two non-adjacent simple roots qualify when they recognise
     the same rank-one type with equal root length; across factors the lengths
-    are compared on the honest Killing scale of each factor.
+    are compared on the honest Killing scale of each factor.  One family is
+    emitted per orbit of node pairs under the product symmetries.
     """
-    pairs = []
-    for f1, s1 in enumerate(factors):
-        rs1 = s1.root_system()
-        for i in range(1, s1.rank + 1):
-            rec1 = rank_one_recognize(s1.simple_mult(i), s1.double_mult(i))
-            if rec1 is None:
-                continue
-            for k in range(i + 1, s1.rank + 1):
-                if k in rs1.dynkin_neighbors(i):
-                    continue
-                rec2 = rank_one_recognize(s1.simple_mult(k), s1.double_mult(k))
-                if rec2 == rec1 and rs1.length_sq(rs1.simple(i)) == rs1.length_sq(
-                    rs1.simple(k)
-                ):
-                    pairs.append(((f1, i), (f1, k), rec1))
-            for f2 in range(f1 + 1, len(factors)):
-                s2 = factors[f2]
-                rs2 = s2.root_system()
-                for k in range(1, s2.rank + 1):
-                    rec2 = rank_one_recognize(s2.simple_mult(k), s2.double_mult(k))
-                    if rec2 != rec1:
-                        continue
-                    if s1.killing_length_sq(rs1.simple(i)) == s2.killing_length_sq(
-                        rs2.simple(k)
-                    ):
-                        pairs.append(((f1, i), (f2, k), rec1))
     seen = set()
     out = []
-    for a, b, rec in pairs:
-        canon = _pair_canon(factors, a, b)
-        if canon in seen:
-            continue
-        seen.add(canon)
+
+    def emit(a, b, rec, key):
+        if key in seen:
+            return
+        seen.add(key)
         out.append(
             ActionFamily(
                 "CE_DIAGONAL",
@@ -385,41 +313,29 @@ def _diagonal_families(factors):
                 provenance="canonical extension of diagonal action",
             )
         )
+
+    for f1, s1 in enumerate(factors):
+        rs1 = s1.root_system()
+        for i in range(1, s1.rank + 1):
+            rec1 = rank_one_recognize(s1.simple_mult(i), s1.double_mult(i))
+            if rec1 is None:
+                continue
+            for k in range(i + 1, s1.rank + 1):
+                if k not in rs1.dynkin_neighbors(i) and homothetic_rank_one_pair(s1, i, k):
+                    emit((f1, i), (f1, k), rec1, ("within", orbit_key(f1, (i, k))))
+            for f2 in range(f1 + 1, len(factors)):
+                s2 = factors[f2]
+                rs2 = s2.root_system()
+                for k in range(1, s2.rank + 1):
+                    rec2 = rank_one_recognize(s2.simple_mult(k), s2.double_mult(k))
+                    if rec2 != rec1:
+                        continue
+                    if s1.killing_length_sq(rs1.simple(i)) == s2.killing_length_sq(
+                        rs2.simple(k)
+                    ):
+                        legs = sorted((orbit_key(f1, (i,)), orbit_key(f2, (k,))))
+                        emit((f1, i), (f2, k), rec1, ("across", *legs))
     return out
-
-
-def _pair_canon(factors, a, b):
-    """Canonical form of an unordered node pair under the product symmetries.
-
-    The symmetry group is the product of the per-factor weighted diagram
-    symmetries extended by permutations of literally identical factors, so the
-    orbit of a pair is enumerated by moving each leg to any identical factor
-    and applying that factor's symmetries.
-    """
-    (fa, ia), (fb, ib) = a, b
-    same = lambda f, g: factors[f].name == factors[g].name
-    candidates = []
-    if fa == fb:
-        for g in range(len(factors)):
-            if not same(fa, g):
-                continue
-            for sigma in _factor_auts(factors[g]):
-                candidates.append(
-                    tuple(sorted(((g, sigma[ia - 1]), (g, sigma[ib - 1]))))
-                )
-    else:
-        for ga in range(len(factors)):
-            if not same(fa, ga):
-                continue
-            for gb in range(len(factors)):
-                if gb == ga or not same(fb, gb):
-                    continue
-                for s1 in _factor_auts(factors[ga]):
-                    for s2 in _factor_auts(factors[gb]):
-                        candidates.append(
-                            tuple(sorted(((ga, s1[ia - 1]), (gb, s2[ib - 1]))))
-                        )
-    return min(candidates)
 
 
 def _nilpotent_families(factors):
@@ -452,9 +368,8 @@ def _nilpotent_families(factors):
             families.append(
                 ActionFamily("NILPOTENT", params, provenance="canonical extension of rank-one moduli")
             )
-        if space.rtype.family == "G2":
-            rs = space.root_system()
-            short = min((1, 2), key=lambda i: rs.length_sq(rs.simple(i)))
+        short = nilcon.short_g2_root(space)
+        if short is not None:
             g2_factors.add((f, short))
             params = {
                 "factor": f,

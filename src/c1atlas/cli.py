@@ -26,7 +26,7 @@ from .catalog import default_catalog, find_space, load_catalog
 from .chevalley import build_algebra
 from .classify import classify, load_tg_table
 from .errors import C1AtlasError
-from .rootsys import Root, RootSystem, RootSystemType, build_root_system, level_one
+from .rootsys import FIXED_RANK, Root, RootSystem, RootSystemType, build_root_system, level_one
 from .scalars import GAUSSIAN, RATIONAL
 from .shapeops import OrbitSubalgebra, SolvableModel, shape_operator
 from .verify import run_verify
@@ -35,10 +35,9 @@ from .verify import run_verify
 def _root_system_from(args) -> RootSystem:
     rank = args.rank
     if rank is None:
-        fixed = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
-        if args.type not in fixed:
+        if args.type not in FIXED_RANK:
             raise C1AtlasError(f"--rank is required for family {args.type}")
-        rank = fixed[args.type]
+        rank = FIXED_RANK[args.type]
     return build_root_system(RootSystemType(args.type, rank))
 
 
@@ -83,8 +82,7 @@ def _cmd_grading(args) -> int:
     if args.hasse:
         print(render_hasse(rs, args.j, dot=args.dot))
         return 0
-    phi = frozenset(range(1, rs.rank + 1)) - {args.j}
-    grading = rs.grading(phi)
+    grading = rs.maximal_grading(args.j)
     if args.level is not None:
         roots = grading.level(args.level)
         _emit(

@@ -11,6 +11,10 @@ class InvalidRank(C1AtlasError):
     """Rank outside the admissible range for a root-system family."""
 
 
+class InvalidIndex(C1AtlasError, ValueError):
+    """Simple-root index outside 1..rank."""
+
+
 class ProportionalRoots(C1AtlasError):
     """Root-string endpoints must not be proportional."""
 
@@ -49,6 +53,10 @@ class SpectrumMismatch(C1AtlasError):
 
 class NotClosed(C1AtlasError):
     """Candidate tangent space is not closed under the bracket."""
+
+
+class CheckFailed(C1AtlasError):
+    """A verification check found a result other than the expected one."""
 
 
 class UnknownConfiguration(C1AtlasError):

@@ -26,10 +26,6 @@ def mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def _eliminate(a, pivot_cols=None):
     """Row-reduce a copy of `a` using pivots in the first `pivot_cols` columns;
     returns (echelon rows, rank, det_factor)."""

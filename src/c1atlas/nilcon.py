@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .catalog import SpaceEntry, rank_one_recognize
-from .errors import UnknownConfiguration
+from .errors import IdentityViolation, UnknownConfiguration
 from .rootsys import Root, RootSystem
 
 RANK_ONE_KNOWN = "RANK_ONE_KNOWN"
@@ -70,28 +70,23 @@ class Snake:
         return self.roots[-1]
 
 
-def corner_check(rs: RootSystem, j: int) -> frozenset:
-    """Diagram neighbours of a_j; the candidate survives only if there is one."""
-    return rs.dynkin_neighbors(j)
-
-
 def snake_check(rs: RootSystem, j: int):
     """Return the Snake of the level-one roots, or a colliding same-height pair."""
-    phi = frozenset(range(1, rs.rank + 1)) - {j}
-    level_one = rs.grading(phi).level(1)
     by_height: dict = {}
-    for lam in level_one:
+    for lam in rs.maximal_grading(j).level(1):
         by_height.setdefault(lam.height, []).append(lam)
     for h in sorted(by_height):
         if len(by_height[h]) > 1:
             first, second = sorted(by_height[h])[:2]
             return (first, second)
     heights = sorted(by_height)
-    assert heights == list(range(1, len(heights) + 1)), "level-one heights have a gap"
+    if heights != list(range(1, len(heights) + 1)):
+        raise IdentityViolation("level-one heights have a gap")
     chain = tuple(by_height[h][0] for h in heights)
     for a, b in zip(chain, chain[1:]):
         step = tuple(y - x for x, y in zip(a.coeffs, b.coeffs))
-        assert sum(step) == 1 and all(c >= 0 for c in step), "snake step is not simple"
+        if sum(step) != 1 or any(c < 0 for c in step):
+            raise IdentityViolation("snake step is not simple")
     return Snake(j=j, roots=chain)
 
 
@@ -156,19 +151,18 @@ def _coeffs(lam: Root):
     return list(lam.coeffs)
 
 
-def _is_short_g2_root(space: SpaceEntry, j: int) -> bool:
-    rs = space.root_system()
+def short_g2_root(space: SpaceEntry) -> Optional[int]:
+    """Index of the short simple root of a G2-type space; None for other types."""
     if space.rtype.family != "G2":
-        return False
-    other = 3 - j
-    return rs.length_sq(rs.simple(j)) < rs.length_sq(rs.simple(other))
+        return None
+    rs = space.root_system()
+    return min((1, 2), key=lambda i: rs.length_sq(rs.simple(i)))
 
 
 def analyze(space: SpaceEntry, j: int) -> NCVerdict:
     """Run the full elimination ladder for (space, a_j)."""
     rs = space.root_system()
-    if not 1 <= j <= rs.rank:
-        raise ValueError(f"j = {j} out of range for rank {rs.rank}")
+    snake = snake_check(rs, j)  # rejects j outside 1..rank
     name = space.name
     if rs.rank == 1:
         recognised = rank_one_recognize(space.simple_mult(1), space.double_mult(1))
@@ -180,7 +174,7 @@ def analyze(space: SpaceEntry, j: int) -> NCVerdict:
             note="rank-one moduli are catalog data, not searched here",
         )
 
-    neighbors = corner_check(rs, j)
+    neighbors = rs.dynkin_neighbors(j)
     if len(neighbors) != 1:
         return NCVerdict(
             name,
@@ -190,7 +184,6 @@ def analyze(space: SpaceEntry, j: int) -> NCVerdict:
             note="a_j is attached to more than one node; two height-2 level-one roots",
         )
 
-    snake = snake_check(rs, j)
     if isinstance(snake, tuple):
         first, second = snake
         return NCVerdict(
@@ -210,7 +203,7 @@ def analyze(space: SpaceEntry, j: int) -> NCVerdict:
 
     violator = multiplicity_check(space, snake)
     if violator is not None:
-        if _is_short_g2_root(space, j):
+        if j == short_g2_root(space):
             return NCVerdict(
                 name,
                 j,
@@ -276,8 +269,7 @@ def verify_witness(space: SpaceEntry, verdict: NCVerdict) -> bool:
         return frozenset(w["neighbors"]) == rs.dynkin_neighbors(verdict.j)
     if verdict.status == ELIMINATED_HEIGHT_COLLISION:
         first, second = (Root(tuple(c)) for c in w["pair"])
-        phi = frozenset(range(1, rs.rank + 1)) - {verdict.j}
-        level_one = set(rs.grading(phi).level(1))
+        level_one = set(rs.maximal_grading(verdict.j).level(1))
         return (
             first != second
             and first.height == second.height

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import InvalidRank, ProportionalRoots
+from .errors import InvalidIndex, InvalidRank, ProportionalRoots
 
 FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2", "BC")
-_FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
+FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class RootSystemType:
         if self.family not in FAMILIES:
             raise InvalidRank(f"unknown family {self.family!r}")
         r = self.rank
-        if self.family in _FIXED_RANK:
-            if r != _FIXED_RANK[self.family]:
-                raise InvalidRank(f"{self.family} has fixed rank {_FIXED_RANK[self.family]}")
+        if self.family in FIXED_RANK:
+            if r != FIXED_RANK[self.family]:
+                raise InvalidRank(f"{self.family} has fixed rank {FIXED_RANK[self.family]}")
         elif self.family == "A" and r < 1:
             raise InvalidRank("A_r needs r >= 1")
         elif self.family == "B" and r < 2:
@@ -52,7 +52,7 @@ class RootSystemType:
             raise InvalidRank("rank must be positive")
 
     def __str__(self):
-        if self.family in _FIXED_RANK:
+        if self.family in FIXED_RANK:
             return self.family
         return f"{self.family}{self.rank}"
 
@@ -270,9 +270,6 @@ class RootSystem:
     def highest_root(self) -> Root:
         return self.positives[-1]
 
-    def coefficient(self, lam: Root, i: int) -> int:
-        return lam.coefficient(i)
-
     # -- strings --------------------------------------------------------------
     def _proportional(self, lam: Root, beta: Root) -> bool:
         for i in range(self.rank):
@@ -334,6 +331,12 @@ class RootSystem:
             sigma_phi_pos=tuple(sorted(sigma)),
         )
 
+    def maximal_grading(self, j: int) -> "ParabolicGrading":
+        """The grading off every simple root but a_j; j must lie in 1..rank."""
+        if not 1 <= j <= self.rank:
+            raise InvalidIndex(f"j = {j} is out of range for rank {self.rank}")
+        return self.grading(frozenset(range(1, self.rank + 1)) - {j})
+
     # -- diagram ----------------------------------------------------------------
     def dynkin_neighbors(self, i: int) -> frozenset:
         return frozenset(
@@ -341,6 +344,27 @@ class RootSystem:
             for j in range(self.rank)
             if j != i - 1 and self.cartan[i - 1][j] != 0
         )
+
+    def components(self, nodes: Iterable[int]) -> list:
+        """Connected components of the Dynkin subdiagram on nodes.
+
+        Each component is a sorted tuple; components come in order of their
+        least node.
+        """
+        remaining = set(nodes)
+        comps = []
+        while remaining:
+            seed = min(remaining)
+            comp = {seed}
+            frontier = [seed]
+            while frontier:
+                for j in self.dynkin_neighbors(frontier.pop()):
+                    if j in remaining and j not in comp:
+                        comp.add(j)
+                        frontier.append(j)
+            remaining -= comp
+            comps.append(tuple(sorted(comp)))
+        return comps
 
     def edges(self):
         """Dynkin edges as (i, j, label) with i < j; label = bond multiplicity."""
@@ -419,17 +443,6 @@ class ParabolicGrading:
     def level(self, nu: int) -> tuple:
         return self.levels.get(nu, ())
 
-    def level_of(self, lam: Root) -> int:
-        return sum(
-            lam.coeffs[i - 1]
-            for i in range(1, self.base.rank + 1)
-            if i not in self.phi
-        )
-
-    @property
-    def max_level(self) -> int:
-        return max(self.levels) if self.levels else 0
-
 
 _CACHE: dict = {}
 
@@ -448,5 +461,4 @@ def root_system(family: str, rank: int) -> RootSystem:
 
 def level_one(rs: RootSystem, j: int) -> tuple:
     """The level-one roots of the maximal grading that singles out a_j."""
-    phi = frozenset(range(1, rs.rank + 1)) - {j}
-    return rs.grading(phi).level(1)
+    return rs.maximal_grading(j).level(1)

@@ -122,13 +122,6 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-I = GaussianRational(0, 1)
-
-
-def scalar_one(kind: str):
-    return Fraction(1) if kind == RATIONAL else GaussianRational(1)
-
-
 def as_scalar(value, kind: str):
     """Coerce an int/Fraction/GaussianRational into the scalar ring `kind`."""
     if kind == RATIONAL:

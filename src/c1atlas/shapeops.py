@@ -145,7 +145,7 @@ class OrbitSubalgebra:
         self.model = model
         self.j = j
         rs = model.rs
-        grading = rs.grading(frozenset(range(1, rs.rank + 1)) - {j})
+        grading = rs.maximal_grading(j)
         self.grading = grading
         level_one = grading.level(1)
         if selection is None:
@@ -263,21 +263,15 @@ def is_totally_geodesic(orbit: OrbitSubalgebra) -> bool:
     return all(shape_operator(orbit, xi).is_zero for xi in orbit.normal_basis())
 
 
-@dataclass
-class ShapeIdentityReport:
-    flat_annihilated: bool
-    bracket_formula: bool
-    level_zero_formula: bool
-    top_root_annihilates: bool
-
-
-def check_shape_identities(orbit: OrbitSubalgebra) -> ShapeIdentityReport:
+def check_shape_identities(orbit: OrbitSubalgebra) -> None:
     """Verify the structural identities of the shape operators on this orbit:
 
     (a) A_xi kills the flat part for every normal xi;
     (b) A_xi X is the tangent projection of ([xi, X] - [theta xi, X]) / 2;
     (c) for X in a level-zero root space the theta term drops out;
     (d) normal directions in the top level-one root space kill level zero.
+
+    Raises IdentityViolation on the first failure.
     """
     model = orbit.model
     alg = model.algebra
@@ -309,7 +303,6 @@ def check_shape_identities(orbit: OrbitSubalgebra) -> ShapeIdentityReport:
                     raise IdentityViolation(
                         f"top-root normal direction acts on level zero at X={key}"
                     )
-    return ShapeIdentityReport(True, True, True, True)
 
 
 def check_self_adjoint(orbit: OrbitSubalgebra, op: ShapeOperatorMatrix) -> bool:

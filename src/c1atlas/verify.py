@@ -1,7 +1,8 @@
 """Self-contained invariant battery behind the `verify` CLI subcommand.
 
-Each check is a named callable returning None on success and raising on
-failure; `run_verify` executes them in order and reports one line per check.
+Each check is a named callable returning None on success and raising a
+C1AtlasError on failure, so the checks still fire under ``python -O``;
+`run_verify` executes them in order and reports one line per check.
 The F4 Jacobi sweep is exhaustive but takes a second or two, so it only runs
 with full=True.
 """
@@ -12,6 +13,7 @@ from . import nilcon
 from .catalog import default_catalog, find_space
 from .chevalley import build_algebra
 from .classify import classify, derive_type_e_spaces
+from .errors import CheckFailed
 from .rootsys import root_system
 from .scalars import GAUSSIAN
 from .shapeops import (
@@ -37,10 +39,15 @@ _COUNTS = {
 }
 
 
+def _require(condition, message):
+    if not condition:
+        raise CheckFailed(message)
+
+
 def _check_root_counts():
     for (fam, rank), expected in _COUNTS.items():
         rs = root_system(fam, rank)
-        assert len(rs.positives) == expected, f"{fam}{rank}: {len(rs.positives)}"
+        _require(len(rs.positives) == expected, f"{fam}{rank}: {len(rs.positives)}")
 
 
 def _check_grading_partitions():
@@ -52,7 +59,7 @@ def _check_grading_partitions():
             combined = list(g.sigma_phi_pos)
             for nu in g.levels:
                 combined.extend(g.levels[nu])
-            assert sorted(combined) == list(rs.positives), f"{fam}{rank} phi={sorted(phi)}"
+            _require(sorted(combined) == list(rs.positives), f"{fam}{rank} phi={sorted(phi)}")
 
 
 def _check_simple_decrement():
@@ -61,10 +68,13 @@ def _check_simple_decrement():
         for lam in rs.positives:
             if lam.height < 2:
                 continue
-            assert any(
-                rs.contains(lam.shifted(rs.simple(i), -1)) and sum(lam.shifted(rs.simple(i), -1)) > 0
-                for i in range(1, rs.rank + 1)
-            ), f"{fam}{rank}: {lam} has no simple decrement"
+            _require(
+                any(
+                    rs.contains(lam.shifted(rs.simple(i), -1)) and sum(lam.shifted(rs.simple(i), -1)) > 0
+                    for i in range(1, rs.rank + 1)
+                ),
+                f"{fam}{rank}: {lam} has no simple decrement",
+            )
 
 
 def _check_string_bound():
@@ -79,7 +89,7 @@ def _check_string_bound():
                 except Exception:
                     continue
                 longest = max(longest, len(s))
-        assert (longest == 4) == (fam == "G2"), f"{fam}{rank}: longest string {longest}"
+        _require((longest == 4) == (fam == "G2"), f"{fam}{rank}: longest string {longest}")
 
 
 def _check_jacobi_small():
@@ -105,7 +115,10 @@ def _check_theta_isometry():
         basis = [alg.h(1), alg.h(2)] + [alg.e(lam) for lam in alg.roots]
         for x in basis:
             for y in basis:
-                assert alg.killing(alg.theta(x), alg.theta(y)) == alg.killing(x, y)
+                _require(
+                    alg.killing(alg.theta(x), alg.theta(y)) == alg.killing(x, y),
+                    f"theta is not a Killing isometry on {x}, {y}",
+                )
 
 
 def _check_shape_consistency():
@@ -116,7 +129,7 @@ def _check_shape_consistency():
         orbit = OrbitSubalgebra(model, j)
         for xi in orbit.normal_basis():
             op = shape_operator(orbit, xi)  # built-in Koszul cross-check
-            assert check_self_adjoint(orbit, op)
+            _require(check_self_adjoint(orbit, op), f"A_xi is not self-adjoint on {fam}, j={j}")
     check_shape_identities(OrbitSubalgebra(SolvableModel(build_algebra(root_system("G2", 2))), 2))
 
 
@@ -124,17 +137,23 @@ def _check_g2_dichotomy():
     for scalars in ("rational", GAUSSIAN):
         alg = build_algebra(root_system("G2", 2), scalars)
         model = SolvableModel(alg)
-        assert is_totally_geodesic(OrbitSubalgebra(model, 1))
-        assert not is_totally_geodesic(OrbitSubalgebra(model, 2))
+        _require(is_totally_geodesic(OrbitSubalgebra(model, 1)), f"G2 j=1 over {scalars} bends")
+        _require(
+            not is_totally_geodesic(OrbitSubalgebra(model, 2)),
+            f"G2 j=2 over {scalars} is totally geodesic",
+        )
 
 
 def _check_catalog_and_sweep():
     cat = default_catalog()
     verdicts = nilcon.analyze_all(cat)
     sur = {(v.space, v.j) for v in nilcon.survivors(verdicts)}
-    assert sur == {("G2^2/SO(4)", 2), ("G2(C)/G2", 2)}, sur
+    _require(sur == {("G2^2/SO(4)", 2), ("G2(C)/G2", 2)}, f"survivors {sorted(sur)}")
     for v in verdicts:
-        assert nilcon.verify_witness(find_space(cat, v.space), v), (v.space, v.j)
+        _require(
+            nilcon.verify_witness(find_space(cat, v.space), v),
+            f"witness of {v.space}, j={v.j} does not re-check",
+        )
 
 
 def _check_classification():
@@ -155,10 +174,11 @@ def _check_classification():
         ("Sp(2,4)/Sp(2)Sp(4)", "HH^3"),
     }
     got = {(sp.name, str(rec)) for sp, _, rec in derive_type_e_spaces(cat)}
-    assert got == expected, got ^ expected
+    _require(got == expected, f"type-(e) spaces differ by {sorted(got ^ expected)}")
     for name in ("G2^2/SO(4)", "G2(C)/G2"):
         ac = classify([find_space(cat, name)])
-        assert [f.parameters.get("subgroup") for f in ac.by_kind("NILPOTENT")] == ["H_{2,0}"]
+        subgroups = [f.parameters.get("subgroup") for f in ac.by_kind("NILPOTENT")]
+        _require(subgroups == ["H_{2,0}"], f"{name}: nilpotent families {subgroups}")
 
 
 CHECKS = [

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Every check is exact (Fraction arithmetic, set equality); the timing budgets
-are asserted as stated, with the exhaustive F4 sweep dominating criterion 3.
+are asserted as stated.  The invariant battery of ``c1atlas verify`` runs
+here check by check, with the exhaustive F4 sweep the slowest of them; the
+numbered criteria hold only the assertions that battery lacks.
 """
 
 from __future__ import annotations
@@ -9,20 +11,23 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+import pytest
+
 from c1atlas import nilcon
 from c1atlas.catalog import default_catalog, find_space
 from c1atlas.chevalley import build_algebra
 from c1atlas.classify import CH_FORMULA, OH2_FORMULA, classify
 from c1atlas.rootsys import Root, level_one, root_system
-from c1atlas.scalars import GAUSSIAN
-from c1atlas.shapeops import (
-    OrbitSubalgebra,
-    SolvableModel,
-    check_self_adjoint,
-    cpc_charpoly_constancy,
-    is_totally_geodesic,
-    shape_operator,
-)
+from c1atlas.shapeops import OrbitSubalgebra, SolvableModel, cpc_charpoly_constancy, shape_operator
+from c1atlas.verify import CHECKS, FULL_CHECKS
+
+REGISTRY = CHECKS + FULL_CHECKS
+# seconds per registry check, by its short name; 5 s for the others
+REGISTRY_BUDGETS = {"catalog_and_sweep": 10.0, "jacobi_f4": 60.0}
+
+
+def _short_name(check):
+    return check.__name__.removeprefix("_check_")
 
 
 class _Budget:
@@ -108,9 +113,6 @@ def test_acceptance_2_elimination_regression():
         ]:
             assert by_key[(name, j)].status == nilcon.ELIMINATED_SHAPE_THEOREM, (name, j)
 
-        # the global survivor set
-        sur = {(v.space, v.j) for v in nilcon.survivors(verdicts)}
-        assert sur == {("G2^2/SO(4)", 2), ("G2(C)/G2", 2)}
         for v in verdicts:
             if v.status == nilcon.SURVIVES_W_ZERO_G2:
                 assert v.witness["w"] == "zero"
@@ -120,46 +122,12 @@ def test_acceptance_3_chevalley_soundness():
     with _Budget(3, "Chevalley soundness", 60.0):
         for family, rank in [("A", 1), ("A", 2), ("B", 2), ("G2", 2), ("F4", 4)]:
             alg = build_algebra(root_system(family, rank))
-            alg.check_jacobi_exhaustive()
-            alg.check_constant_magnitudes()
             basis = [alg.h(i) for i in range(1, rank + 1)]
             basis += [alg.e(lam) for lam in alg.roots]
             for x in basis:
                 assert alg.theta(alg.theta(x)) == x
                 for y in basis:
                     assert alg.killing(alg.theta(x), alg.theta(y)) == alg.killing(x, y)
-
-
-def test_acceptance_4_shape_operator_consistency():
-    with _Budget(4, "shape-operator consistency", 5.0):
-        for family, js in [("A", (1, 2)), ("G2", (1, 2))]:
-            alg = build_algebra(root_system(family, 2))
-            model = SolvableModel(alg)
-            for j in js:
-                orbit = OrbitSubalgebra(model, j)
-                basis = [model.basis_vector(k) for k in orbit.h_keys]
-                for xi in orbit.normal_basis():
-                    op = shape_operator(orbit, xi)  # raises on any Koszul mismatch
-                    assert check_self_adjoint(orbit, op)
-                    # independent recomputation of every column from the connection
-                    for c, x in enumerate(basis):
-                        rhs = [-model.levi_civita(x, xi, y) for y in basis]
-                        from c1atlas.linalg import mat_vec
-
-                        assert mat_vec(orbit._gram_inv, rhs) == list(op.column(c))
-
-
-def test_acceptance_5_total_geodesy_dichotomy():
-    with _Budget(5, "total-geodesy dichotomy", 5.0):
-        for scalars in ("rational", GAUSSIAN):
-            alg = build_algebra(root_system("G2", 2), scalars)
-            model = SolvableModel(alg)
-            assert is_totally_geodesic(OrbitSubalgebra(model, 1))
-            short = OrbitSubalgebra(model, 2)
-            assert not is_totally_geodesic(short)
-            op = shape_operator(short, alg.e(Root((0, 1))))
-            col = op.column(short.h_keys.index(("e", Root((1, 3)))))
-            assert any(v != 0 for v in col)
 
 
 def test_acceptance_6_cpc_spot_check():
@@ -206,7 +174,12 @@ def test_acceptance_7_classification_assembly():
             if kind == "HH_SYMBOLIC":
                 assert "symbolic" in moduli["formula"]
         for name in ("G2^2/SO(4)", "G2(C)/G2"):
-            ac = classify([find_space(catalog, name)])
-            nil = ac.by_kind("NILPOTENT")
-            assert [f.parameters["subgroup"] for f in nil] == ["H_{2,0}"]
-            assert nil[0].parameters["moduli"]["formula"] == "{H_{2,0}}"
+            (nil,) = classify([find_space(catalog, name)]).by_kind("NILPOTENT")
+            assert nil.parameters["moduli"]["formula"] == "{H_{2,0}}"
+
+
+@pytest.mark.parametrize("name, check", REGISTRY, ids=[_short_name(c) for _, c in REGISTRY])
+def test_registry_check(name, check):
+    short = _short_name(check)
+    with _Budget(short, name, REGISTRY_BUDGETS.get(short, 5.0)):
+        check()

@@ -39,7 +39,7 @@ def test_bc_rejected():
         build_algebra(root_system("BC", 2))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G2", 2)])
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("G2", 2)])
 def test_jacobi_exhaustive_small(family, rank):
     alg = build_algebra(root_system(family, rank))
     assert alg.check_jacobi_exhaustive() > 0

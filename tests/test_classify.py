@@ -208,7 +208,7 @@ def test_diagonal_pair_orbits_match_independent_enumeration():
 
 
 @pytest.mark.parametrize(
-    "expected", PRODUCTS, ids=[" x ".join(p["spaces"]) for p in PRODUCTS]
+    "expected", PRODUCTS, ids=["ch3-ch3", "d4-d4", "a3-ch3-a3", "e6-e6", "rh2-rh2-d5"]
 )
 def test_product_catalogs_match_recorded_output(catalog, expected):
     factors = [find_space(catalog, name) for name in expected["spaces"]]

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import c1atlas
 from c1atlas.cli import main, render_hasse
 from c1atlas.rootsys import root_system
 
@@ -80,6 +84,21 @@ def test_shape_subcommand_dichotomy(capsys):
     assert any(
         any(any(x != "0" for x in row) for row in op["matrix"]) for op in payload["operators"]
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("shape", "--space", "G2^2/SO(4)", "--j", "7"),
+        ("grading", "--type", "G2", "--j", "9"),
+        ("analyze", "--space", "G2^2/SO(4)", "--j", "5"),
+    ],
+    ids=["shape", "grading", "analyze"],
+)
+def test_out_of_range_j_is_a_data_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "out of range for rank 2" in err
 
 
 def test_shape_rejects_nonmodel_spaces(capsys):
@@ -174,7 +193,7 @@ def test_verify_subcommand(capsys):
     assert out.count("PASS") >= 10
 
 
-def test_verify_fails_against_a_catalog_missing_the_survivors(tmp_path, capsys, monkeypatch):
+def _catalog_without_survivors(tmp_path):
     # a loadable catalog without the G2 spaces breaks the sweep regression
     small = {
         "schema_version": 1,
@@ -185,7 +204,27 @@ def test_verify_fails_against_a_catalog_missing_the_survivors(tmp_path, capsys, 
     }
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(small))
-    monkeypatch.setenv("C1_ATLAS_CATALOG", str(path))
+    return path
+
+
+def test_verify_fails_against_a_catalog_missing_the_survivors(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("C1_ATLAS_CATALOG", str(_catalog_without_survivors(tmp_path)))
     code = main(["verify"])
     out = capsys.readouterr().out
     assert code == 1 and "FAIL" in out and "verify: FAILED" in out
+
+
+def test_verify_checks_fire_under_python_O(tmp_path):
+    # -O strips assert statements; the sweep check must still report FAIL
+    env = dict(
+        os.environ,
+        C1_ATLAS_CATALOG=str(_catalog_without_survivors(tmp_path)),
+        PYTHONPATH=str(Path(c1atlas.__file__).parents[1]),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "c1atlas.cli", "verify"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    (line,) = [x for x in proc.stdout.splitlines() if "elimination sweep" in x]
+    assert line.startswith("FAIL  catalog validates; elimination sweep has exactly the G2 survivors")
+    assert proc.returncode == 1

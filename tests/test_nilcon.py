@@ -16,7 +16,6 @@ from c1atlas.nilcon import (
     analyze,
     analyze_all,
     ce_reduction_check,
-    corner_check,
     multiplicity_check,
     snake_check,
     survivors,
@@ -26,10 +25,11 @@ from c1atlas.rootsys import Root, root_system
 
 
 def test_corner_check():
-    assert corner_check(root_system("A", 4), 2) == frozenset({1, 3})
-    assert corner_check(root_system("F4", 4), 1) == frozenset({2})
-    assert corner_check(root_system("G2", 2), 2) == frozenset({1})
-    assert corner_check(root_system("D", 4), 2) == frozenset({1, 3, 4})
+    # the corner step of the ladder reads the diagram neighbours of a_j
+    assert root_system("A", 4).dynkin_neighbors(2) == frozenset({1, 3})
+    assert root_system("F4", 4).dynkin_neighbors(1) == frozenset({2})
+    assert root_system("G2", 2).dynkin_neighbors(2) == frozenset({1})
+    assert root_system("D", 4).dynkin_neighbors(2) == frozenset({1, 3, 4})
 
 
 def test_snake_f4_j1_collision_pair():

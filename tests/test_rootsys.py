@@ -78,15 +78,15 @@ def test_heights_and_f4_highest_root():
     top = rs.highest_root
     assert top.coeffs == (2, 3, 4, 2)
     assert top.height == 11
-    assert rs.coefficient(top, 3) == 4
+    assert top.coefficient(3) == 4
     assert (-top).height == -11
 
 
 def test_simple_root_height_and_coefficient():
     rs = root_system("BC", 2)
     assert rs.simple(2).height == 1
-    assert rs.coefficient(Root((0, 2)), 1) == 0
-    assert rs.coefficient(rs.simple(1), 1) == 1
+    assert Root((0, 2)).coefficient(1) == 0
+    assert rs.simple(1).coefficient(1) == 1
 
 
 def test_root_string_a2():
