@@ -13,6 +13,11 @@ from c1atlas.cli import main, render_hasse
 from c1atlas.rootsys import root_system
 
 TG_SAMPLE = str(Path(__file__).parent / "data" / "tg_table_sample.json")
+# Recorded stdout of `shape`, text and JSON, on split and complexified models
+# over both scalar rings, with zero and nonzero shape operators.
+SHAPE_OUTPUTS = json.loads(
+    (Path(__file__).parent / "data" / "shape_outputs.json").read_text(encoding="utf-8")
+)
 
 
 def run(capsys, *argv):
@@ -84,6 +89,14 @@ def test_shape_subcommand_dichotomy(capsys):
     assert any(
         any(any(x != "0" for x in row) for row in op["matrix"]) for op in payload["operators"]
     )
+
+
+@pytest.mark.parametrize(
+    "expected", SHAPE_OUTPUTS, ids=lambda e: f"{e['argv'][2]}-j{e['argv'][4]}-{e['argv'][6]}"
+)
+def test_shape_output_matches_recording(capsys, expected):
+    code, out, _ = run(capsys, *expected["argv"])
+    assert code == 0 and out == expected["stdout"]
 
 
 @pytest.mark.parametrize(
