@@ -182,7 +182,8 @@ class ChevalleyAlgebra:
         out = []
         for i in range(1, rs.rank + 1):
             c = lam.coeffs[i - 1] * rs.length_sq(rs.simple(i)) / ll
-            assert c.denominator == 1, "coroot is not an integral coroot combination"
+            if c.denominator != 1:
+                raise IdentityViolation(f"coroot of {lam} is not an integral coroot combination")
             out.append(int(c))
         return tuple(out)
 
@@ -366,21 +367,36 @@ class ChevalleyAlgebra:
                 count += 1
         return count
 
-    def real_root_basis(self, lam: Root):
-        """Basis of the root space of lam in the underlying real algebra."""
-        vecs = [self.e(lam)]
+    # -- the underlying real algebra -------------------------------------------
+    # Real basis keys: ("h", i) and ("e", lam) stand for h_i and e_lam; over
+    # Gaussian scalars ("ih", i) and ("ie", lam) stand for i*h_i and i*e_lam.
+    def real_keys(self, roots) -> tuple:
+        """Real basis keys of the root spaces of `roots`, in the given order."""
         if self.scalars == GAUSSIAN:
-            vecs.append(self.e(lam, GaussianRational(0, 1)))
-        return vecs
+            return tuple(key for lam in roots for key in (("e", lam), ("ie", lam)))
+        return tuple(("e", lam) for lam in roots)
+
+    def real_coords(self, x: AlgebraElement) -> dict:
+        """Nonzero coordinates of x over the real basis."""
+        out = {}
+        for (tag, payload), c in x.terms.items():
+            re, im = Fraction(c.real), Fraction(c.imag)
+            if re:
+                out[(tag, payload)] = re
+            if im:
+                out[("i" + tag, payload)] = im
+        return out
+
+    def real_vector(self, key) -> AlgebraElement:
+        """The real basis vector named by `key`."""
+        tag, payload = key
+        if tag in ("ih", "ie"):
+            return AlgebraElement(self, {(tag[1:], payload): GaussianRational(0, 1)})
+        return AlgebraElement(self, {key: as_scalar(1, self.scalars)})
 
     def in_centraliser_of_flat(self, x: AlgebraElement) -> bool:
         """Whether x lies in the compact centraliser of the flat (the k_0 part)."""
-        for key, c in x.terms.items():
-            if key[0] == "e":
-                return False
-            if c.real != 0:
-                return False
-        return True
+        return all(key[0] == "ih" for key in self.real_coords(x))
 
 
 def build_algebra(rs: RootSystem, scalars: str = RATIONAL) -> ChevalleyAlgebra:
@@ -439,17 +455,19 @@ def check_string_injectivity(
     if k < 1 or k >= len(string):
         raise ValueError(f"power {k} outside the string through {alpha}")
     target = string[k]
-    source = algebra.real_root_basis(alpha)
-    target_basis = algebra.real_root_basis(target)
+    target_keys = algebra.real_keys([target])
+    source = [algebra.real_vector(key) for key in algebra.real_keys([alpha])]
     ranks = []
-    for x in algebra.real_root_basis(beta):
-        cols = []
-        for v in source:
-            img = v
+    for x in (algebra.real_vector(key) for key in algebra.real_keys([beta])):
+        images = []
+        for img in source:
             for _ in range(k):
                 img = algebra.bracket(x, img)
-            cols.append(_real_components(img, target, algebra))
-        mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(target_basis))]
+            coords = algebra.real_coords(img)
+            if not coords.keys() <= set(target_keys):
+                raise ValueError(f"element is not contained in the root space of {target}")
+            images.append(coords)
+        mat = [[img.get(key, 0) for img in images] for key in target_keys]
         rk = mat_rank(mat)
         if rk != len(source):
             raise InjectivityViolation(
@@ -457,17 +475,6 @@ def check_string_injectivity(
             )
         ranks.append(rk)
     return StringInjectivityReport(alpha=alpha, beta=beta, power=k, ranks=tuple(ranks))
-
-
-def _real_components(elem: AlgebraElement, lam: Root, algebra: ChevalleyAlgebra):
-    c = elem.coefficient(("e", lam))
-    rest = {k: v for k, v in elem.terms.items() if k != ("e", lam)}
-    if rest:
-        raise ValueError(f"element is not contained in the root space of {lam}")
-    if algebra.scalars == RATIONAL:
-        return [Fraction(c)]
-    c = as_scalar(c, GAUSSIAN)
-    return [c.real, c.imag]
 
 
 def dump_structure_constants(algebra: ChevalleyAlgebra) -> list:

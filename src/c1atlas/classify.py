@@ -31,7 +31,7 @@ from .catalog import (
     homothetic_rank_one_pair,
     rank_one_recognize,
 )
-from .errors import ParseError, RHHasNoNCModuli
+from .errors import IdentityViolation, ParseError, RHHasNoNCModuli
 from . import nilcon
 
 CH_FORMULA = "(0,π/2) × {2,4,…,2⌊n/2⌋} ⊔ {π/2} × {2,…,n}"
@@ -386,7 +386,7 @@ def _nilpotent_families(factors):
                 if verdict.status == nilcon.SURVIVES_W_ZERO_G2:
                     sweep_survivors.add((f, verdict.j))
     if sweep_survivors != g2_factors:
-        raise AssertionError(
+        raise IdentityViolation(
             "catalog-driven G2 families and elimination-sweep survivors disagree: "
             f"{sorted(g2_factors)} vs {sorted(sweep_survivors)}"
         )

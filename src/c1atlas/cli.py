@@ -25,7 +25,7 @@ from . import nilcon
 from .catalog import default_catalog, find_space, load_catalog
 from .chevalley import build_algebra
 from .classify import classify, load_tg_table
-from .errors import C1AtlasError
+from .errors import C1AtlasError, NotARoot
 from .rootsys import FIXED_RANK, Root, RootSystem, RootSystemType, build_root_system, level_one
 from .scalars import GAUSSIAN, RATIONAL
 from .shapeops import OrbitSubalgebra, SolvableModel, shape_operator
@@ -46,6 +46,13 @@ def _parse_coeffs(text: str) -> tuple:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise C1AtlasError(f"bad coefficient vector {text!r}") from exc
+
+
+def _parse_root(rs: RootSystem, text: str) -> Root:
+    coeffs = _parse_coeffs(text)
+    if not rs.contains(coeffs):
+        raise NotARoot(f"{text} is not a root of {rs.rtype}")
+    return Root(coeffs)
 
 
 def _emit(args, payload_json, payload_text: str) -> None:
@@ -107,13 +114,13 @@ def _cmd_grading(args) -> int:
 
 def _cmd_strings(args) -> int:
     rs = _root_system_from(args)
-    lam = Root(_parse_coeffs(args.root))
+    lam = _parse_root(rs, args.root)
     if args.beta:
-        beta = Root(_parse_coeffs(args.beta))
+        beta = _parse_root(rs, args.beta)
         roots = rs.root_string(lam, beta)
         label = f"string of {lam} along {beta}"
     else:
-        phi = frozenset(int(x) for x in args.phi.split(",")) if args.phi else frozenset()
+        phi = frozenset(_parse_coeffs(args.phi)) if args.phi else frozenset()
         roots = sorted(rs.phi_string(lam, phi))
         label = f"phi-string of {lam} over {sorted(phi)}"
     _emit(
@@ -157,6 +164,7 @@ def _cmd_shape(args) -> int:
     algebra = build_algebra(rs, scalars)
     orbit = OrbitSubalgebra(SolvableModel(algebra), args.j)
     ops = [shape_operator(orbit, xi) for xi in orbit.normal_basis()]
+    polys = [[str(c) for c in op.charpoly()] for op in ops]
     tg = all(op.is_zero for op in ops)
     payload = {
         "space": space.name,
@@ -168,14 +176,14 @@ def _cmd_shape(args) -> int:
             {
                 "xi": [list(map(str, k)) + [str(v)] for k, v in op.xi_key],
                 "matrix": [[str(x) for x in row] for row in op.matrix],
-                "charpoly": [str(c) for c in op.charpoly()],
+                "charpoly": poly,
             }
-            for op in ops
+            for op, poly in zip(ops, polys)
         ],
     }
     lines = [f"{space.name}, j = {args.j}, w = 0"]
     lines.append(f"tangent basis: {', '.join('*'.join(map(str, k)) for k in orbit.h_keys)}")
-    for op in ops:
+    for op, poly in zip(ops, polys):
         xi_label = " + ".join(f"({v})*{'*'.join(map(str, k))}" for k, v in op.xi_key)
         lines.append(f"A_xi for xi = {xi_label}:")
         if op.is_zero:
@@ -183,7 +191,7 @@ def _cmd_shape(args) -> int:
         else:
             for row in op.matrix:
                 lines.append("  [" + ", ".join(str(x) for x in row) + "]")
-        lines.append("  charpoly: " + ", ".join(str(c) for c in op.charpoly()))
+        lines.append("  charpoly: " + ", ".join(poly))
     lines.append(
         "singular orbit is totally geodesic" if tg else "singular orbit is NOT totally geodesic"
     )

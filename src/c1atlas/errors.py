@@ -15,6 +15,10 @@ class InvalidIndex(C1AtlasError, ValueError):
     """Simple-root index outside 1..rank."""
 
 
+class NotARoot(C1AtlasError, ValueError):
+    """Coefficient vector that is not a root of the system at hand."""
+
+
 class ProportionalRoots(C1AtlasError):
     """Root-string endpoints must not be proportional."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import InvalidIndex, InvalidRank, ProportionalRoots
+from .errors import IdentityViolation, InvalidIndex, InvalidRank, NotARoot, ProportionalRoots
 
 FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2", "BC")
 FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
@@ -180,9 +180,8 @@ class RootSystem:
         self.cartan = tuple(tuple(row) for row in cartan)
         self._d = tuple(d)
         gram = [[cartan[i][j] * d[j] / 2 for j in range(r)] for i in range(r)]
-        for i in range(r):
-            for j in range(r):
-                assert gram[i][j] == gram[j][i], "Cartan data is not symmetrizable"
+        if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(i + 1, r)):
+            raise IdentityViolation(f"Cartan data of {rtype} is not symmetrizable")
         self.gram = tuple(tuple(row) for row in gram)
         self._edges = tuple(sorted(edges))
         self.non_reduced = rtype.family == "BC"
@@ -242,7 +241,8 @@ class RootSystem:
     def _pairing_coeffs(self, lam_coeffs, mu_coeffs) -> int:
         lam, mu = Root(lam_coeffs), Root(mu_coeffs)
         val = 2 * self.inner(lam, mu) / self.inner(mu, mu)
-        assert val.denominator == 1, "non-integral Cartan pairing"
+        if val.denominator != 1:
+            raise IdentityViolation(f"non-integral Cartan pairing of {lam} with {mu}")
         return int(val)
 
     def pairing(self, lam: Root, mu: Root) -> int:
@@ -281,7 +281,7 @@ class RootSystem:
     def root_string(self, lam: Root, beta: Root):
         """The upward beta-string [lam, lam+beta, ..., lam+q*beta] inside the system."""
         if not (self.contains(lam) and self.contains(beta)):
-            raise ValueError("string endpoints must be roots")
+            raise NotARoot("string endpoints must be roots")
         if self._proportional(lam, beta):
             raise ProportionalRoots(f"{lam} and {beta} are proportional")
         out = [lam]
@@ -303,6 +303,8 @@ class RootSystem:
     def phi_string(self, lam: Root, phi: Iterable[int]):
         """All of Sigma u {0} congruent to lam modulo the span of {a_i : i in phi}."""
         phi = frozenset(phi)
+        if not phi <= set(range(1, self.rank + 1)):
+            raise InvalidIndex(f"phi {sorted(phi)} is not a set of simple indices 1..{self.rank}")
         fixed = [i for i in range(self.rank) if (i + 1) not in phi]
         out = set()
         zero = (0,) * self.rank

@@ -19,63 +19,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormulaMismatch, IdentityViolation, NotClosed, SpectrumMismatch
-from .linalg import charpoly, inverse, mat_vec
+from .linalg import charpoly, inverse, is_symmetric, mat_mul, mat_vec
 from .rootsys import Root, RootSystem
-from .scalars import GAUSSIAN, GaussianRational, as_scalar
 from .chevalley import AlgebraElement, ChevalleyAlgebra
-
-# Real basis keys: ("h", i) and, over Gaussian scalars, ("ih", i) spanning the
-# compact centraliser of the flat; ("e", lam) / ("ie", lam) span root spaces.
-
-
-def _real_coords(algebra: ChevalleyAlgebra, elem: AlgebraElement) -> dict:
-    out = {}
-    gaussian = algebra.scalars == GAUSSIAN
-    for (tag, payload), c in elem.terms.items():
-        if gaussian:
-            c = as_scalar(c, GAUSSIAN)
-            re, im = c.real, c.imag
-        else:
-            re, im = Fraction(c), Fraction(0)
-        if re:
-            out[(tag, payload)] = re
-        if im:
-            out[(("ih" if tag == "h" else "ie"), payload)] = im
-    return out
-
-
-def _from_real_key(algebra: ChevalleyAlgebra, key, coefficient=1) -> AlgebraElement:
-    tag, payload = key
-    if tag in ("ih", "ie"):
-        c = GaussianRational(0, 1) * as_scalar(coefficient, GAUSSIAN)
-        base = ("h", payload) if tag == "ih" else ("e", payload)
-        return AlgebraElement(algebra, {base: c})
-    return AlgebraElement(algebra, {key: as_scalar(coefficient, algebra.scalars)})
 
 
 class SolvableModel:
-    """The metric solvable group attached to a split or complexified algebra."""
+    """The metric solvable group attached to a split or complexified algebra.
+
+    ``an_keys`` lists the real basis of a + n: the flat keys ("h", i) first,
+    then the real keys of the positive root spaces.
+    """
 
     def __init__(self, algebra: ChevalleyAlgebra):
         self.algebra = algebra
         rs = algebra.rs
-        keys = [("h", i) for i in range(1, rs.rank + 1)]
-        for lam in sorted(rs.positives):
-            keys.append(("e", lam))
-            if algebra.scalars == GAUSSIAN:
-                keys.append(("ie", lam))
-        self.an_keys = tuple(keys)
-        self._an_keyset = frozenset(keys)
+        flat = tuple(("h", i) for i in range(1, rs.rank + 1))
+        self.an_keys = flat + algebra.real_keys(sorted(rs.positives))
+        self._an_keyset = frozenset(self.an_keys)
 
     @property
     def rs(self) -> RootSystem:
         return self.algebra.rs
 
-    def basis_vector(self, key) -> AlgebraElement:
-        return _from_real_key(self.algebra, key)
-
     def _check_in_an(self, x: AlgebraElement):
-        for key in _real_coords(self.algebra, x):
+        for key in self.algebra.real_coords(x):
             if key not in self._an_keyset:
                 raise ValueError(f"component {key} lies outside a + n")
 
@@ -166,18 +134,9 @@ class OrbitSubalgebra:
         self.v_roots = tuple(sorted(lam for lam in level_one if selection[lam] == "zero"))
         self._assert_closed()
 
-        keys = [("h", i) for i in range(1, rs.rank + 1)]
-        for lam in self.h_roots:
-            keys.append(("e", lam))
-            if model.algebra.scalars == GAUSSIAN:
-                keys.append(("ie", lam))
-        self.h_keys = tuple(keys)
-        vkeys = []
-        for lam in self.v_roots:
-            vkeys.append(("e", lam))
-            if model.algebra.scalars == GAUSSIAN:
-                vkeys.append(("ie", lam))
-        self.v_keys = tuple(vkeys)
+        alg = model.algebra
+        self.h_keys = model.an_keys[: rs.rank] + alg.real_keys(self.h_roots)
+        self.v_keys = alg.real_keys(self.v_roots)
         self._h_keyset = frozenset(self.h_keys)
         self._gram = self._an_gram()
         self._gram_inv = inverse(self._gram)
@@ -195,7 +154,7 @@ class OrbitSubalgebra:
 
     def _an_gram(self):
         model = self.model
-        vecs = [model.basis_vector(k) for k in self.h_keys]
+        vecs = [model.algebra.real_vector(k) for k in self.h_keys]
         return [[model.an_inner(x, y) for y in vecs] for x in vecs]
 
     @property
@@ -209,15 +168,14 @@ class OrbitSubalgebra:
         h / complement divide (the flat part lies entirely inside h), so the
         projection just keeps the h-components.
         """
-        coords = _real_coords(self.model.algebra, elem)
+        coords = self.model.algebra.real_coords(elem)
         return {k: v for k, v in coords.items() if k in self._h_keyset}
 
     def normal_basis(self):
-        return [self.model.basis_vector(k) for k in self.v_keys]
+        return [self.model.algebra.real_vector(k) for k in self.v_keys]
 
     def contains_normal(self, xi: AlgebraElement) -> bool:
-        coords = _real_coords(self.model.algebra, xi)
-        return all(k in set(self.v_keys) for k in coords)
+        return self.model.algebra.real_coords(xi).keys() <= set(self.v_keys)
 
     @property
     def top_level_one_root(self) -> Root:
@@ -232,29 +190,29 @@ class OrbitSubalgebra:
 def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorMatrix:
     """The exact shape operator of the orbit in normal direction xi.
 
-    Columns are solved from <A_xi X, Y>_AN over the tangent basis, then
-    re-derived from the Levi-Civita formula; any disagreement raises
-    FormulaMismatch.
+    Each column is solved from the covector <A_xi X, .>_AN over the tangent
+    basis.  That covector is first re-derived from the Levi-Civita formula;
+    any disagreement raises FormulaMismatch.  The Gram matrix is invertible,
+    so equal covectors are exactly equal columns.
     """
     model = orbit.model
     alg = model.algebra
     if not orbit.contains_normal(xi):
         raise ValueError("xi must lie in the normal space of the orbit")
-    basis = [model.basis_vector(k) for k in orbit.h_keys]
+    basis = [alg.real_vector(k) for k in orbit.h_keys]
     theta_xi = alg.theta(xi)
     columns = []
     for x in basis:
         combo = alg.bracket(xi, x) - alg.bracket(theta_xi, x)
         rhs = [Fraction(1, 4) * alg.b_theta(combo, y) for y in basis]
-        columns.append(mat_vec(orbit._gram_inv, rhs))
-        kos = [-model.levi_civita(x, xi, y) for y in basis]
-        if mat_vec(orbit._gram_inv, kos) != columns[-1]:
+        if [-model.levi_civita(x, xi, y) for y in basis] != rhs:
             raise FormulaMismatch(
                 "bracket formula and Koszul derivative disagree on a tangent vector"
             )
+        columns.append(mat_vec(orbit._gram_inv, rhs))
     n = len(basis)
     matrix = tuple(tuple(columns[c][r] for c in range(n)) for r in range(n))
-    xi_key = tuple(sorted(_real_coords(alg, xi).items()))
+    xi_key = tuple(sorted(alg.real_coords(xi).items()))
     return ShapeOperatorMatrix(xi_key=xi_key, basis=orbit.h_keys, matrix=matrix)
 
 
@@ -277,13 +235,13 @@ def check_shape_identities(orbit: OrbitSubalgebra) -> None:
     alg = model.algebra
     sigma_j = set(orbit.grading.sigma_phi_pos)
     top = orbit.top_level_one_root
-    half = as_scalar(Fraction(1, 2), alg.scalars)
+    half = Fraction(1, 2)
     for vk in orbit.v_keys:
-        xi = model.basis_vector(vk)
+        xi = alg.real_vector(vk)
         op = shape_operator(orbit, xi)
         theta_xi = alg.theta(xi)
         for c, key in enumerate(orbit.h_keys):
-            x = model.basis_vector(key)
+            x = alg.real_vector(key)
             col = op.column(c)
             if key[0] == "h" and any(v != 0 for v in col):
                 raise IdentityViolation(f"A_xi does not kill the flat part at {key}")
@@ -293,7 +251,7 @@ def check_shape_identities(orbit: OrbitSubalgebra) -> None:
             got = {orbit.h_keys[r]: col[r] for r in range(len(col)) if col[r] != 0}
             if expected != got:
                 raise IdentityViolation(f"projection formula fails at xi={vk}, X={key}")
-            if key[0] in ("e", "ie") and key[1] in sigma_j:
+            if key[0] != "h" and key[1] in sigma_j:
                 plain = orbit.tangent_project(half * alg.bracket(xi, x))
                 if plain != got:
                     raise IdentityViolation(
@@ -307,16 +265,7 @@ def check_shape_identities(orbit: OrbitSubalgebra) -> None:
 
 def check_self_adjoint(orbit: OrbitSubalgebra, op: ShapeOperatorMatrix) -> bool:
     """A_xi must be symmetric for the AN Gram matrix of the orbit."""
-    g = orbit.gram
-    n = len(op.basis)
-    ga = [
-        [
-            sum(g[i][k] * op.matrix[k][j] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return all(ga[i][j] == ga[j][i] for i in range(n) for j in range(i + 1, n))
+    return is_symmetric(mat_mul(orbit.gram, op.matrix))
 
 
 def cpc_charpoly_constancy(orbit: OrbitSubalgebra, samples) -> list:

@@ -189,6 +189,24 @@ def test_theta_bracket_identity_gaussian_k0_part(g2_gaussian):
     assert g2_gaussian.in_centraliser_of_flat(mixed)
 
 
+def test_real_basis_round_trip(g2_split, g2_gaussian):
+    a1 = g2_split.rs.simple(1)
+    assert g2_split.real_keys([a1, -a1]) == (("e", a1), ("e", -a1))
+    assert g2_gaussian.real_keys([a1]) == (("e", a1), ("ie", a1))
+    for alg in (g2_split, g2_gaussian):
+        keys = [("h", 1), ("h", 2)] + list(alg.real_keys(alg.roots))
+        if alg.scalars == GAUSSIAN:
+            keys += [("ih", 1), ("ih", 2)]
+        for key in keys:
+            assert alg.real_coords(alg.real_vector(key)) == {key: 1}
+    x = g2_gaussian.element({("h", 1): GaussianRational(2, -3), ("e", a1): Fraction(1, 2)})
+    assert g2_gaussian.real_coords(x) == {
+        ("h", 1): 2, ("ih", 1): -3, ("e", a1): Fraction(1, 2),
+    }
+    assert not g2_gaussian.in_centraliser_of_flat(x)
+    assert g2_gaussian.in_centraliser_of_flat(g2_gaussian.real_vector(("ih", 2)))
+
+
 def test_theta_bracket_identity_detects_orthogonality_misuse(g2_gaussian):
     a2 = g2_gaussian.rs.simple(2)
     with pytest.raises(ValueError):

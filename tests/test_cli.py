@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 import c1atlas
+from c1atlas import nilcon
+from c1atlas.catalog import default_catalog, find_space
+from c1atlas.classify import classify
 from c1atlas.cli import main, render_hasse
+from c1atlas.errors import C1AtlasError
 from c1atlas.rootsys import root_system
 
 TG_SAMPLE = str(Path(__file__).parent / "data" / "tg_table_sample.json")
@@ -64,6 +68,23 @@ def test_strings_subcommand(capsys):
         capsys, "strings", "--type", "B", "--rank", "5", "--root", "0,0,0,0,1", "--phi", "1,2,3,4"
     )
     assert code == 0 and "5 roots" in out
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--root", "1,0", "--phi", "7"),
+        ("--root", "2,0"),
+        ("--root", "1,0", "--beta", "3,3"),
+        ("--root", "1,-1"),
+    ],
+    ids=["phi-out-of-range", "non-root", "beta-non-root", "mixed-sign"],
+)
+def test_strings_bad_input_is_a_data_error(capsys, extra):
+    code, out, err = run(capsys, "strings", "--type", "A", "--rank", "2", *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_analyze_single_and_sweep(capsys):
@@ -130,6 +151,23 @@ def test_classify_subcommand(capsys):
     payload = json.loads(out)
     assert payload["spaces"] == ["CH^3", "CH^3"]
     assert any(f["kind"] == "CE_DIAGONAL" for f in payload["families"])
+
+
+def test_classify_refuses_when_sweep_and_catalog_disagree(capsys, monkeypatch):
+    analyze = nilcon.analyze
+
+    def demote_survivor(space, j):
+        verdict = analyze(space, j)
+        if verdict.status == nilcon.SURVIVES_W_ZERO_G2:
+            return nilcon.NCVerdict(space.name, j, nilcon.W_ZERO_TOTALLY_GEODESIC)
+        return verdict
+
+    monkeypatch.setattr(nilcon, "analyze", demote_survivor)
+    with pytest.raises(C1AtlasError, match="disagree"):
+        classify([find_space(default_catalog(), "G2^2/SO(4)")])
+    code, out, err = run(capsys, "classify", "--space", "G2^2/SO(4)")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "disagree" in err
 
 
 def test_classify_with_tg_table(capsys):

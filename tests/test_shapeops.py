@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c1atlas.chevalley import build_algebra
-from c1atlas.errors import NotClosed, SpectrumMismatch
+from c1atlas.errors import FormulaMismatch, NotClosed, SpectrumMismatch
 from c1atlas.rootsys import Root, root_system
 from c1atlas.shapeops import (
     OrbitSubalgebra,
@@ -87,6 +87,21 @@ def test_g2_short_root_w_zero_not_totally_geodesic(g2_model):
     col = op.column(orbit.h_keys.index(("e", Root((1, 3)))))
     assert any(v != 0 for v in col)  # image lands in the level-two root space
     assert col[orbit.h_keys.index(("e", Root((1, 2))))] != 0
+
+
+@pytest.mark.parametrize("ring", ["rational", "gaussian"])
+def test_koszul_cross_check_fires(monkeypatch, g2_split, g2_gaussian, ring):
+    alg = g2_split if ring == "rational" else g2_gaussian
+    model = SolvableModel(alg)
+    orbit = OrbitSubalgebra(model, 2)
+    xi = alg.e(Root((0, 1)))
+    shape_operator(orbit, xi)  # consistent before the connection is perturbed
+    levi_civita = SolvableModel.levi_civita
+    monkeypatch.setattr(
+        SolvableModel, "levi_civita", lambda self, x, y, z: levi_civita(self, x, y, z) + 1
+    )
+    with pytest.raises(FormulaMismatch):
+        shape_operator(orbit, xi)
 
 
 def test_gaussian_g2_dichotomy(g2_gaussian_model):
