@@ -10,7 +10,7 @@ import pytest
 
 import c1atlas
 from c1atlas import nilcon
-from c1atlas.catalog import default_catalog, find_space
+from c1atlas.catalog import find_space
 from c1atlas.classify import classify
 from c1atlas.cli import main, render_hasse
 from c1atlas.errors import C1AtlasError
@@ -153,7 +153,7 @@ def test_classify_subcommand(capsys):
     assert any(f["kind"] == "CE_DIAGONAL" for f in payload["families"])
 
 
-def test_classify_refuses_when_sweep_and_catalog_disagree(capsys, monkeypatch):
+def test_classify_refuses_when_sweep_and_catalog_disagree(capsys, monkeypatch, catalog):
     analyze = nilcon.analyze
 
     def demote_survivor(space, j):
@@ -164,7 +164,7 @@ def test_classify_refuses_when_sweep_and_catalog_disagree(capsys, monkeypatch):
 
     monkeypatch.setattr(nilcon, "analyze", demote_survivor)
     with pytest.raises(C1AtlasError, match="disagree"):
-        classify([find_space(default_catalog(), "G2^2/SO(4)")])
+        classify([find_space(catalog, "G2^2/SO(4)")])
     code, out, err = run(capsys, "classify", "--space", "G2^2/SO(4)")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "disagree" in err
