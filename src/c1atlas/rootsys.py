@@ -22,6 +22,9 @@ from .errors import IdentityViolation, InvalidIndex, InvalidRank, NotARoot, Prop
 
 FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2", "BC")
 FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
+# Largest admissible rank.  Every space in the catalog has rank <= 8; the cap
+# bounds the work a single request can ask for (B20 has 400 positive roots).
+MAX_RANK = 20
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,8 @@ class RootSystemType:
         if self.family not in FAMILIES:
             raise InvalidRank(f"unknown family {self.family!r}")
         r = self.rank
+        if r > MAX_RANK:
+            raise InvalidRank(f"rank {r} exceeds the cap of {MAX_RANK}")
         if self.family in FIXED_RANK:
             if r != FIXED_RANK[self.family]:
                 raise InvalidRank(f"{self.family} has fixed rank {FIXED_RANK[self.family]}")

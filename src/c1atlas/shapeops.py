@@ -93,7 +93,7 @@ class ShapeOperatorMatrix:
         return sum((self.matrix[i][i] for i in range(len(self.basis))), Fraction(0))
 
     def charpoly(self):
-        return charpoly([list(row) for row in self.matrix])
+        return charpoly(self.matrix)
 
     def column(self, j):
         return [self.matrix[i][j] for i in range(len(self.basis))]

@@ -8,6 +8,7 @@ numbered criteria hold only the assertions that battery lacks.
 
 from __future__ import annotations
 
+import json
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from c1atlas import nilcon
 from c1atlas.catalog import default_catalog, find_space
 from c1atlas.chevalley import build_algebra
 from c1atlas.classify import CH_FORMULA, OH2_FORMULA, classify
+from c1atlas.cli import main
 from c1atlas.rootsys import Root, level_one, root_system
 from c1atlas.shapeops import OrbitSubalgebra, SolvableModel, cpc_charpoly_constancy, shape_operator
 from c1atlas.verify import CHECKS, FULL_CHECKS
@@ -176,6 +178,19 @@ def test_acceptance_7_classification_assembly():
         for name in ("G2^2/SO(4)", "G2(C)/G2"):
             (nil,) = classify([find_space(catalog, name)]).by_kind("NILPOTENT")
             assert nil.parameters["moduli"]["formula"] == "{H_{2,0}}"
+
+
+def test_acceptance_8_shape_on_e6(capsys):
+    # 16 zero shape operators on a 26-dimensional orbit; an O(n^4) charpoly
+    # kernel needs about 30 s here
+    with _Budget(8, "shape on E6^6/Sp(4), j = 1", 10.0):
+        code = main(["shape", "--space", "E6^6/Sp(4)", "--j", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["totally_geodesic"] is True
+        ops = payload["operators"]
+        assert len(ops) == 16
+        for op in ops:
+            assert op["charpoly"] == ["1"] + ["0"] * len(op["matrix"])
 
 
 @pytest.mark.parametrize("name, check", REGISTRY, ids=[_short_name(c) for _, c in REGISTRY])

@@ -222,6 +222,24 @@ def test_catalog_override_via_flag_and_env(tmp_path, capsys, monkeypatch):
     assert [e["name"] for e in json.loads(out)] == ["only"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("catalog", "--catalog"), ("classify", "--space", "RH^2", "--tg-table")],
+    ids=["catalog", "tg-table"],
+)
+def test_unreadable_data_path_is_a_data_error(tmp_path, capsys, argv):
+    # a directory where a JSON file is expected raises IsADirectoryError
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_rank_above_the_cap_is_a_data_error(capsys):
+    code, out, err = run(capsys, "roots", "--type", "A", "--rank", "100000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "cap of 20" in err
+
+
 def test_hasse_text_and_dot(capsys):
     code, out, _ = run(capsys, "grading", "--type", "B", "--rank", "5", "--j", "1", "--hasse")
     assert code == 0 and "9 nodes" in out

@@ -15,12 +15,19 @@ from c1atlas.linalg import (
     is_positive_definite,
     is_symmetric,
     mat_mul,
+    mat_vec,
     rank,
     solve,
 )
 from c1atlas.scalars import GAUSSIAN, RATIONAL, GaussianRational, as_scalar
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# three entries in four are zero, so the charpoly kernel meets row swaps,
+# zero subdiagonals and an early end of the recurrence
+sparse_frac = st.tuples(st.integers(0, 3), frac).map(lambda p: p[1] if p[0] == 0 else Fraction(0))
+sparse_square = st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.lists(sparse_frac, min_size=n, max_size=n), min_size=n, max_size=n)
+)
 
 
 def _dets_by_permutation(a):
@@ -69,6 +76,65 @@ def test_charpoly_evaluates_to_det(rows, t):
     value = sum(c * Fraction(t) ** (3 - k) for k, c in enumerate(coeffs))
     shifted = [[Fraction(t) * int(i == j) - rows[i][j] for j in range(3)] for i in range(3)]
     assert value == det(shifted)
+
+
+def _evaluates_to_det(a, coeffs):
+    # det(t I - a) at n + 1 integer points pins a monic polynomial of degree n
+    n = len(a)
+    assert len(coeffs) == n + 1 and coeffs[0] == 1
+    for t in range(n + 1):
+        value = sum(c * Fraction(t) ** (n - k) for k, c in enumerate(coeffs))
+        shifted = [[Fraction(t) * int(i == j) - a[i][j] for j in range(n)] for i in range(n)]
+        assert value == det(shifted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_square)
+def test_charpoly_of_sparse_matrices_evaluates_to_det(rows):
+    coeffs = charpoly(rows)
+    assert all(type(c) is Fraction for c in coeffs)
+    _evaluates_to_det(rows, coeffs)
+
+
+def test_charpoly_fixed_cases():
+    f = Fraction
+    assert charpoly([]) == [1]
+    assert charpoly([[f(0)] * 22 for _ in range(22)]) == [1] + [0] * 22
+    nilpotent = [[f(i + 2 * j) if j > i else f(0) for j in range(5)] for i in range(5)]
+    assert charpoly(nilpotent) == [1, 0, 0, 0, 0, 0]
+    # x^4 - 2x^3 + (3/2)x - 5 from its companion matrix and from the transpose
+    poly = [f(1), f(-2), f(0), f(3, 2), f(-5)]
+    companion = [[f(int(i == j + 1)) for j in range(4)] for i in range(4)]
+    for i in range(4):
+        companion[i][3] = -poly[4 - i]
+    assert charpoly(companion) == poly
+    assert charpoly([list(col) for col in zip(*companion)]) == poly
+    # the first subdiagonal pivot is 0 but the entry below it is not
+    swap = [[f(1), f(2), f(0)], [f(0), f(3), f(1)], [f(4), f(0), f(5)]]
+    assert charpoly(swap) == [1, -9, 23, -23]
+    _evaluates_to_det(swap, charpoly(swap))
+
+
+def test_charpoly_leaves_its_input_alone():
+    rows = [[Fraction(0), Fraction(1), Fraction(2)], [Fraction(0), Fraction(3), Fraction(0)],
+            [Fraction(5), Fraction(0), Fraction(7, 2)]]
+    snapshot = [list(row) for row in rows]
+    frozen = tuple(tuple(row) for row in rows)
+    assert charpoly(rows) == charpoly(frozen)
+    assert rows == snapshot and frozen == tuple(tuple(row) for row in snapshot)
+
+
+def test_mat_vec_skips_zeros_exactly():
+    a = [[Fraction(i - 2 * j, j + 1) for j in range(4)] for i in range(3)]
+    zero = [Fraction(0)] * 4
+    sparse = [Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1)]
+
+    def dense(v):
+        return [sum((row[j] * v[j] for j in range(4)), Fraction(0)) for row in a]
+
+    assert mat_vec(a, zero) == dense(zero) == [0, 0, 0]
+    assert mat_vec(a, sparse) == dense(sparse)
+    assert all(type(x) is Fraction for x in mat_vec(a, zero) + mat_vec(a, sparse))
 
 
 def test_rank_and_inverse():

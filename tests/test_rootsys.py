@@ -5,7 +5,7 @@ import pytest
 from fractions import Fraction
 
 from c1atlas.errors import InvalidRank, ProportionalRoots
-from c1atlas.rootsys import Root, RootSystemType, level_one, root_system
+from c1atlas.rootsys import MAX_RANK, Root, RootSystemType, level_one, root_system
 
 from coord_models import positive_coefficient_vectors
 
@@ -71,6 +71,15 @@ def test_bc2_positive_set():
 def test_invalid_ranks_rejected(family, rank):
     with pytest.raises(InvalidRank):
         RootSystemType(family, rank)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D", "BC"])
+def test_rank_cap(family):
+    assert MAX_RANK == 20
+    assert RootSystemType(family, MAX_RANK).rank == MAX_RANK
+    for rank in (MAX_RANK + 1, 100000):
+        with pytest.raises(InvalidRank, match="cap of 20"):
+            RootSystemType(family, rank)
 
 
 def test_heights_and_f4_highest_root():
