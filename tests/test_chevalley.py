@@ -1,8 +1,11 @@
 from __future__ import annotations
 
-import pytest
-
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,7 @@ from c1atlas.chevalley import (
 from c1atlas.errors import NonReducedSystem
 from c1atlas.linalg import det
 from c1atlas.rootsys import Root, root_system
-from c1atlas.scalars import GAUSSIAN, GaussianRational
+from c1atlas.scalars import GAUSSIAN, RATIONAL, GaussianRational
 
 
 def test_sl2_relations():
@@ -231,8 +234,6 @@ def test_string_injectivity_simply_laced(a2_split):
 
 def test_structure_constant_dump_roundtrip(g2_split):
     table = dump_structure_constants(g2_split)
-    import json
-
     parsed = json.loads(json.dumps(table))
     assert parsed == table
     by_pair = {(tuple(t["lam"]), tuple(t["mu"])): t["n"] for t in parsed}
@@ -271,3 +272,50 @@ def test_gaussian_jacobi_spot_checks(g2_gaussian):
         for y in samples:
             for z in samples:
                 assert alg.jacobi_defect(x, y, z).is_zero
+
+
+# Recorded structure constants and Killing Gram data, one entry per (type,
+# ring): every reduced type the catalog uses over Q, the smaller ones over Q(i).
+GOLDEN_PATH = Path(__file__).parent / "data" / "chevalley_golden.json"
+GOLDEN_TYPES = (
+    [("A", r, RATIONAL) for r in range(1, 9)]
+    + [("B", r, RATIONAL) for r in range(2, 9)]
+    + [("C", r, RATIONAL) for r in range(3, 9)]
+    + [("D", r, RATIONAL) for r in range(4, 9)]
+    + [(f, r, RATIONAL) for f, r in (("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8))]
+    + [(f, r, GAUSSIAN) for f, r in (("G2", 2), ("F4", 4), ("E6", 6))]
+    + [("A", r, GAUSSIAN) for r in range(1, 5)]
+    + [("B", r, GAUSSIAN) for r in range(2, 5)]
+    + [("C", 3, GAUSSIAN), ("C", 4, GAUSSIAN), ("D", 4, GAUSSIAN)]
+)
+
+
+def golden_entry(family, rank, scalars) -> dict:
+    """Digest of the structure-constant dump and the Killing Gram of one algebra."""
+    alg = build_algebra(root_system(family, rank), scalars)
+    rows = dump_structure_constants(alg)
+    blob = json.dumps(rows, separators=(",", ":")).encode("utf-8")
+    r = alg.rs.rank
+    return {
+        "type": [family, rank, scalars],
+        "rows": len(rows),
+        "sha256": hashlib.sha256(blob).hexdigest(),
+        "cartan": [
+            [str(alg.killing_complex(alg.h(i), alg.h(j))) for j in range(1, r + 1)]
+            for i in range(1, r + 1)
+        ],
+        "root_pairs": [str(alg.killing_complex(alg.e(lam), alg.e(-lam))) for lam in alg.rs.positives],
+    }
+
+
+@pytest.mark.parametrize("family,rank,scalars", GOLDEN_TYPES, ids=lambda v: str(v))
+def test_structure_constants_and_killing_match_recording(family, rank, scalars):
+    golden = {tuple(e["type"]): e for e in json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))}
+    assert golden_entry(family, rank, scalars) == golden[(family, rank, scalars)]
+
+
+if __name__ == "__main__":
+    # Re-record the golden file: python tests/test_chevalley.py (with src on the path).
+    entries = [golden_entry(*t) for t in GOLDEN_TYPES]
+    lines = ",\n".join(json.dumps(e) for e in entries)
+    GOLDEN_PATH.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
