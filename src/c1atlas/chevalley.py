@@ -117,8 +117,10 @@ class ChevalleyAlgebra:
         self.dim = len(self.basis)
         self._n_pos = {}
         self._positive_constants()
-        self._table = self._bracket_table()
-        self._cartan_gram, self._root_gram = self._killing_gram()
+        # <lam, a_i-dual> for every root (in the order of self.roots) and simple a_i
+        simple_pairings = [tuple(rs.pairing(lam, a) for a in rs.simples) for lam in self.roots]
+        self._table = self._bracket_table(simple_pairings)
+        self._cartan_gram, self._root_gram = self._killing_gram(simple_pairings)
 
     # -- structure constants -----------------------------------------------
     def _positive_constants(self):
@@ -187,17 +189,15 @@ class ChevalleyAlgebra:
             out.append(int(c))
         return tuple(out)
 
-    def _bracket_table(self):
+    def _bracket_table(self, simple_pairings):
         """Brackets of all ordered basis pairs, stored sparsely."""
         rs = self.rs
         table = {}
-        r = rs.rank
-        for i in range(1, r + 1):
-            hi = ("h", i)
-            for lam in self.roots:
-                val = rs.pairing(lam, rs.simple(i))
-                if val:
-                    table[(hi, ("e", lam))] = {("e", lam): Fraction(val)}
+        for i in range(rs.rank):
+            hi = ("h", i + 1)
+            for lam, vals in zip(self.roots, simple_pairings):
+                if vals[i]:
+                    table[(hi, ("e", lam))] = {("e", lam): Fraction(vals[i])}
         for a, lam in enumerate(self.roots):
             for mu in self.roots[a + 1 :]:
                 s = lam.shifted(mu)
@@ -271,31 +271,27 @@ class ChevalleyAlgebra:
         return AlgebraElement(self, out)
 
     # -- invariant forms ---------------------------------------------------------
-    def _killing_gram(self):
+    def _killing_gram(self, simple_pairings):
         """Exact Gram data of the complex trace form on the basis.
 
         ad(x) ad(y) shifts the root grading by the sum of the weights of x and
         y, so the only nonzero Gram entries are Cartan x Cartan and the pairs
-        (e_lam, e_-lam); those are computed by honest traces.
+        (e_lam, e_-lam); those are computed by honest traces.  On the Cartan
+        part the trace is B(h_i, h_j) = sum over roots of lam(h_i) lam(h_j).
         """
         rs = self.rs
         r = rs.rank
-        cartan = [[Fraction(0)] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(r):
-                cartan[i][j] = sum(
-                    Fraction(rs.pairing(lam, rs.simple(i + 1)) * rs.pairing(lam, rs.simple(j + 1)))
-                    for lam in self.roots
-                )
+        cartan = [
+            [Fraction(sum(vals[i] * vals[j] for vals in simple_pairings)) for j in range(r)]
+            for i in range(r)
+        ]
         root_entries = {}
         for lam in rs.positives:
+            e_pos, e_neg = ("e", lam), ("e", -lam)
             total = Fraction(0)
             for key in self.basis:
-                y = self.bracket_basis(("e", -lam), key)
-                acc = Fraction(0)
-                for k2, v2 in y.items():
-                    acc += v2 * self.bracket_basis(("e", lam), k2).get(key, Fraction(0))
-                total += acc
+                for k2, v2 in self.bracket_basis(e_neg, key).items():
+                    total += v2 * self.bracket_basis(e_pos, k2).get(key, 0)
             root_entries[lam] = total
         return cartan, root_entries
 

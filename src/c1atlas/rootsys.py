@@ -3,9 +3,12 @@
 Roots are integer coefficient vectors over a fixed simple system a1..ar.  All
 inner products are exact rationals with long roots normalised to squared
 length 2 (the BC families keep the squared-length ladder 1, 2, 4 for the
-classes e_i, e_i +- e_j, 2e_i).  Positive roots are generated by string
-closure from the Cartan matrix; the BC families are the corresponding B
-closure with the doubled short roots appended.
+classes e_i, e_i +- e_j, 2e_i).  Every squared length lies in {2/3, 1, 2, 4},
+so six times the Gram matrix is integral: inner products, squared lengths
+and Cartan pairings are computed on Python ints, and the first two are
+returned as exact Fractions.  Positive roots are generated by string closure
+from the Cartan matrix; the BC families are the corresponding B closure with
+the doubled short roots appended.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -14,6 +17,7 @@ threads.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -188,9 +192,16 @@ class RootSystem:
         if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(i + 1, r)):
             raise IdentityViolation(f"Cartan data of {rtype} is not symmetrizable")
         self.gram = tuple(tuple(row) for row in gram)
+        gram6 = [[6 * g for g in row] for row in gram]
+        if any(g.denominator != 1 for row in gram6 for g in row):
+            raise IdentityViolation(f"six times the Gram matrix of {rtype} is not integral")
+        self._gram6 = tuple(tuple(int(g) for g in row) for row in gram6)
         self._edges = tuple(sorted(edges))
         self.non_reduced = rtype.family == "BC"
 
+        # Six times the squared length of every root, filled in once the roots
+        # are known; until then (and for non-roots) it is computed on demand.
+        self._root_len6 = {}
         positives = self._generate_positives()
         if self.non_reduced:
             doubled = [
@@ -202,6 +213,7 @@ class RootSystem:
         self.positives = tuple(sorted(positives))
         self._posset = frozenset(p.coeffs for p in self.positives)
         self._allset = self._posset | frozenset((-p).coeffs for p in self.positives)
+        self._root_len6 = {c: self._inner6(c, c) for c in self._allset}
 
     # -- generation -------------------------------------------------------
     def _generate_positives(self):
@@ -228,27 +240,32 @@ class RootSystem:
         return [Root(c) for c in roots]
 
     # -- exact pairing ------------------------------------------------------
-    def inner(self, lam: Root, mu: Root) -> Fraction:
-        g = self.gram
-        total = Fraction(0)
-        for i, a in enumerate(lam.coeffs):
-            if a == 0:
-                continue
-            row = g[i]
-            for j, b in enumerate(mu.coeffs):
-                if b:
-                    total += a * b * row[j]
+    def _inner6(self, lam_coeffs, mu_coeffs) -> int:
+        """Six times (lam, mu), on integer coefficient vectors."""
+        total = 0
+        for a, row in zip(lam_coeffs, self._gram6):
+            if a:
+                total += a * sum(map(operator.mul, mu_coeffs, row))
         return total
 
+    def _length6(self, coeffs) -> int:
+        """Six times the squared length: stored for roots, computed for any other vector."""
+        n = self._root_len6.get(coeffs)
+        return self._inner6(coeffs, coeffs) if n is None else n
+
+    def inner(self, lam: Root, mu: Root) -> Fraction:
+        return Fraction(self._inner6(lam.coeffs, mu.coeffs), 6)
+
     def length_sq(self, lam: Root) -> Fraction:
-        return self.inner(lam, lam)
+        return Fraction(self._length6(lam.coeffs), 6)
 
     def _pairing_coeffs(self, lam_coeffs, mu_coeffs) -> int:
-        lam, mu = Root(lam_coeffs), Root(mu_coeffs)
-        val = 2 * self.inner(lam, mu) / self.inner(mu, mu)
-        if val.denominator != 1:
-            raise IdentityViolation(f"non-integral Cartan pairing of {lam} with {mu}")
-        return int(val)
+        val, rem = divmod(2 * self._inner6(lam_coeffs, mu_coeffs), self._length6(mu_coeffs))
+        if rem:
+            raise IdentityViolation(
+                f"non-integral Cartan pairing of {Root(lam_coeffs)} with {Root(mu_coeffs)}"
+            )
+        return val
 
     def pairing(self, lam: Root, mu: Root) -> int:
         """Cartan integer 2 (lam, mu) / (mu, mu)."""

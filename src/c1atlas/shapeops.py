@@ -56,14 +56,22 @@ class SolvableModel:
         ya, yn = _split_flat(alg, y)
         return alg.b_theta(xa, ya) + Fraction(1, 2) * alg.b_theta(xn, yn)
 
-    def levi_civita(self, x, y, z) -> Fraction:
-        """<nabla_x y, z>_AN for left-invariant fields on AN, exactly."""
-        for v in (x, y, z):
+    def koszul_covector(self, x, y, zs) -> list:
+        """[<nabla_x y, z>_AN for z in zs] for left-invariant fields on AN, exactly.
+
+        The Koszul formula gives 4 <nabla_x y, z>_AN = b_theta(c, z) with
+        c = [x, y] + [theta x, y] - [x, theta y]; c is formed once for all z.
+        """
+        for v in (x, y, *zs):
             self._check_in_an(v)
         alg = self.algebra
         b = alg.bracket
         combo = b(x, y) + b(alg.theta(x), y) - b(x, alg.theta(y))
-        return Fraction(1, 4) * alg.b_theta(combo, z)
+        return [Fraction(1, 4) * alg.b_theta(combo, z) for z in zs]
+
+    def levi_civita(self, x, y, z) -> Fraction:
+        """<nabla_x y, z>_AN for left-invariant fields on AN, exactly."""
+        return self.koszul_covector(x, y, (z,))[0]
 
 
 def _split_flat(algebra, x):
@@ -205,7 +213,7 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
     for x in basis:
         combo = alg.bracket(xi, x) - alg.bracket(theta_xi, x)
         rhs = [Fraction(1, 4) * alg.b_theta(combo, y) for y in basis]
-        if [-model.levi_civita(x, xi, y) for y in basis] != rhs:
+        if [-v for v in model.koszul_covector(x, xi, basis)] != rhs:
             raise FormulaMismatch(
                 "bracket formula and Koszul derivative disagree on a tangent vector"
             )

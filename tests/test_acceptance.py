@@ -193,6 +193,13 @@ def test_acceptance_8_shape_on_e6(capsys):
             assert op["charpoly"] == ["1"] + ["0"] * len(op["matrix"])
 
 
+def test_acceptance_9_e8_algebra_build():
+    # 248-dimensional; with Fraction root pairings the build took about 3.8 s
+    with _Budget(9, "E8 Chevalley build", 3.0):
+        alg = build_algebra(root_system("E8", 8))
+        assert alg.dim == 248
+
+
 @pytest.mark.parametrize("name, check", REGISTRY, ids=[_short_name(c) for _, c in REGISTRY])
 def test_registry_check(name, check):
     short = _short_name(check)

@@ -274,6 +274,27 @@ def test_gaussian_jacobi_spot_checks(g2_gaussian):
                 assert alg.jacobi_defect(x, y, z).is_zero
 
 
+@pytest.mark.parametrize(
+    "family,rank,scalars",
+    [(f, r, RATIONAL) for f, r in (("A", 8), ("B", 8), ("C", 8), ("D", 8), ("G2", 2), ("F4", 4))]
+    + [(f, r, RATIONAL) for f, r in (("E6", 6), ("E7", 7), ("E8", 8))]
+    + [("G2", 2, GAUSSIAN), ("F4", 4, GAUSSIAN), ("B", 4, GAUSSIAN)],
+)
+def test_killing_cartan_block_is_the_sum_over_roots(family, rank, scalars):
+    # B(h_i, h_j) = sum over roots of <lam, a_i-dual> <lam, a_j-dual>, each
+    # pairing taken from the Fraction Gram matrix
+    alg = build_algebra(root_system(family, rank), scalars)
+    g = alg.rs.gram
+    pairings = [
+        [2 * sum(n * g[k][i] for k, n in enumerate(lam.coeffs)) / g[i][i] for i in range(rank)]
+        for lam in alg.roots
+    ]
+    for i in range(rank):
+        for j in range(rank):
+            expected = sum(p[i] * p[j] for p in pairings)
+            assert alg.killing_complex(alg.h(i + 1), alg.h(j + 1)) == expected
+
+
 # Recorded structure constants and Killing Gram data, one entry per (type,
 # ring): every reduced type the catalog uses over Q, the smaller ones over Q(i).
 GOLDEN_PATH = Path(__file__).parent / "data" / "chevalley_golden.json"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,14 +9,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import c1atlas
 from c1atlas import nilcon
-from c1atlas.catalog import find_space
+from c1atlas.catalog import default_catalog, find_space
 from c1atlas.classify import classify
 from c1atlas.cli import main, render_hasse
 from c1atlas.errors import C1AtlasError
-from c1atlas.rootsys import root_system
+from c1atlas.rootsys import FAMILIES, FIXED_RANK, root_system
 
 TG_SAMPLE = str(Path(__file__).parent / "data" / "tg_table_sample.json")
 # Recorded stdout of `shape`, text and JSON, on split and complexified models
@@ -297,3 +301,98 @@ def test_verify_checks_fire_under_python_O(tmp_path):
     (line,) = [x for x in proc.stdout.splitlines() if "elimination sweep" in x]
     assert line.startswith("FAIL  catalog validates; elimination sweep has exactly the G2 survivors")
     assert proc.returncode == 1
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that goes away at once, as `c1atlas roots ... | head -c 0` does
+    env = dict(os.environ, PYTHONPATH=str(Path(c1atlas.__file__).parents[1]))
+    argv = ["roots", "--type", "B", "--rank", "20", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "c1atlas.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0
+    assert err == b""
+
+
+# -- argv fuzzing: every exit is 0, 1 or 2 and nothing else escapes main ---------
+
+_SMALL = st.integers(min_value=-3, max_value=9)
+_FAMILY = st.sampled_from(FAMILIES + ("X",))
+_TEXT = st.text(max_size=6)
+_INTS = st.lists(st.integers(min_value=-3, max_value=3), max_size=9).map(
+    lambda v: ",".join(map(str, v))
+)
+_SPACE = st.sampled_from([e.name for e in default_catalog()]) | _TEXT
+
+
+@st.composite
+def _cli_argv(draw):
+    """Argv of roots, grading, strings, analyze --space/--j or catalog at rank <= 8.
+
+    Each option is left out one time in ten, and a vector is drawn from the
+    roots of the drawn system two times in three, so most draws get past
+    argparse and many succeed.
+    """
+    command = draw(st.sampled_from(["roots", "grading", "strings", "analyze", "catalog"]))
+    argv = [command]
+
+    def option(flag, values=None):
+        if draw(st.integers(min_value=0, max_value=9)):
+            argv.append(flag)
+            if values is not None:
+                argv.append(str(draw(values)))
+
+    def vector(roots):
+        if roots and draw(st.integers(min_value=0, max_value=2)):
+            sign = draw(st.sampled_from((1, -1)))
+            return st.just(",".join(str(sign * n) for n in draw(st.sampled_from(roots)).coeffs))
+        return _INTS | _TEXT
+
+    if command in ("roots", "grading", "strings"):
+        family = draw(_FAMILY)
+        rank = draw(st.integers(min_value=-2, max_value=8))
+        if family in FIXED_RANK and draw(st.booleans()):
+            rank = FIXED_RANK[family]
+        option("--type", st.just(family))
+        option("--rank", st.just(rank))
+        try:
+            roots = root_system(family, rank).positives
+        except C1AtlasError:
+            roots = ()
+        if command == "grading":
+            option("--j", st.integers(min_value=-1, max_value=max(rank, 0) + 1))
+            if draw(st.booleans()):
+                option("--level", _SMALL)
+            if draw(st.booleans()):
+                option("--hasse")
+                option("--dot")
+        if command == "strings":
+            option("--root", vector(roots))
+            if draw(st.booleans()):
+                option("--beta", vector(roots))
+            else:
+                option("--phi", _INTS | _TEXT)
+    elif command == "analyze":
+        option("--space", _SPACE)
+        option("--j", st.integers(min_value=0, max_value=5))
+    else:
+        option("--family", _FAMILY)
+        option("--min-rank", _SMALL)
+    option("--format", st.sampled_from(["text", "json"] * 4 + ["xml"]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())

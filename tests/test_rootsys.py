@@ -4,7 +4,7 @@ import pytest
 
 from fractions import Fraction
 
-from c1atlas.errors import InvalidRank, ProportionalRoots
+from c1atlas.errors import IdentityViolation, InvalidRank, ProportionalRoots
 from c1atlas.rootsys import MAX_RANK, Root, RootSystemType, level_one, root_system
 
 from coord_models import positive_coefficient_vectors
@@ -367,3 +367,44 @@ def test_phi_string_of_a_negative_root():
     rs = root_system("B", 5)
     got = rs.phi_string(-rs.simple(5), {1, 2, 3, 4})
     assert got == {-lam for lam in rs.phi_string(rs.simple(5), {1, 2, 3, 4})}
+
+
+KERNEL_TYPES = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(3, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("BC", r) for r in range(1, 5)]
+    + [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)]
+)
+
+
+@pytest.mark.parametrize("family,rank", KERNEL_TYPES)
+def test_integer_pairings_match_the_fraction_gram(family, rank):
+    # reference: the Fraction Gram matrix, one covector G.lam per root
+    rs = root_system(family, rank)
+    roots = list(rs.positives) + [-lam for lam in rs.positives]
+    covectors = [[sum(n * g for n, g in zip(lam.coeffs, col)) for col in zip(*rs.gram)] for lam in roots]
+    inner = [[sum(g * n for g, n in zip(gl, mu.coeffs) if n) for mu in roots] for gl in covectors]
+    lengths = [inner[a][a] for a in range(len(roots))]
+    assert [rs.length_sq(lam) for lam in roots] == lengths
+    for a, lam in enumerate(roots):
+        assert [rs.inner(lam, mu) for mu in roots] == inner[a]
+        pairings = [2 * v / length for v, length in zip(inner[a], lengths)]
+        assert all(p.denominator == 1 for p in pairings)
+        assert [rs.pairing(lam, mu) for mu in roots] == pairings
+    lam = roots[-1]
+    assert type(rs.inner(lam, lam)) is Fraction and type(rs.length_sq(lam)) is Fraction
+    assert type(rs.pairing(lam, lam)) is int
+
+
+def test_length_sq_of_a_non_root_is_computed():
+    rs = root_system("G2", 2)
+    assert rs.length_sq(Root((0, 3))) == 6 and not rs.contains((0, 3))
+    assert rs.length_sq(Root((2, 6))) == 4 * rs.length_sq(Root((1, 3)))
+
+
+def test_non_integral_pairing_raises():
+    # 2 (a2, 3a2) / (3a2, 3a2) = 2/3 on G2
+    with pytest.raises(IdentityViolation, match="non-integral Cartan pairing of a2 with 3a2"):
+        root_system("G2", 2)._pairing_coeffs((0, 1), (0, 3))

@@ -96,12 +96,30 @@ def test_koszul_cross_check_fires(monkeypatch, g2_split, g2_gaussian, ring):
     orbit = OrbitSubalgebra(model, 2)
     xi = alg.e(Root((0, 1)))
     shape_operator(orbit, xi)  # consistent before the connection is perturbed
-    levi_civita = SolvableModel.levi_civita
+    koszul_covector = SolvableModel.koszul_covector
     monkeypatch.setattr(
-        SolvableModel, "levi_civita", lambda self, x, y, z: levi_civita(self, x, y, z) + 1
+        SolvableModel,
+        "koszul_covector",
+        lambda self, x, y, zs: [v + 1 for v in koszul_covector(self, x, y, zs)],
     )
     with pytest.raises(FormulaMismatch):
         shape_operator(orbit, xi)
+
+
+@pytest.mark.parametrize("ring", ["rational", "gaussian"])
+def test_koszul_covector_matches_the_metric_koszul_formula(g2_split, g2_gaussian, ring):
+    # 2 <nabla_x y, z> = <[x, y], z> - <[y, z], x> + <[z, x], y> for left-invariant fields
+    alg = g2_split if ring == "rational" else g2_gaussian
+    model = SolvableModel(alg)
+    ip, b = model.an_inner, alg.bracket
+    vecs = [alg.real_vector(k) for k in model.an_keys]
+    for x in vecs[::3]:
+        for y in vecs[1::2]:
+            expected = [
+                Fraction(1, 2) * (ip(b(x, y), z) - ip(b(y, z), x) + ip(b(z, x), y)) for z in vecs
+            ]
+            assert model.koszul_covector(x, y, vecs) == expected
+            assert [model.levi_civita(x, y, z) for z in vecs] == expected
 
 
 def test_gaussian_g2_dichotomy(g2_gaussian_model):
