@@ -10,66 +10,89 @@ The package is organised around six layers:
   shapeops   shape operators of orbits in the solvable model
   nilcon     the nilpotent-construction elimination pipeline
   classify   the per-space catalog of cohomogeneity-one action families
+
+``import c1atlas`` loads no layer: each name in ``_EXPORTS`` is imported from its
+submodule on first use, so a command pays only for the layers it touches.
 """
 
-from .rootsys import (
-    ParabolicGrading,
-    Root,
-    RootSystem,
-    RootSystemType,
-    build_root_system,
-    level_one,
-    root_system,
-)
-from .catalog import (
-    BoundaryComponent,
-    RankOneType,
-    SpaceEntry,
-    boundary_component,
-    default_catalog,
-    find_space,
-    homothetic_rank_one_pair,
-    list_spaces,
-    load_catalog,
-    rank_one_recognize,
-)
-from .chevalley import (
-    AlgebraElement,
-    ChevalleyAlgebra,
-    build_algebra,
-    check_string_injectivity,
-    check_theta_bracket_identity,
-    dump_structure_constants,
-)
-from .shapeops import (
-    OrbitSubalgebra,
-    ShapeOperatorMatrix,
-    SolvableModel,
-    check_self_adjoint,
-    check_shape_identities,
-    cpc_charpoly_constancy,
-    is_totally_geodesic,
-    shape_operator,
-)
-from .nilcon import (
-    NCVerdict,
-    Snake,
-    analyze,
-    analyze_all,
-    ce_reduction_check,
-    multiplicity_check,
-    snake_check,
-    survivors,
-    verify_witness,
-)
-from .classify import (
-    ActionCatalog,
-    ActionFamily,
-    ModuliDescriptor,
-    classify,
-    derive_type_e_spaces,
-    load_tg_table,
-    moduli,
-)
+import importlib
 
+_EXPORTS = {
+    "rootsys": (
+        "ParabolicGrading",
+        "Root",
+        "RootSystem",
+        "RootSystemType",
+        "build_root_system",
+        "level_one",
+        "root_system",
+    ),
+    "catalog": (
+        "BoundaryComponent",
+        "RankOneType",
+        "SpaceEntry",
+        "boundary_component",
+        "default_catalog",
+        "find_space",
+        "homothetic_rank_one_pair",
+        "list_spaces",
+        "load_catalog",
+        "rank_one_recognize",
+    ),
+    "chevalley": (
+        "AlgebraElement",
+        "ChevalleyAlgebra",
+        "build_algebra",
+        "check_string_injectivity",
+        "check_theta_bracket_identity",
+        "dump_structure_constants",
+    ),
+    "shapeops": (
+        "OrbitSubalgebra",
+        "ShapeOperatorMatrix",
+        "SolvableModel",
+        "check_self_adjoint",
+        "check_shape_identities",
+        "cpc_charpoly_constancy",
+        "is_totally_geodesic",
+        "shape_operator",
+    ),
+    "nilcon": (
+        "NCVerdict",
+        "Snake",
+        "analyze",
+        "analyze_all",
+        "ce_reduction_check",
+        "multiplicity_check",
+        "snake_check",
+        "survivors",
+        "verify_witness",
+    ),
+    "classify": (
+        "ActionCatalog",
+        "ActionFamily",
+        "ModuliDescriptor",
+        "classify",
+        "derive_type_e_spaces",
+        "load_tg_table",
+        "moduli",
+    ),
+}
+
+# exported name -> the submodule that defines it
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    # Cache it.  For `classify` this also replaces the submodule that the
+    # import just bound under the same name, so the name keeps meaning the
+    # function.
+    globals()[name] = value
+    return value

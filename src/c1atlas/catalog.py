@@ -104,13 +104,13 @@ class SpaceEntry:
     def validate(self):
         rs = self.root_system()
         table = self.mult_map()
-        classes = {rs.length_sq(lam) for lam in rs.positives}
-        if set(table) != classes:
+        sizes = rs.length_class_sizes()
+        if set(table) != set(sizes):
             raise ParseError(
                 f"{self.name}: multiplicity classes {sorted(map(str, table))} do not "
-                f"match the root length classes {sorted(map(str, classes))}"
+                f"match the root length classes {sorted(map(str, sizes))}"
             )
-        total = self.rank + sum(table[rs.length_sq(lam)] for lam in rs.positives)
+        total = self.rank + sum(table[length] * k for length, k in sizes.items())
         if total != self.dim:
             raise DimensionMismatch(
                 f"{self.name}: dim {self.dim} != rank + sum of multiplicities = {total}"
@@ -233,10 +233,10 @@ def boundary_component(space: SpaceEntry, phi: Iterable[int]) -> BoundaryCompone
     phi = frozenset(phi)
     if not phi <= set(range(1, rs.rank + 1)):
         raise ValueError(f"phi {sorted(phi)} out of range for rank {rs.rank}")
+    grading = rs.grading(phi)
     factors = []
     for nodes in rs.components(phi):
         rtype = _classify_subdiagram(space, nodes)
-        grading = rs.grading(phi)
         sub_pos = [
             lam for lam in grading.sigma_phi_pos if lam.support <= set(nodes)
         ]

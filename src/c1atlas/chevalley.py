@@ -474,13 +474,25 @@ def check_string_injectivity(
 
 
 def dump_structure_constants(algebra: ChevalleyAlgebra) -> list:
-    """JSON-friendly table of all nonzero N(lam, mu) over root pairs."""
+    """JSON-friendly table of all nonzero N(lam, mu) over root pairs.
+
+    Rows follow ``algebra.roots`` in lam, then in mu.  They are read from the
+    bracket table, which stores each unordered pair of roots once; the
+    reversed pair has N(mu, lam) = -N(lam, mu).
+    """
+    index = {lam: a for a, lam in enumerate(algebra.roots)}
+    rows = [[] for _ in algebra.roots]
+    for (ka, kb), value in algebra._table.items():
+        if ka[0] != "e":
+            continue
+        for (tag, _), n in value.items():
+            if tag == "e":  # the (e_lam, e_-lam) entries land in the Cartan
+                a, b = index[ka[1]], index[kb[1]]
+                rows[a].append((b, int(n)))
+                rows[b].append((a, -int(n)))
     out = []
-    for lam in algebra.roots:
-        for mu in algebra.roots:
-            n = algebra.structure_constant(lam, mu)
-            if n:
-                out.append(
-                    {"lam": list(lam.coeffs), "mu": list(mu.coeffs), "n": n}
-                )
+    for lam, row in zip(algebra.roots, rows):
+        for b, n in sorted(row):
+            mu = algebra.roots[b]
+            out.append({"lam": list(lam.coeffs), "mu": list(mu.coeffs), "n": n})
     return out

@@ -22,15 +22,12 @@ import json
 import os
 import sys
 
-from . import nilcon
+# Only the layers every command needs load here; each handler imports the
+# rest itself, so `roots` or `grading` never loads the Chevalley, shape or
+# elimination code.
 from .catalog import default_catalog, find_space, load_catalog
-from .chevalley import build_algebra
-from .classify import classify, load_tg_table
 from .errors import C1AtlasError, NotARoot
 from .rootsys import FIXED_RANK, Root, RootSystem, RootSystemType, build_root_system, level_one
-from .scalars import GAUSSIAN, RATIONAL
-from .shapeops import OrbitSubalgebra, SolvableModel, shape_operator
-from .verify import run_verify
 
 
 def _root_system_from(args) -> RootSystem:
@@ -133,6 +130,8 @@ def _cmd_strings(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import nilcon
+
     catalog = _load_selected_catalog(args)
     if args.all:
         verdicts = nilcon.analyze_all(catalog)
@@ -149,6 +148,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_shape(args) -> int:
+    from .chevalley import build_algebra
+    from .scalars import GAUSSIAN, RATIONAL
+    from .shapeops import OrbitSubalgebra, SolvableModel, shape_operator
+
     catalog = _load_selected_catalog(args)
     space = find_space(catalog, args.space)
     if space.split_flag:
@@ -201,6 +204,8 @@ def _cmd_shape(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify, load_tg_table
+
     catalog = _load_selected_catalog(args)
     tg_table = load_tg_table(args.tg_table) if args.tg_table else None
     if args.all:
@@ -253,6 +258,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verify
+
     ok, lines = run_verify(full=args.full)
     print("\n".join(lines))
     print("verify:", "OK" if ok else "FAILED")

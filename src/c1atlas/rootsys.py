@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -199,45 +200,63 @@ class RootSystem:
         self._edges = tuple(sorted(edges))
         self.non_reduced = rtype.family == "BC"
 
-        # Six times the squared length of every root, filled in once the roots
-        # are known; until then (and for non-roots) it is computed on demand.
-        self._root_len6 = {}
-        positives = self._generate_positives()
+        # Six times the squared length of every root; a non-root vector's is
+        # computed on demand.
+        len6 = self._generate_positives()
         if self.non_reduced:
-            doubled = [
-                Root(tuple(2 * n for n in lam.coeffs))
-                for lam in positives
-                if self.length_sq(lam) == 1
-            ]
-            positives.extend(doubled)
-        self.positives = tuple(sorted(positives))
-        self._posset = frozenset(p.coeffs for p in self.positives)
-        self._allset = self._posset | frozenset((-p).coeffs for p in self.positives)
-        self._root_len6 = {c: self._inner6(c, c) for c in self._allset}
+            for coeffs, n in list(len6.items()):
+                if n == 6:  # squared length 1: the short roots e_i, doubled to 2e_i
+                    len6[tuple(2 * c for c in coeffs)] = 4 * n
+        ordered = sorted(len6, key=lambda c: (sum(c), c))
+        self.positives = tuple(Root(c) for c in ordered)
+        self._posset = frozenset(ordered)
+        negatives = {tuple(-c for c in coeffs): n for coeffs, n in len6.items()}
+        self._allset = self._posset | frozenset(negatives)
+        len6.update(negatives)
+        self._root_len6 = len6
 
     # -- generation -------------------------------------------------------
-    def _generate_positives(self):
+    def _generate_positives(self) -> dict:
+        """Six times the squared length of every positive root of the reduced closure.
+
+        Roots are grown from the simple roots by the string criterion: lam + a_i
+        is a root iff p - <lam, a_i-dual> > 0, with p the depth of the a_i-string
+        below lam.  Each root carries six times its inner products with the
+        simple roots, so a pairing is one integer division and both the
+        products and the six-fold length are carried to lam + a_i.
+        """
         r = self.rtype.rank
-        simples = [Root(tuple(int(i == j) for j in range(r))) for i in range(r)]
-        roots = set(s.coeffs for s in simples)
-        frontier = list(simples)
+        gram6 = self._gram6
+        diag = [gram6[i][i] for i in range(r)]
+        simples = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        # coefficient tuple -> (six times (lam, a_1..a_r), six times (lam, lam))
+        data = {s: (gram6[i], diag[i]) for i, s in enumerate(simples)}
+        frontier = simples
         while frontier:
             new = []
             for lam in frontier:
-                for i in range(1, r + 1):
-                    alpha = simples[i - 1]
-                    cand = lam.shifted(alpha)
-                    if cand in roots:
+                inner6, len6 = data[lam]
+                for i in range(r):
+                    head, ci, tail = lam[:i], lam[i], lam[i + 1 :]
+                    cand = head + (ci + 1,) + tail
+                    if cand in data:
                         continue
+                    pairing, rem = divmod(2 * inner6[i], diag[i])
+                    if rem:
+                        raise IdentityViolation(
+                            f"non-integral Cartan pairing of {Root(lam)} with {Root(simples[i])}"
+                        )
                     p = 0
-                    while lam.shifted(alpha, -(p + 1)) in roots:
+                    while p < ci and head + (ci - p - 1,) + tail in data:
                         p += 1
-                    q = p - self._pairing_coeffs(lam.coeffs, alpha.coeffs)
-                    if q > 0:
-                        roots.add(cand)
-                        new.append(Root(cand))
+                    if p > pairing:
+                        data[cand] = (
+                            tuple(map(operator.add, inner6, gram6[i])),
+                            len6 + 2 * inner6[i] + diag[i],
+                        )
+                        new.append(cand)
             frontier = new
-        return [Root(c) for c in roots]
+        return {lam: len6 for lam, (_, len6) in data.items()}
 
     # -- exact pairing ------------------------------------------------------
     def _inner6(self, lam_coeffs, mu_coeffs) -> int:
@@ -270,6 +289,11 @@ class RootSystem:
     def pairing(self, lam: Root, mu: Root) -> int:
         """Cartan integer 2 (lam, mu) / (mu, mu)."""
         return self._pairing_coeffs(lam.coeffs, mu.coeffs)
+
+    def length_class_sizes(self) -> dict:
+        """Number of positive roots of each squared length, keyed by the exact length."""
+        sizes = Counter(self._root_len6[c] for c in self._posset)
+        return {Fraction(n, 6): k for n, k in sizes.items()}
 
     # -- membership ---------------------------------------------------------
     @property

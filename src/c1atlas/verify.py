@@ -13,7 +13,7 @@ from . import nilcon
 from .catalog import default_catalog, find_space
 from .chevalley import build_algebra
 from .classify import classify, derive_type_e_spaces
-from .errors import CheckFailed
+from .errors import CheckFailed, ProportionalRoots
 from .rootsys import root_system
 from .scalars import GAUSSIAN
 from .shapeops import (
@@ -86,7 +86,7 @@ def _check_string_bound():
                 beta = rs.simple(i)
                 try:
                     s = rs.root_string(lam, beta)
-                except Exception:
+                except ProportionalRoots:  # lam = beta has no string of its own
                     continue
                 longest = max(longest, len(s))
         _require((longest == 4) == (fam == "G2"), f"{fam}{rank}: longest string {longest}")

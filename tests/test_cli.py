@@ -18,7 +18,8 @@ from c1atlas.catalog import default_catalog, find_space
 from c1atlas.classify import classify
 from c1atlas.cli import main, render_hasse
 from c1atlas.errors import C1AtlasError
-from c1atlas.rootsys import FAMILIES, FIXED_RANK, root_system
+from c1atlas.rootsys import FAMILIES, FIXED_RANK, RootSystem, root_system
+from c1atlas.verify import run_verify
 
 TG_SAMPLE = str(Path(__file__).parent / "data" / "tg_table_sample.json")
 # Recorded stdout of `shape`, text and JSON, on split and complexified models
@@ -285,6 +286,23 @@ def test_verify_fails_against_a_catalog_missing_the_survivors(tmp_path, capsys, 
     code = main(["verify"])
     out = capsys.readouterr().out
     assert code == 1 and "FAIL" in out and "verify: FAILED" in out
+
+
+def test_verify_reports_an_unexpected_error_in_a_string_check(monkeypatch):
+    # only ProportionalRoots is an expected gap in the string check; any other
+    # error is a failure of that check, not a pair to skip
+    original = RootSystem.root_string
+
+    def broken(self, lam, beta):
+        if str(self.rtype) == "A3" and (lam.coeffs, beta.coeffs) == ((1, 1, 0), (0, 0, 1)):
+            raise RuntimeError("string lookup broke")
+        return original(self, lam, beta)
+
+    monkeypatch.setattr(RootSystem, "root_string", broken)
+    ok, lines = run_verify()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert not ok
+    assert failed == ["FAIL  root strings reach length 4 only in G2: string lookup broke"]
 
 
 def test_verify_checks_fire_under_python_O(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 from fractions import Fraction
@@ -408,3 +410,46 @@ def test_non_integral_pairing_raises():
     # 2 (a2, 3a2) / (3a2, 3a2) = 2/3 on G2
     with pytest.raises(IdentityViolation, match="non-integral Cartan pairing of a2 with 3a2"):
         root_system("G2", 2)._pairing_coeffs((0, 1), (0, 3))
+
+
+# -- an independent check of the generator on every family up to MAX_RANK ---------
+
+def _positive_count(family, r):
+    closed = {"A": r * (r + 1) // 2, "B": r * r, "C": r * r, "D": r * (r - 1), "BC": r * (r + 1)}
+    return closed.get(family) or {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}[family]
+
+
+ALL_TYPES = {
+    "A": range(1, MAX_RANK + 1),
+    "B": range(2, MAX_RANK + 1),
+    "C": range(3, MAX_RANK + 1),
+    "D": range(4, MAX_RANK + 1),
+    "BC": range(1, MAX_RANK + 1),
+    "E6": [6], "E7": [7], "E8": [8], "F4": [4], "G2": [2],
+}
+
+
+@pytest.mark.parametrize("family", sorted(ALL_TYPES))
+def test_generator_against_closed_forms_and_reflections(family):
+    for rank in ALL_TYPES[family]:
+        rs = root_system(family, rank)
+        assert len(rs.positives) == _positive_count(family, rank), (family, rank)
+        # Phi is closed under every simple reflection lam - <lam, a_i-dual> a_i,
+        # with the pairing read off the Cartan matrix (cartan[j][i] = <a_j, a_i-dual>)
+        columns = list(zip(*rs.cartan))
+        phi = [lam.coeffs for lam in rs.positives] + [(-lam).coeffs for lam in rs.positives]
+        for lam in phi:
+            for i, column in enumerate(columns):
+                k = sum(map(operator.mul, lam, column))
+                assert rs.contains(lam[:i] + (lam[i] - k,) + lam[i + 1 :]), (family, rank, lam, i + 1)
+        # the BC doubles are exactly twice the roots of squared length 1, by the Gram matrix
+        present = {lam.coeffs for lam in rs.positives}
+        doubles = {c for c in present if all(n % 2 == 0 for n in c) and tuple(n // 2 for n in c) in present}
+        if family != "BC":
+            assert not doubles
+            continue
+        # the BC Gram matrix is integral: squared lengths 1, 2, 4
+        gram = [[int(g) for g in row] for row in rs.gram]
+        assert gram == [list(row) for row in rs.gram]
+        unit = {c for c in present if sum(a * sum(map(operator.mul, c, row)) for a, row in zip(c, gram) if a) == 1}
+        assert doubles == {tuple(2 * n for n in c) for c in unit}, rank
