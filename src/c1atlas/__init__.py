@@ -12,7 +12,8 @@ The package is organised around six layers:
   classify   the per-space catalog of cohomogeneity-one action families
 
 ``import c1atlas`` loads no layer: each name in ``_EXPORTS`` is imported from its
-submodule on first use, so a command pays only for the layers it touches.
+submodule on first use, and so is each layer read as ``c1atlas.<layer>``, so a
+command pays only for the layers it touches.
 """
 
 import importlib
@@ -89,10 +90,20 @@ __version__ = "0.1.0"
 def __getattr__(name):
     module = _SOURCE.get(name)
     if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    # Cache it.  For `classify` this also replaces the submodule that the
-    # import just bound under the same name, so the name keeps meaning the
-    # function.
-    globals()[name] = value
-    return value
+        if name.startswith("__"):
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        # a layer itself, e.g. `c1atlas.rootsys`
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    source = importlib.import_module(f"{__name__}.{module}")
+    # Cache every export of the submodule at once.  The import has just bound
+    # the submodule under its own name, which for `classify` is also an
+    # exported function; this rebinds the name to the function whichever of
+    # the layer's exports is read first (`from c1atlas import *` reads
+    # `ActionCatalog` before `classify`).
+    globals().update((n, getattr(source, n)) for n in _EXPORTS[module])
+    return globals()[name]

@@ -67,6 +67,11 @@ class RootSystemType:
         return f"{self.family}{self.rank}"
 
 
+def root_order(coeffs: tuple) -> tuple:
+    """Sort key of the canonical root order: by height, then by coefficients."""
+    return (sum(coeffs), coeffs)
+
+
 @functools.total_ordering
 @dataclass(frozen=True)
 class Root:
@@ -103,7 +108,7 @@ class Root:
         return tuple(a + k * b for a, b in zip(self.coeffs, other.coeffs))
 
     def _key(self):
-        return (self.height, self.coeffs)
+        return root_order(self.coeffs)
 
     def __lt__(self, other):
         return self._key() < other._key()
@@ -172,8 +177,8 @@ class RootSystem:
     """A finite root system with exact pairing data.
 
     All public indices of simple roots are 1-based.  ``positives`` is sorted
-    by (height, lexicographic coefficients) and that order is the canonical
-    one used everywhere downstream.
+    by ``root_order`` (height, then lexicographic coefficients), the canonical
+    order used everywhere downstream.
     """
 
     def __init__(self, rtype: RootSystemType):
@@ -207,7 +212,7 @@ class RootSystem:
             for coeffs, n in list(len6.items()):
                 if n == 6:  # squared length 1: the short roots e_i, doubled to 2e_i
                     len6[tuple(2 * c for c in coeffs)] = 4 * n
-        ordered = sorted(len6, key=lambda c: (sum(c), c))
+        ordered = sorted(len6, key=root_order)
         self.positives = tuple(Root(c) for c in ordered)
         self._posset = frozenset(ordered)
         negatives = {tuple(-c for c in coeffs): n for coeffs, n in len6.items()}

@@ -58,15 +58,21 @@ def test_bare_import_loads_no_layer():
     assert out.strip() == "['c1atlas']"
 
 
-@pytest.mark.parametrize("first", ["attribute", "from-import"])
+# ways to read `classify` first in a fresh interpreter; each must give the
+# function, though `import c1atlas.classify` binds the submodule under that name
+FIRST_READS = {
+    "attribute": "f = c1atlas.classify\nfrom c1atlas import classify as g\n",
+    "from-import": "from c1atlas import classify as g\nf = c1atlas.classify\n",
+    "star-import": "from c1atlas import *\nf = classify\ng = c1atlas.classify\n",
+    "other-export-first": "c1atlas.ActionCatalog\nf = c1atlas.classify\nfrom c1atlas import classify as g\n",
+}
+
+
+@pytest.mark.parametrize("first", sorted(FIRST_READS))
 def test_exported_names_resolve_to_the_submodule_objects(first):
-    reads = [
-        "f = c1atlas.classify\nfrom c1atlas import classify as g\n",
-        "from c1atlas import classify as g\nf = c1atlas.classify\n",
-    ][first == "from-import"]
     out = _fresh(
         "import importlib, inspect, c1atlas\n"
-        + reads
+        + FIRST_READS[first]
         + "assert inspect.isfunction(f) and f is g, (f, g)\n"
         "assert c1atlas.classify is f\n"
         "for module, names in c1atlas._EXPORTS.items():\n"
@@ -79,5 +85,27 @@ def test_exported_names_resolve_to_the_submodule_objects(first):
         "    c1atlas.no_such_name\n"
         "except AttributeError:\n"
         "    print('ok')\n"
+    )
+    assert out.strip() == "ok"
+
+
+LAYERS = ("rootsys", "catalog", "chevalley", "shapeops", "nilcon", "cli", "errors", "scalars", "linalg", "verify")
+
+
+def test_layers_are_package_attributes():
+    out = _fresh(
+        "import importlib, sys, c1atlas\n"
+        "assert 'c1atlas.rootsys' not in sys.modules\n"
+        "assert len(c1atlas.rootsys.root_system('A', 3).positives) == 6\n"
+        f"for layer in {LAYERS!r}:\n"
+        "    assert getattr(c1atlas, layer) is importlib.import_module(f'c1atlas.{layer}'), layer\n"
+        "for missing in ('no_such_layer', '__wrapped__'):\n"
+        "    try:\n"
+        "        getattr(c1atlas, missing)\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError(missing)\n"
+        "print('ok')\n"
     )
     assert out.strip() == "ok"
