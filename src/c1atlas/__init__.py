@@ -6,7 +6,7 @@ The package is organised around six layers:
 
   rootsys    root systems, strings, parabolic gradings, diagram symmetries
   catalog    the table of irreducible spaces with restricted-root data
-  chevalley  split/complexified Lie algebras over exact scalars
+  chevalley  split and realified complexified Lie algebras on one real basis over Q
   shapeops   shape operators of orbits in the solvable model
   nilcon     the nilpotent-construction elimination pipeline
   classify   the per-space catalog of cohomogeneity-one action families

@@ -1,25 +1,30 @@
-"""Split semisimple Lie algebras from integer Chevalley structure constants.
+"""Semisimple Lie algebras over Q from integer Chevalley structure constants.
 
-The basis is {h_1..h_r} (simple coroots) plus {e_lam : lam a root}.  Signs of
-the constants N(lam, mu) are fixed by the extraspecial-pair algorithm driven
-by the canonical (height, lex) order of the positive roots, so identical
-inputs always produce identical tables.  All arithmetic is over exact
-rationals, or Gaussian rationals for the complexified models where each root
-space is two-real-dimensional (spanned by e_lam and i*e_lam).
+The split algebra has the real basis {h_1..h_r} (simple coroots) plus
+{e_lam : lam a root}.  Signs of the constants N(lam, mu) are fixed by the
+extraspecial-pair algorithm driven by the canonical (height, lex) order of
+the positive roots, so identical inputs always produce identical tables.
 
-The Cartan involution acts by theta(h) = -conj(h), theta(e_lam) = -conj(e_-lam)
-coefficientwise; over the rationals this is the familiar split involution, and
-over the Gaussian rationals the coefficient conjugation makes -B(x, theta y)
-positive definite on the underlying real algebra.  ``killing`` always denotes
-the trace form of that real algebra (twice the real part of the complex trace
-form in the Gaussian case).
+The complexified algebra g(C) is read as a real Lie algebra with the real
+basis h_i, e_lam, i*h_i, i*e_lam (keys "h", "e", "ih", "ie").  Because
+[i^a x, i^b y] = i^(a+b) [x, y], its structure constants are the split ones
+under that i-parity rule, so they are rational too.  Both rings therefore use
+one scalar field: every coefficient is a Fraction, and the terms of an element
+are its real coordinates.
+
+On the real basis the Cartan involution is a signed permutation:
+theta(h_i) = -h_i and theta(e_lam) = -e_-lam, while theta(i h_i) = i h_i and
+theta(i e_lam) = i e_-lam (the split involution composed with complex
+conjugation).  ``killing`` is the trace form of the real algebra, which for
+g(C) is twice the real part of the complex one.  The positive definite form
+b_theta(x, y) = -B(x, theta y) has as Gram matrix one Cartan block on each of
+the h and ih parts plus a diagonal on the root vectors.
 
 Algebras are immutable after construction; brackets and Gram lookups are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -30,11 +35,11 @@ from .errors import (
 from .linalg import rank as mat_rank
 from .linalg import solve
 from .rootsys import Root, RootSystem
-from .scalars import GAUSSIAN, RATIONAL, GaussianRational, as_scalar
+from .scalars import GAUSSIAN, RATIONAL
 
 
 class AlgebraElement:
-    """Sparse vector over the algebra basis; zero entries are never stored."""
+    """Sparse vector of real coordinates; zero entries are never stored."""
 
     __slots__ = ("algebra", "terms")
 
@@ -56,9 +61,7 @@ class AlgebraElement:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = as_scalar(scalar, self.algebra.scalars)
-        if scalar == 0:
-            return AlgebraElement(self.algebra, {})
+        scalar = Fraction(scalar)
         return AlgebraElement(self.algebra, {k: scalar * v for k, v in self.terms.items()})
 
     def __neg__(self):
@@ -88,20 +91,25 @@ class AlgebraElement:
 
 def _basis_name(key):
     tag, payload = key
-    if tag == "h":
-        return f"h{payload}"
-    return f"e[{payload}]"
+    if tag[-1] == "h":
+        return f"{tag}{payload}"
+    return f"{tag}[{payload}]"
 
 
 def _basis_sort_key(key):
     tag, payload = key
-    if tag == "h":
-        return (0, payload, ())
-    return (1, payload.height, payload.coeffs)
+    if tag[-1] == "h":
+        return (tag[0] == "i", 0, payload, ())
+    return (tag[0] == "i", 1, payload.height, payload.coeffs)
+
+
+def _times_i(key):
+    """The key of i times the basis vector `key` of the split form."""
+    return ("i" + key[0], key[1])
 
 
 class ChevalleyAlgebra:
-    """Exact split (or complexified) semisimple Lie algebra over a reduced system."""
+    """Exact split (or realified complexified) semisimple Lie algebra over a reduced system."""
 
     def __init__(self, rs: RootSystem, scalars: str = RATIONAL):
         if rs.non_reduced:
@@ -111,16 +119,21 @@ class ChevalleyAlgebra:
         self.rs = rs
         self.scalars = scalars
         self.roots = tuple(sorted(rs.positives) + [-p for p in sorted(rs.positives)])
-        self.basis = tuple(
-            [("h", i) for i in range(1, rs.rank + 1)] + [("e", lam) for lam in self.roots]
-        )
+        split = [("h", i) for i in range(1, rs.rank + 1)] + [("e", lam) for lam in self.roots]
+        self.basis = tuple(split + ([_times_i(k) for k in split] if scalars == GAUSSIAN else []))
         self.dim = len(self.basis)
+        self._keys = frozenset(self.basis)
+        # theta on the real basis: key -> (image key, whether the sign flips)
+        self._theta = {
+            (tag, p): ((tag, p if tag[-1] == "h" else -p), tag[0] != "i") for tag, p in self.basis
+        }
         self._n_pos = {}
         self._positive_constants()
         # <lam, a_i-dual> for every root (in the order of self.roots) and simple a_i
         simple_pairings = [tuple(rs.pairing(lam, a) for a in rs.simples) for lam in self.roots]
         self._table = self._bracket_table(simple_pairings)
-        self._cartan_gram, self._root_gram = self._killing_gram(simple_pairings)
+        self._cartan_gram, root_gram = self._killing_gram(simple_pairings)
+        self._killing_rows, self._b_theta_rows = self._forms(self._cartan_gram, root_gram)
 
     # -- structure constants -----------------------------------------------
     def _positive_constants(self):
@@ -214,6 +227,14 @@ class ChevalleyAlgebra:
                         raise IdentityViolation(f"non-integral N({lam}, {mu})")
                     if n:
                         table[key] = {("e", Root(s)): Fraction(n)}
+        if self.scalars == GAUSSIAN:
+            # [i^a x, i^b y] = i^(a+b) [x, y]: one factor i moves the bracket
+            # to the i-keys, two give the sign of i^2 = -1
+            for (ka, kb), out in list(table.items()):
+                i_out = {_times_i(k): v for k, v in out.items()}
+                table[(_times_i(ka), kb)] = i_out
+                table[(ka, _times_i(kb))] = i_out
+                table[(_times_i(ka), _times_i(kb))] = {k: -v for k, v in out.items()}
         return table
 
     def bracket_basis(self, ka, kb) -> dict:
@@ -229,16 +250,18 @@ class ChevalleyAlgebra:
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self, {})
 
+    def element(self, terms: dict) -> AlgebraElement:
+        """The element with real coordinates `terms`; every key must lie in ``basis``."""
+        for key in terms:
+            if key not in self._keys:
+                raise ValueError(f"{key!r} is not a real basis key of this algebra")
+        return AlgebraElement(self, {k: Fraction(v) for k, v in terms.items()})
+
     def h(self, i: int) -> AlgebraElement:
-        return AlgebraElement(self, {("h", i): as_scalar(1, self.scalars)})
+        return self.element({("h", i): 1})
 
     def e(self, lam: Root, coefficient=1) -> AlgebraElement:
-        if not self.rs.contains(lam):
-            raise ValueError(f"{lam} is not a root")
-        return AlgebraElement(self, {("e", lam): as_scalar(coefficient, self.scalars)})
-
-    def element(self, terms: dict) -> AlgebraElement:
-        return AlgebraElement(self, {k: as_scalar(v, self.scalars) for k, v in terms.items()})
+        return self.element({("e", lam): coefficient})
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         out: dict = {}
@@ -256,76 +279,78 @@ class ChevalleyAlgebra:
                         out[k] = s
         return AlgebraElement(self, out)
 
-    def ad(self, x: AlgebraElement):
-        return lambda y: self.bracket(x, y)
-
     def theta(self, x: AlgebraElement) -> AlgebraElement:
-        """Cartan involution: h -> -conj(h) on the Cartan part, e_lam -> -conj(.) e_-lam."""
+        """Cartan involution, a signed permutation of the real basis."""
         out = {}
         for key, c in x.terms.items():
-            cc = -c.conjugate()
-            if key[0] == "h":
-                out[key] = cc
-            else:
-                out[("e", -key[1])] = cc
+            image, flip = self._theta[key]
+            out[image] = -c if flip else c
         return AlgebraElement(self, out)
 
     # -- invariant forms ---------------------------------------------------------
     def _killing_gram(self, simple_pairings):
-        """Exact Gram data of the complex trace form on the basis.
+        """Exact Gram data of the Killing form B of the real algebra on the split keys.
 
         ad(x) ad(y) shifts the root grading by the sum of the weights of x and
         y, so the only nonzero Gram entries are Cartan x Cartan and the pairs
-        (e_lam, e_-lam); those are computed by honest traces.  On the Cartan
-        part the trace is B(h_i, h_j) = sum over roots of lam(h_i) lam(h_j).
+        (e_lam, e_-lam); those are computed by honest traces in the split
+        algebra.  On the Cartan part the trace is B(h_i, h_j) = sum over roots
+        of lam(h_i) lam(h_j).  The trace form of the realified g(C) is twice
+        the real part of the complex one, so over Q(i) each trace is doubled.
         """
         rs = self.rs
         r = rs.rank
+        factor = 2 if self.scalars == GAUSSIAN else 1
+        split = self.basis[: r + len(self.roots)]
         cartan = [
-            [Fraction(sum(vals[i] * vals[j] for vals in simple_pairings)) for j in range(r)]
+            [Fraction(factor * sum(vals[i] * vals[j] for vals in simple_pairings)) for j in range(r)]
             for i in range(r)
         ]
         root_entries = {}
         for lam in rs.positives:
             e_pos, e_neg = ("e", lam), ("e", -lam)
             total = Fraction(0)
-            for key in self.basis:
+            for key in split:
                 for k2, v2 in self.bracket_basis(e_neg, key).items():
                     total += v2 * self.bracket_basis(e_pos, k2).get(key, 0)
-            root_entries[lam] = total
+            root_entries[lam] = factor * total
         return cartan, root_entries
 
-    def killing_complex(self, x: AlgebraElement, y: AlgebraElement):
-        """The scalar-bilinear trace form (complex-valued over Gaussian scalars)."""
-        total = as_scalar(0, self.scalars)
-        for (ta, pa), ca in x.terms.items():
-            for (tb, pb), cb in y.terms.items():
-                if ta == "h" and tb == "h":
-                    total = total + ca * cb * self._cartan_gram[pa - 1][pb - 1]
-                elif ta == "e" and tb == "e" and pa == -pb:
-                    lam = pa if pa.is_positive else pb
-                    total = total + ca * cb * self._root_gram[lam]
-        return total
+    def _forms(self, cartan, root_gram):
+        """Sparse rows of B and of b_theta(x, y) = -B(x, theta y) on the real basis.
+
+        For split keys x, y, B(i^a x, i^b y) = Re(i^(a+b)) B(x, y): B keeps its
+        sign on split pairs, changes it on pairs of i-keys and vanishes on
+        mixed pairs.  theta negates the split keys and fixes the i-keys, so
+        b_theta is the Cartan block on each of h and ih, and B(e_lam, e_-lam)
+        on the diagonal at e_lam and at ie_lam.
+        """
+        killing, b_theta = {}, {}
+        parts = [("h", "e", 1)] + ([("ih", "ie", -1)] if self.scalars == GAUSSIAN else [])
+        for h_tag, e_tag, sign in parts:
+            for i, cartan_row in enumerate(cartan, start=1):
+                row = {(h_tag, j): v for j, v in enumerate(cartan_row, start=1) if v}
+                b_theta[(h_tag, i)] = row
+                killing[(h_tag, i)] = {k: sign * v for k, v in row.items()}
+            for lam, value in root_gram.items():
+                for mu in (lam, -lam):
+                    b_theta[(e_tag, mu)] = {(e_tag, mu): value}
+                    killing[(e_tag, mu)] = {(e_tag, -mu): sign * value}
+        return killing, b_theta
 
     def killing(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
-        """Killing form of the underlying real Lie algebra."""
-        value = self.killing_complex(x, y)
-        if self.scalars == RATIONAL:
-            return Fraction(value)
-        return 2 * value.real
+        """Killing form of the real algebra."""
+        return _form(self._killing_rows, x, y)
 
     def b_theta(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
         """The positive definite inner product -B(x, theta y) on the real algebra."""
-        return -self.killing(x, self.theta(y))
+        return _form(self._b_theta_rows, x, y)
 
     def cartan_dual(self, lam: Root) -> AlgebraElement:
         """The vector H in the Cartan part with b_theta(H, .) = lam(.) there."""
         rs = self.rs
-        r = rs.rank
-        factor = 2 if self.scalars == GAUSSIAN else 1
-        gram = [[factor * self._cartan_gram[i][j] for j in range(r)] for i in range(r)]
-        rhs = [Fraction(rs.pairing(lam, rs.simple(j + 1))) for j in range(r)]
-        coeffs = solve(gram, rhs)
+        rhs = [Fraction(rs.pairing(lam, a)) for a in rs.simples]
+        coeffs = solve(self._cartan_gram, rhs)
         return self.element({("h", i + 1): c for i, c in enumerate(coeffs)})
 
     # -- verification helpers -------------------------------------------------
@@ -335,7 +360,7 @@ class ChevalleyAlgebra:
 
     def check_jacobi_exhaustive(self) -> int:
         """Jacobi on all unordered basis triples; returns the number checked."""
-        elems = [AlgebraElement(self, {k: Fraction(1)}) for k in self.basis]
+        elems = [self.real_vector(k) for k in self.basis]
         n = len(elems)
         count = 0
         for i in range(n):
@@ -363,88 +388,67 @@ class ChevalleyAlgebra:
                 count += 1
         return count
 
-    # -- the underlying real algebra -------------------------------------------
-    # Real basis keys: ("h", i) and ("e", lam) stand for h_i and e_lam; over
-    # Gaussian scalars ("ih", i) and ("ie", lam) stand for i*h_i and i*e_lam.
+    # -- the real basis -------------------------------------------------------
+    # ("h", i) and ("e", lam) stand for h_i and e_lam; over Q(i) ("ih", i) and
+    # ("ie", lam) stand for i*h_i and i*e_lam.
     def real_keys(self, roots) -> tuple:
         """Real basis keys of the root spaces of `roots`, in the given order."""
         if self.scalars == GAUSSIAN:
             return tuple(key for lam in roots for key in (("e", lam), ("ie", lam)))
         return tuple(("e", lam) for lam in roots)
 
-    def real_coords(self, x: AlgebraElement) -> dict:
-        """Nonzero coordinates of x over the real basis."""
-        out = {}
-        for (tag, payload), c in x.terms.items():
-            re, im = Fraction(c.real), Fraction(c.imag)
-            if re:
-                out[(tag, payload)] = re
-            if im:
-                out[("i" + tag, payload)] = im
-        return out
-
     def real_vector(self, key) -> AlgebraElement:
         """The real basis vector named by `key`."""
-        tag, payload = key
-        if tag in ("ih", "ie"):
-            return AlgebraElement(self, {(tag[1:], payload): GaussianRational(0, 1)})
-        return AlgebraElement(self, {key: as_scalar(1, self.scalars)})
+        return self.element({key: 1})
 
     def in_centraliser_of_flat(self, x: AlgebraElement) -> bool:
         """Whether x lies in the compact centraliser of the flat (the k_0 part)."""
-        return all(key[0] == "ih" for key in self.real_coords(x))
+        return all(key[0] == "ih" for key in x.terms)
+
+
+def _form(rows, x: AlgebraElement, y: AlgebraElement) -> Fraction:
+    """The bilinear form with sparse Gram rows `rows` on x and y."""
+    xt = x.terms
+    total = Fraction(0)
+    for ky, cy in y.terms.items():
+        for kx, g in rows[ky].items():
+            cx = xt.get(kx)
+            if cx is not None:
+                total += cx * cy * g
+    return total
 
 
 def build_algebra(rs: RootSystem, scalars: str = RATIONAL) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(rs, scalars)
 
 
-@dataclass
-class ThetaBracketReport:
-    root: Root
-    pair_checked: bool
-    k0_checked: bool
-
-
 def check_theta_bracket_identity(
     algebra: ChevalleyAlgebra, lam: Root, x: AlgebraElement, y: AlgebraElement = None
-) -> ThetaBracketReport:
+) -> None:
     """Verify [theta X, X] = b_theta(X, X) * H_lam for X in the root space of lam,
-    and that [theta X, Y] lands in the k_0 part for orthogonal X, Y there.
+    and, given Y there b_theta-orthogonal to X, that [theta X, Y] lands in the
+    k_0 part.  Raises IdentityViolation on failure.
     """
+    space = set(algebra.real_keys([lam]))
     for elem in (x,) + ((y,) if y is not None else ()):
-        for key in elem.terms:
-            if key != ("e", lam):
-                raise ValueError(f"vector has a component off the root space of {lam}")
+        if not elem.terms.keys() <= space:
+            raise ValueError(f"vector has a component off the root space of {lam}")
     h_lam = algebra.cartan_dual(lam)
     lhs = algebra.bracket(algebra.theta(x), x)
     rhs = algebra.b_theta(x, x) * h_lam
     if lhs != rhs:
         raise IdentityViolation(f"[theta X, X] != |X|^2 H for X in g_{lam}")
-    k0_checked = False
     if y is not None:
         if algebra.b_theta(x, y) != 0:
             raise ValueError("X and Y must be b_theta-orthogonal")
         mixed = algebra.bracket(algebra.theta(x), y)
         if not algebra.in_centraliser_of_flat(mixed):
             raise IdentityViolation(f"[theta X, Y] escapes k_0 for X, Y in g_{lam}")
-        k0_checked = True
-    return ThetaBracketReport(root=lam, pair_checked=True, k0_checked=k0_checked)
 
 
-@dataclass
-class StringInjectivityReport:
-    alpha: Root
-    beta: Root
-    power: int
-    ranks: tuple
-
-
-def check_string_injectivity(
-    algebra: ChevalleyAlgebra, alpha: Root, beta: Root, k: int
-) -> StringInjectivityReport:
+def check_string_injectivity(algebra: ChevalleyAlgebra, alpha: Root, beta: Root, k: int) -> None:
     """Exact-rank check that ad(X)^k : g_alpha -> g_(alpha+k*beta) is injective
-    for every real basis vector X of g_beta.
+    for every real basis vector X of g_beta.  Raises InjectivityViolation on failure.
     """
     rs = algebra.rs
     string = rs.root_string(alpha, beta)
@@ -453,24 +457,20 @@ def check_string_injectivity(
     target = string[k]
     target_keys = algebra.real_keys([target])
     source = [algebra.real_vector(key) for key in algebra.real_keys([alpha])]
-    ranks = []
     for x in (algebra.real_vector(key) for key in algebra.real_keys([beta])):
         images = []
         for img in source:
             for _ in range(k):
                 img = algebra.bracket(x, img)
-            coords = algebra.real_coords(img)
-            if not coords.keys() <= set(target_keys):
+            if not img.terms.keys() <= set(target_keys):
                 raise ValueError(f"element is not contained in the root space of {target}")
-            images.append(coords)
+            images.append(img.terms)
         mat = [[img.get(key, 0) for img in images] for key in target_keys]
         rk = mat_rank(mat)
         if rk != len(source):
             raise InjectivityViolation(
                 f"ad(X)^{k} on g_{alpha} has rank {rk} < {len(source)}"
             )
-        ranks.append(rk)
-    return StringInjectivityReport(alpha=alpha, beta=beta, power=k, ranks=tuple(ranks))
 
 
 def dump_structure_constants(algebra: ChevalleyAlgebra) -> list:

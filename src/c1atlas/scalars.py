@@ -1,135 +1,9 @@
-"""Exact scalars: rationals and Gaussian rationals.
+"""Names of the two scalar rings an exact model is built over.
 
-Rational arithmetic uses :class:`fractions.Fraction` directly.  The complexified
-algebras need Q(i); :class:`GaussianRational` mimics the ``numbers`` protocol
-(``.real``, ``.imag``, ``.conjugate()``) so callers can treat both scalar kinds
-uniformly.
+``RATIONAL`` is the split real form over Q.  ``GAUSSIAN`` is the complexified
+algebra over Q(i), which ``chevalley`` realifies: its real basis doubles the
+split one by the i-keys, and every coefficient stays a Fraction.
 """
-
-from __future__ import annotations
-
-from fractions import Fraction
 
 RATIONAL = "rational"
 GAUSSIAN = "gaussian"
-
-
-class GaussianRational:
-    """A Gaussian rational a + b*i with exact Fraction components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    # -- numbers-protocol lookalikes ------------------------------------
-    @property
-    def real(self) -> Fraction:
-        return self.re
-
-    @property
-    def imag(self) -> Fraction:
-        return self.im
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    # -- arithmetic ------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
-
-    # -- comparison / hashing ---------------------------------------------
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-def as_scalar(value, kind: str):
-    """Coerce an int/Fraction/GaussianRational into the scalar ring `kind`."""
-    if kind == RATIONAL:
-        if isinstance(value, GaussianRational):
-            if value.im != 0:
-                raise TypeError("imaginary value in a rational algebra")
-            return value.re
-        return Fraction(value)
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)

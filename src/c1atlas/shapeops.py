@@ -43,7 +43,7 @@ class SolvableModel:
         return self.algebra.rs
 
     def _check_in_an(self, x: AlgebraElement):
-        for key in self.algebra.real_coords(x):
+        for key in x.terms:
             if key not in self._an_keyset:
                 raise ValueError(f"component {key} lies outside a + n")
 
@@ -176,14 +176,13 @@ class OrbitSubalgebra:
         h / complement divide (the flat part lies entirely inside h), so the
         projection just keeps the h-components.
         """
-        coords = self.model.algebra.real_coords(elem)
-        return {k: v for k, v in coords.items() if k in self._h_keyset}
+        return {k: v for k, v in elem.terms.items() if k in self._h_keyset}
 
     def normal_basis(self):
         return [self.model.algebra.real_vector(k) for k in self.v_keys]
 
     def contains_normal(self, xi: AlgebraElement) -> bool:
-        return self.model.algebra.real_coords(xi).keys() <= set(self.v_keys)
+        return xi.terms.keys() <= set(self.v_keys)
 
     @property
     def top_level_one_root(self) -> Root:
@@ -220,7 +219,7 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
         columns.append(mat_vec(orbit._gram_inv, rhs))
     n = len(basis)
     matrix = tuple(tuple(columns[c][r] for c in range(n)) for r in range(n))
-    xi_key = tuple(sorted(alg.real_coords(xi).items()))
+    xi_key = tuple(sorted(xi.terms.items()))
     return ShapeOperatorMatrix(xi_key=xi_key, basis=orbit.h_keys, matrix=matrix)
 
 

@@ -15,7 +15,7 @@ from .chevalley import build_algebra
 from .classify import classify, derive_type_e_spaces
 from .errors import CheckFailed, ProportionalRoots
 from .rootsys import root_system
-from .scalars import GAUSSIAN
+from .scalars import GAUSSIAN, RATIONAL
 from .shapeops import (
     OrbitSubalgebra,
     SolvableModel,
@@ -106,14 +106,11 @@ def _check_jacobi_f4():
 
 
 def _check_theta_isometry():
-    for scalars in (None, GAUSSIAN):
-        alg = (
-            build_algebra(root_system("G2", 2))
-            if scalars is None
-            else build_algebra(root_system("G2", 2), GAUSSIAN)
-        )
-        basis = [alg.h(1), alg.h(2)] + [alg.e(lam) for lam in alg.roots]
+    for scalars in (RATIONAL, GAUSSIAN):
+        alg = build_algebra(root_system("G2", 2), scalars)
+        basis = [alg.real_vector(k) for k in alg.basis]
         for x in basis:
+            _require(alg.theta(alg.theta(x)) == x, f"theta is not an involution on {x}")
             for y in basis:
                 _require(
                     alg.killing(alg.theta(x), alg.theta(y)) == alg.killing(x, y),
@@ -134,7 +131,7 @@ def _check_shape_consistency():
 
 
 def _check_g2_dichotomy():
-    for scalars in ("rational", GAUSSIAN):
+    for scalars in (RATIONAL, GAUSSIAN):
         alg = build_algebra(root_system("G2", 2), scalars)
         model = SolvableModel(alg)
         _require(is_totally_geodesic(OrbitSubalgebra(model, 1)), f"G2 j=1 over {scalars} bends")

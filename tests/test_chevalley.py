@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from math import comb
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,10 +18,10 @@ from c1atlas.chevalley import (
     check_theta_bracket_identity,
     dump_structure_constants,
 )
-from c1atlas.errors import NonReducedSystem
+from c1atlas.errors import InjectivityViolation, NonReducedSystem
 from c1atlas.linalg import det
 from c1atlas.rootsys import Root, root_system
-from c1atlas.scalars import GAUSSIAN, RATIONAL, GaussianRational
+from c1atlas.scalars import GAUSSIAN, RATIONAL
 
 
 def test_sl2_relations():
@@ -89,7 +91,7 @@ def test_theta_is_an_involutive_automorphism(g2_split, g2_gaussian):
     for alg in (g2_split, g2_gaussian):
         basis = [alg.h(1), alg.h(2)] + [alg.e(lam) for lam in alg.roots]
         if alg.scalars == GAUSSIAN:
-            basis += [alg.e(lam, GaussianRational(0, 1)) for lam in alg.roots]
+            basis += [alg.real_vector(("ie", lam)) for lam in alg.roots]
         for x in basis:
             assert alg.theta(alg.theta(x)) == x
         for x in basis[:8]:
@@ -114,8 +116,6 @@ def test_killing_value_sl2():
 def test_killing_invariance(g2_split):
     alg = g2_split
     basis = [alg.h(1), alg.h(2)] + [alg.e(lam) for lam in alg.roots]
-    import itertools
-
     for x, y, z in itertools.islice(itertools.product(basis, repeat=3), 0, None, 7):
         assert alg.killing(alg.bracket(x, y), z) == -alg.killing(y, alg.bracket(x, z))
 
@@ -123,7 +123,7 @@ def test_killing_invariance(g2_split):
 def test_theta_preserves_killing(g2_gaussian):
     alg = g2_gaussian
     basis = [alg.h(1), alg.h(2)] + [alg.e(lam) for lam in alg.roots]
-    basis += [alg.e(lam, GaussianRational(0, 1)) for lam in alg.roots[:4]]
+    basis += [alg.real_vector(("ie", lam)) for lam in alg.roots[:4]]
     for x in basis:
         for y in basis:
             assert alg.killing(alg.theta(x), alg.theta(y)) == alg.killing(x, y)
@@ -153,15 +153,18 @@ def test_b_theta_orthogonality_and_positivity(g2_split, g2_gaussian):
 
 
 def test_b_theta_positive_on_random_gaussian_vectors(g2_gaussian):
+    # (1 + 2i) h_1 + (1/3 - i) e_a2 + 5i e_-(a1+2a2) in real coordinates
     alg = g2_gaussian
     x = alg.element(
         {
-            ("h", 1): GaussianRational(1, 2),
-            ("e", Root((0, 1))): GaussianRational(Fraction(1, 3), -1),
-            ("e", Root((-1, -2))): GaussianRational(0, 5),
+            ("h", 1): 1,
+            ("ih", 1): 2,
+            ("e", Root((0, 1))): Fraction(1, 3),
+            ("ie", Root((0, 1))): -1,
+            ("ie", Root((-1, -2))): 5,
         }
     )
-    assert alg.b_theta(x, x) > 0
+    assert alg.b_theta(x, x) == Fraction(4240, 3)
 
 
 def test_ad_cartan_diagonal(g2_split):
@@ -174,18 +177,16 @@ def test_ad_cartan_diagonal(g2_split):
 
 def test_theta_bracket_identity_split(a2_split):
     a1 = a2_split.rs.simple(1)
-    report = check_theta_bracket_identity(a2_split, a1, a2_split.e(a1))
-    assert report.pair_checked
+    assert check_theta_bracket_identity(a2_split, a1, a2_split.e(a1)) is None
     zero = a2_split.zero()
     assert a2_split.bracket(a2_split.theta(zero), zero).is_zero
 
 
 def test_theta_bracket_identity_gaussian_k0_part(g2_gaussian):
     a2 = g2_gaussian.rs.simple(2)
-    x = g2_gaussian.e(a2, GaussianRational(0, 1))
+    x = g2_gaussian.real_vector(("ie", a2))
     y = g2_gaussian.e(a2)
-    report = check_theta_bracket_identity(g2_gaussian, a2, x, y)
-    assert report.k0_checked
+    assert check_theta_bracket_identity(g2_gaussian, a2, x, y) is None
     # the mixed bracket itself is a purely imaginary Cartan vector
     mixed = g2_gaussian.bracket(g2_gaussian.theta(x), y)
     assert not mixed.is_zero
@@ -200,12 +201,12 @@ def test_real_basis_round_trip(g2_split, g2_gaussian):
         keys = [("h", 1), ("h", 2)] + list(alg.real_keys(alg.roots))
         if alg.scalars == GAUSSIAN:
             keys += [("ih", 1), ("ih", 2)]
+        assert sorted(keys, key=alg.basis.index) == list(alg.basis)
         for key in keys:
-            assert alg.real_coords(alg.real_vector(key)) == {key: 1}
-    x = g2_gaussian.element({("h", 1): GaussianRational(2, -3), ("e", a1): Fraction(1, 2)})
-    assert g2_gaussian.real_coords(x) == {
-        ("h", 1): 2, ("ih", 1): -3, ("e", a1): Fraction(1, 2),
-    }
+            assert alg.real_vector(key).terms == {key: 1}
+    # (2 - 3i) h_1 + 1/2 e_a1 in real coordinates
+    x = g2_gaussian.element({("h", 1): 2, ("ih", 1): -3, ("e", a1): Fraction(1, 2)})
+    assert x.terms == {("h", 1): 2, ("ih", 1): -3, ("e", a1): Fraction(1, 2)}
     assert not g2_gaussian.in_centraliser_of_flat(x)
     assert g2_gaussian.in_centraliser_of_flat(g2_gaussian.real_vector(("ih", 2)))
 
@@ -219,15 +220,24 @@ def test_theta_bracket_identity_detects_orthogonality_misuse(g2_gaussian):
 def test_string_injectivity_g2_all_powers(g2_split, g2_gaussian):
     a1, a2 = g2_split.rs.simple(1), g2_split.rs.simple(2)
     for k in (1, 2, 3):
-        report = check_string_injectivity(g2_split, a1, a2, k)
-        assert report.ranks == (1,)
-        report = check_string_injectivity(g2_gaussian, a1, a2, k)
-        assert report.ranks == (2, 2)
+        assert check_string_injectivity(g2_split, a1, a2, k) is None
+        assert check_string_injectivity(g2_gaussian, a1, a2, k) is None
+
+
+def test_string_injectivity_raises_on_a_rank_drop(monkeypatch):
+    # ad(X) made to kill i*e_a1 has rank 1 on the two-dimensional g_a1
+    alg = build_algebra(root_system("G2", 2), GAUSSIAN)
+    a1, a2 = alg.rs.simple(1), alg.rs.simple(2)
+    bracket = alg.bracket
+    monkeypatch.setattr(
+        alg, "bracket", lambda x, y: alg.zero() if ("ie", a1) in y.terms else bracket(x, y)
+    )
+    with pytest.raises(InjectivityViolation):
+        check_string_injectivity(alg, a1, a2, 1)
 
 
 def test_string_injectivity_simply_laced(a2_split):
-    report = check_string_injectivity(a2_split, a2_split.rs.simple(1), a2_split.rs.simple(2), 1)
-    assert report.ranks == (1,)
+    assert check_string_injectivity(a2_split, a2_split.rs.simple(1), a2_split.rs.simple(2), 1) is None
     with pytest.raises(ValueError):
         check_string_injectivity(a2_split, a2_split.rs.simple(1), a2_split.rs.simple(2), 2)
 
@@ -259,19 +269,110 @@ def test_theta_bracket_identity_every_root():
 
 
 def test_gaussian_jacobi_spot_checks(g2_gaussian):
+    # i e_a1 + h_1, (1/2 + 3i) e_a2 + e_-a1, i e_(a1+2a2) + h_2, e_-(a1+3a2) + i e_a2
     alg = g2_gaussian
-    i = GaussianRational(0, 1)
     a1, a2 = alg.rs.simple(1), alg.rs.simple(2)
     samples = [
-        alg.e(a1, i) + alg.h(1),
-        alg.e(a2, GaussianRational(Fraction(1, 2), 3)) + alg.e(-a1),
-        alg.e(Root((1, 2)), i) + alg.h(2),
-        alg.e(-Root((1, 3))) + alg.e(a2, i),
+        alg.element({("ie", a1): 1, ("h", 1): 1}),
+        alg.element({("e", a2): Fraction(1, 2), ("ie", a2): 3, ("e", -a1): 1}),
+        alg.element({("ie", Root((1, 2))): 1, ("h", 2): 1}),
+        alg.element({("e", -Root((1, 3))): 1, ("ie", a2): 1}),
     ]
     for x in samples:
         for y in samples:
             for z in samples:
                 assert alg.jacobi_defect(x, y, z).is_zero
+
+
+def test_element_rejects_keys_outside_the_real_basis(g2_split, g2_gaussian):
+    a1 = g2_split.rs.simple(1)
+    not_a_root = Root((5, 5))
+    bad = {
+        g2_split: [("ie", a1), ("ih", 1), ("e", not_a_root), ("h", 0), ("h", 3)],
+        g2_gaussian: [("ie", not_a_root), ("e", not_a_root), ("ih", 3), ("x", 1)],
+    }
+    for alg, keys in bad.items():
+        for key in keys:
+            with pytest.raises(ValueError):
+                alg.element({key: 1})
+            with pytest.raises(ValueError):
+                alg.real_vector(key)
+        with pytest.raises(ValueError):
+            alg.e(not_a_root)
+        with pytest.raises(ValueError):
+            alg.h(0)
+
+
+# The realification of g(C): G2 and A2 over Q(i), on every real basis vector.
+REALIFIED = [("G2", 2), ("A", 2)]
+
+
+@pytest.fixture(scope="module", params=REALIFIED, ids=lambda t: f"{t[0]}{t[1]}")
+def realified(request):
+    family, rank = request.param
+    alg = build_algebra(root_system(family, rank), GAUSSIAN)
+    return alg, [alg.real_vector(k) for k in alg.basis]
+
+
+def test_realified_jacobi_exhaustive(realified):
+    alg, basis = realified
+    assert alg.dim == 2 * (alg.rs.rank + len(alg.roots))
+    assert alg.check_jacobi_exhaustive() == comb(len(basis), 3)
+
+
+def test_realified_theta_is_an_involutive_isometric_automorphism(realified):
+    alg, basis = realified
+    for x in basis:
+        assert alg.theta(alg.theta(x)) == x
+        for y in basis:
+            assert alg.theta(alg.bracket(x, y)) == alg.bracket(alg.theta(x), alg.theta(y))
+            assert alg.killing(alg.theta(x), alg.theta(y)) == alg.killing(x, y)
+
+
+def test_realified_killing_is_the_trace_of_ad_ad(realified):
+    alg, basis = realified
+    for x in basis:
+        for y in basis:
+            trace = sum(alg.bracket(x, alg.bracket(y, z)).coefficient(k) for k, z in zip(alg.basis, basis))
+            assert alg.killing(x, y) == trace
+
+
+def test_realified_b_theta_is_a_cartan_block_plus_a_diagonal(realified):
+    alg, basis = realified
+    split = build_algebra(alg.rs)
+    for kx, x in zip(alg.basis, basis):
+        for ky, y in zip(alg.basis, basis):
+            value = alg.b_theta(x, y)
+            assert value == -alg.killing(x, alg.theta(y))
+            tx, px = kx
+            ty, py = ky
+            if tx == ty and tx[-1] == "h":  # the Cartan block on h and on ih
+                assert value == 2 * split.b_theta(split.h(px), split.h(py))
+            elif kx == ky:  # one diagonal entry per real root vector
+                assert value == 2 * split.b_theta(split.e(px), split.e(px)) > 0
+            else:
+                assert value == 0
+
+
+def test_realified_bracket_follows_the_i_rule(realified):
+    # [i x, i y] = -[x, y] and [x, i y] = [i x, y] = i [x, y] for split basis vectors
+    alg, _ = realified
+    split_keys = [k for k in alg.basis if k[0] in ("h", "e")]
+
+    def times_i(elem):
+        return alg.element({("i" + tag, p): c for (tag, p), c in elem.terms.items()})
+
+    for ka in split_keys:
+        for kb in split_keys:
+            x, y = alg.real_vector(ka), alg.real_vector(kb)
+            ix, iy = times_i(x), times_i(y)
+            xy = alg.bracket(x, y)
+            if ka[0] == kb[0] == "e" and alg.rs.contains(ka[1].shifted(kb[1])):
+                n = alg.structure_constant(ka[1], kb[1])
+                assert n != 0 and xy == n * alg.e(Root(ka[1].shifted(kb[1])))
+            assert alg.bracket(ix, iy) == -xy
+            assert alg.bracket(x, iy) == times_i(xy)
+            assert alg.bracket(ix, y) == times_i(xy)
 
 
 @pytest.mark.parametrize(
@@ -282,8 +383,10 @@ def test_gaussian_jacobi_spot_checks(g2_gaussian):
 )
 def test_killing_cartan_block_is_the_sum_over_roots(family, rank, scalars):
     # B(h_i, h_j) = sum over roots of <lam, a_i-dual> <lam, a_j-dual>, each
-    # pairing taken from the Fraction Gram matrix
+    # pairing taken from the Fraction Gram matrix; the real trace form of the
+    # realified g(C) counts every root twice
     alg = build_algebra(root_system(family, rank), scalars)
+    scale = 2 if scalars == GAUSSIAN else 1
     g = alg.rs.gram
     pairings = [
         [2 * sum(n * g[k][i] for k, n in enumerate(lam.coeffs)) / g[i][i] for i in range(rank)]
@@ -292,7 +395,7 @@ def test_killing_cartan_block_is_the_sum_over_roots(family, rank, scalars):
     for i in range(rank):
         for j in range(rank):
             expected = sum(p[i] * p[j] for p in pairings)
-            assert alg.killing_complex(alg.h(i + 1), alg.h(j + 1)) == expected
+            assert alg.killing(alg.h(i + 1), alg.h(j + 1)) == scale * expected
 
 
 # Recorded structure constants and Killing Gram data, one entry per (type,
@@ -312,8 +415,13 @@ GOLDEN_TYPES = (
 
 
 def golden_entry(family, rank, scalars) -> dict:
-    """Digest of the structure-constant dump and the Killing Gram of one algebra."""
+    """Digest of the structure-constant dump and the Killing Gram of one algebra.
+
+    The Gram entries are those of the complex trace form: on split basis
+    vectors it is half the real trace form of the realified g(C).
+    """
     alg = build_algebra(root_system(family, rank), scalars)
+    scale = 2 if scalars == GAUSSIAN else 1
     rows = dump_structure_constants(alg)
     blob = json.dumps(rows, separators=(",", ":")).encode("utf-8")
     r = alg.rs.rank
@@ -322,10 +430,10 @@ def golden_entry(family, rank, scalars) -> dict:
         "rows": len(rows),
         "sha256": hashlib.sha256(blob).hexdigest(),
         "cartan": [
-            [str(alg.killing_complex(alg.h(i), alg.h(j))) for j in range(1, r + 1)]
+            [str(alg.killing(alg.h(i), alg.h(j)) / scale) for j in range(1, r + 1)]
             for i in range(1, r + 1)
         ],
-        "root_pairs": [str(alg.killing_complex(alg.e(lam), alg.e(-lam))) for lam in alg.rs.positives],
+        "root_pairs": [str(alg.killing(alg.e(lam), alg.e(-lam)) / scale) for lam in alg.rs.positives],
     }
 
 

@@ -19,7 +19,6 @@ from c1atlas.linalg import (
     rank,
     solve,
 )
-from c1atlas.scalars import GAUSSIAN, RATIONAL, GaussianRational, as_scalar
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 # three entries in four are zero, so the charpoly kernel meets row swaps,
@@ -151,34 +150,3 @@ def test_symmetry_and_definiteness():
     assert is_symmetric(good) and is_positive_definite(good)
     bad = [[Fraction(1), Fraction(3)], [Fraction(3), Fraction(1)]]
     assert not is_positive_definite(bad)
-
-
-def test_gaussian_arithmetic():
-    i = GaussianRational(0, 1)
-    assert i * i == -1
-    z = GaussianRational(Fraction(3, 2), Fraction(-1, 2))
-    assert z + z.conjugate() == 3
-    assert (z * z.conjugate()).imag == 0
-    assert (1 / z) * z == 1
-    assert z - z == 0 and not (z - z)
-    assert (2 * z).real == 3
-    assert Fraction(1, 2) + i == GaussianRational(Fraction(1, 2), 1)
-    with pytest.raises(ZeroDivisionError):
-        z / GaussianRational(0, 0)
-
-
-def test_gaussian_equality_and_hash():
-    assert GaussianRational(2, 0) == 2
-    assert GaussianRational(2, 0) == Fraction(2)
-    assert hash(GaussianRational(2, 0)) == hash(Fraction(2))
-    assert GaussianRational(2, 1) != 2
-    assert repr(GaussianRational(1, -2)) == "1-2i"
-
-
-def test_as_scalar_coercions():
-    assert as_scalar(3, RATIONAL) == Fraction(3)
-    assert as_scalar(GaussianRational(3, 0), RATIONAL) == Fraction(3)
-    with pytest.raises(TypeError):
-        as_scalar(GaussianRational(0, 1), RATIONAL)
-    g = as_scalar(Fraction(1, 2), GAUSSIAN)
-    assert isinstance(g, GaussianRational) and g.real == Fraction(1, 2)
