@@ -108,6 +108,21 @@ def _times_i(key):
     return ("i" + key[0], key[1])
 
 
+_ZERO = Fraction(0)
+
+
+def _form(rows, x: AlgebraElement, y: AlgebraElement) -> Fraction:
+    """The bilinear form with sparse Gram rows `rows` on x and y."""
+    xt = x.terms
+    total = _ZERO
+    for ky, cy in y.terms.items():
+        for kx, g in rows[ky].items():
+            cx = xt.get(kx)
+            if cx is not None:
+                total += cx * cy * g
+    return total
+
+
 class ChevalleyAlgebra:
     """Exact split (or realified complexified) semisimple Lie algebra over a reduced system."""
 
@@ -360,7 +375,7 @@ class ChevalleyAlgebra:
 
     def check_jacobi_exhaustive(self) -> int:
         """Jacobi on all unordered basis triples; returns the number checked."""
-        elems = [self.real_vector(k) for k in self.basis]
+        elems = [AlgebraElement(self, {k: Fraction(1)}) for k in self.basis]
         n = len(elems)
         count = 0
         for i in range(n):
@@ -404,18 +419,6 @@ class ChevalleyAlgebra:
     def in_centraliser_of_flat(self, x: AlgebraElement) -> bool:
         """Whether x lies in the compact centraliser of the flat (the k_0 part)."""
         return all(key[0] == "ih" for key in x.terms)
-
-
-def _form(rows, x: AlgebraElement, y: AlgebraElement) -> Fraction:
-    """The bilinear form with sparse Gram rows `rows` on x and y."""
-    xt = x.terms
-    total = Fraction(0)
-    for ky, cy in y.terms.items():
-        for kx, g in rows[ky].items():
-            cx = xt.get(kx)
-            if cx is not None:
-                total += cx * cy * g
-    return total
 
 
 def build_algebra(rs: RootSystem, scalars: str = RATIONAL) -> ChevalleyAlgebra:

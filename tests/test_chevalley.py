@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from math import comb
 from fractions import Fraction
@@ -116,6 +115,8 @@ def test_killing_value_sl2():
 def test_killing_invariance(g2_split):
     alg = g2_split
     basis = [alg.h(1), alg.h(2)] + [alg.e(lam) for lam in alg.roots]
+    import itertools
+
     for x, y, z in itertools.islice(itertools.product(basis, repeat=3), 0, None, 7):
         assert alg.killing(alg.bracket(x, y), z) == -alg.killing(y, alg.bracket(x, z))
 
