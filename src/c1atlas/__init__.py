@@ -24,8 +24,6 @@ _EXPORTS = {
         "Root",
         "RootSystem",
         "RootSystemType",
-        "build_root_system",
-        "level_one",
         "root_system",
     ),
     "catalog": (
@@ -36,7 +34,6 @@ _EXPORTS = {
         "default_catalog",
         "find_space",
         "homothetic_rank_one_pair",
-        "list_spaces",
         "load_catalog",
         "rank_one_recognize",
     ),

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .errors import AdjacentRoots, DimensionMismatch, ParseError, UnknownSpace
 from .linalg import solve
-from .rootsys import Root, RootSystem, RootSystemType, build_root_system
+from .rootsys import Root, RootSystem, RootSystemType, root_system
 
 _DATA_ENV = "C1_ATLAS_CATALOG"
 
@@ -71,7 +71,7 @@ class SpaceEntry:
     aliases: tuple = ()
 
     def root_system(self) -> RootSystem:
-        return build_root_system(self.rtype)
+        return root_system(self.rtype.family, self.rtype.rank)
 
     @property
     def rank(self) -> int:
@@ -230,10 +230,8 @@ def _arm_lengths(nodes, labels, degree, center):
 def boundary_component(space: SpaceEntry, phi: Iterable[int]) -> BoundaryComponent:
     """Split a simple subset into irreducible factors with inherited multiplicities."""
     rs = space.root_system()
-    phi = frozenset(phi)
-    if not phi <= set(range(1, rs.rank + 1)):
-        raise ValueError(f"phi {sorted(phi)} out of range for rank {rs.rank}")
     grading = rs.grading(phi)
+    phi = grading.phi
     factors = []
     for nodes in rs.components(phi):
         rtype = _classify_subdiagram(space, nodes)
@@ -300,18 +298,25 @@ def _entry_from_json(obj) -> SpaceEntry:
     return entry
 
 
-def load_catalog(source) -> list:
-    """Load and validate a catalog from a path, file object, or parsed JSON."""
+def read_json(source, error_prefix: str):
+    """The JSON data of a path or file object; any other source is taken as parsed data.
+
+    Invalid JSON raises ParseError, its message led by error_prefix.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return load_catalog(fh)
-    if hasattr(source, "read"):
-        try:
-            data = json.load(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    else:
-        data = source
+            return read_json(fh, error_prefix)
+    if not hasattr(source, "read"):
+        return source
+    try:
+        return json.load(source)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{error_prefix}: {exc}") from exc
+
+
+def load_catalog(source) -> list:
+    """Load and validate a catalog from a path, file object, or parsed JSON."""
+    data = read_json(source, "invalid JSON")
     if isinstance(data, dict):
         if "spaces" not in data:
             raise ParseError("catalog object needs a 'spaces' array")
@@ -341,9 +346,3 @@ def find_space(catalog, name: str) -> SpaceEntry:
         if entry.name == name or name in entry.aliases:
             return entry
     raise UnknownSpace(f"space {name!r} is not in the catalog")
-
-
-def list_spaces(catalog, predicate=None) -> list:
-    if predicate is None:
-        return list(catalog)
-    return [entry for entry in catalog if predicate(entry)]

@@ -20,9 +20,7 @@ the elimination sweep) and the two answers are required to agree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .catalog import (
     RankOneType,
@@ -30,6 +28,7 @@ from .catalog import (
     boundary_component,
     homothetic_rank_one_pair,
     rank_one_recognize,
+    read_json,
 )
 from .errors import IdentityViolation, ParseError, RHHasNoNCModuli
 from . import nilcon
@@ -188,16 +187,7 @@ def derive_type_e_spaces(catalog):
 
 def load_tg_table(source) -> dict:
     """Load the pluggable table of totally-geodesic-orbit actions per space."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_tg_table(fh)
-    if hasattr(source, "read"):
-        try:
-            data = json.load(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in table: {exc}") from exc
-    else:
-        data = source
+    data = read_json(source, "invalid JSON in table")
     if not isinstance(data, dict) or "actions" not in data:
         raise ParseError("table needs an 'actions' object keyed by space name")
     return data["actions"]

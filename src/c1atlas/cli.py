@@ -27,7 +27,7 @@ import sys
 # elimination code.
 from .catalog import default_catalog, find_space, load_catalog
 from .errors import C1AtlasError, NotARoot
-from .rootsys import FIXED_RANK, Root, RootSystem, RootSystemType, build_root_system, level_one
+from .rootsys import FIXED_RANK, Root, RootSystem, root_system
 
 
 def _root_system_from(args) -> RootSystem:
@@ -36,7 +36,7 @@ def _root_system_from(args) -> RootSystem:
         if args.type not in FIXED_RANK:
             raise C1AtlasError(f"--rank is required for family {args.type}")
         rank = FIXED_RANK[args.type]
-    return build_root_system(RootSystemType(args.type, rank))
+    return root_system(args.type, rank)
 
 
 def _parse_coeffs(text: str) -> tuple:
@@ -272,7 +272,7 @@ def render_hasse(rs: RootSystem, j: int, dot: bool = False) -> str:
     Nodes are identified by their coefficient vectors (stable across runs);
     an edge labelled a_i joins lam to lam + a_i when both are level one.
     """
-    nodes = level_one(rs, j)
+    nodes = rs.maximal_grading(j).level(1)
     node_set = set(nodes)
     edges = []
     for lam in nodes:

@@ -89,7 +89,8 @@ def solve(a, b):
 
 def inverse(a):
     n = len(a)
-    aug = [list(map(Fraction, row)) + identity(n)[i] for i, row in enumerate(a)]
+    eye = identity(n)
+    aug = [list(map(Fraction, row)) + eye[i] for i, row in enumerate(a)]
     echelon, rk, _ = _eliminate(aug, pivot_cols=n)
     if rk < n:
         raise ValueError("matrix is singular")
@@ -156,13 +157,3 @@ def charpoly(a):
 def is_symmetric(a) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-def is_positive_definite(a) -> bool:
-    """Exact Sylvester criterion on leading principal minors."""
-    n = len(a)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in a[:k]]
-        if det(minor) <= 0:
-            return False
-    return True

@@ -35,16 +35,6 @@ ELIMINATED_SHAPE_THEOREM = "ELIMINATED_SHAPE_THEOREM"
 W_ZERO_TOTALLY_GEODESIC = "W_ZERO_TOTALLY_GEODESIC"
 SURVIVES_W_ZERO_G2 = "SURVIVES_W_ZERO_G2"
 
-STATUSES = (
-    RANK_ONE_KNOWN,
-    ELIMINATED_CORNER,
-    ELIMINATED_HEIGHT_COLLISION,
-    ELIMINATED_MULTIPLICITY,
-    ELIMINATED_SHAPE_THEOREM,
-    W_ZERO_TOTALLY_GEODESIC,
-    SURVIVES_W_ZERO_G2,
-)
-
 
 @dataclass(frozen=True)
 class Snake:

@@ -317,10 +317,6 @@ class RootSystem:
             coeffs = coeffs.coeffs
         return coeffs in self._allset
 
-    @property
-    def highest_root(self) -> Root:
-        return self.positives[-1]
-
     # -- strings --------------------------------------------------------------
     def _proportional(self, lam: Root, beta: Root) -> bool:
         for i in range(self.rank):
@@ -353,9 +349,7 @@ class RootSystem:
 
     def phi_string(self, lam: Root, phi: Iterable[int]):
         """All of Sigma u {0} congruent to lam modulo the span of {a_i : i in phi}."""
-        phi = frozenset(phi)
-        if not phi <= set(range(1, self.rank + 1)):
-            raise InvalidIndex(f"phi {sorted(phi)} is not a set of simple indices 1..{self.rank}")
+        phi = self._simple_subset(phi)
         fixed = [i for i in range(self.rank) if (i + 1) not in phi]
         out = set()
         zero = (0,) * self.rank
@@ -365,10 +359,15 @@ class RootSystem:
         return out
 
     # -- parabolic grading ------------------------------------------------------
-    def grading(self, phi: Iterable[int]) -> "ParabolicGrading":
+    def _simple_subset(self, phi: Iterable[int]) -> frozenset:
+        """phi as a frozenset; InvalidIndex unless every index lies in 1..rank."""
         phi = frozenset(phi)
         if not phi <= set(range(1, self.rank + 1)):
-            raise ValueError(f"phi {sorted(phi)} is not a set of simple indices")
+            raise InvalidIndex(f"phi {sorted(phi)} is not a set of simple indices 1..{self.rank}")
+        return phi
+
+    def grading(self, phi: Iterable[int]) -> "ParabolicGrading":
+        phi = self._simple_subset(phi)
         levels: dict = {}
         sigma = []
         for lam in self.positives:
@@ -468,13 +467,6 @@ class RootSystem:
         extend(0)
         return tuple(sorted(results))
 
-    def apply_permutation(self, lam: Root, sigma) -> Root:
-        """Relabel a root along a simple-index permutation sigma."""
-        out = [0] * self.rank
-        for i in range(1, self.rank + 1):
-            out[sigma[i - 1] - 1] = lam.coeffs[i - 1]
-        return Root(tuple(out))
-
     def __repr__(self):
         return f"RootSystem({self.rtype}, {len(self.positives)} positive roots)"
 
@@ -494,24 +486,18 @@ class ParabolicGrading:
     sigma_phi_pos: tuple
 
     def level(self, nu: int) -> tuple:
+        """The positive roots of level nu; level 0 is ``sigma_phi_pos``."""
+        if nu == 0:
+            return self.sigma_phi_pos
         return self.levels.get(nu, ())
 
 
 _CACHE: dict = {}
 
 
-def build_root_system(rtype: RootSystemType) -> RootSystem:
-    """Build (and memoise) the root system for a validated type."""
-    key = (rtype.family, rtype.rank)
-    if key not in _CACHE:
-        _CACHE[key] = RootSystem(rtype)
-    return _CACHE[key]
-
-
 def root_system(family: str, rank: int) -> RootSystem:
-    return build_root_system(RootSystemType(family, rank))
-
-
-def level_one(rs: RootSystem, j: int) -> tuple:
-    """The level-one roots of the maximal grading that singles out a_j."""
-    return rs.maximal_grading(j).level(1)
+    """The root system of a family and rank, memoised; the type is validated on the first build."""
+    rs = _CACHE.get((family, rank))
+    if rs is None:
+        rs = _CACHE[(family, rank)] = RootSystem(RootSystemType(family, rank))
+    return rs

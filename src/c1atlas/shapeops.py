@@ -60,14 +60,14 @@ class SolvableModel:
         """[<nabla_x y, z>_AN for z in zs] for left-invariant fields on AN, exactly.
 
         The Koszul formula gives 4 <nabla_x y, z>_AN = b_theta(c, z) with
-        c = [x, y] + [theta x, y] - [x, theta y]; c is formed once for all z.
+        c = [x, y] + [theta x, y] - [x, theta y]; c / 4 is formed once for all z.
         """
         for v in (x, y, *zs):
             self._check_in_an(v)
         alg = self.algebra
         b = alg.bracket
-        combo = b(x, y) + b(alg.theta(x), y) - b(x, alg.theta(y))
-        return [Fraction(1, 4) * alg.b_theta(combo, z) for z in zs]
+        combo = Fraction(1, 4) * (b(x, y) + b(alg.theta(x), y) - b(x, alg.theta(y)))
+        return [alg.b_theta(combo, z) for z in zs]
 
     def levi_civita(self, x, y, z) -> Fraction:
         """<nabla_x y, z>_AN for left-invariant fields on AN, exactly."""
@@ -96,9 +96,6 @@ class ShapeOperatorMatrix:
     @property
     def is_zero(self) -> bool:
         return all(all(v == 0 for v in row) for row in self.matrix)
-
-    def trace(self) -> Fraction:
-        return sum((self.matrix[i][i] for i in range(len(self.basis))), Fraction(0))
 
     def charpoly(self):
         return charpoly(self.matrix)
@@ -210,8 +207,8 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
     theta_xi = alg.theta(xi)
     columns = []
     for x in basis:
-        combo = alg.bracket(xi, x) - alg.bracket(theta_xi, x)
-        rhs = [Fraction(1, 4) * alg.b_theta(combo, y) for y in basis]
+        combo = Fraction(1, 4) * (alg.bracket(xi, x) - alg.bracket(theta_xi, x))
+        rhs = [alg.b_theta(combo, y) for y in basis]
         if [-v for v in model.koszul_covector(x, xi, basis)] != rhs:
             raise FormulaMismatch(
                 "bracket formula and Koszul derivative disagree on a tangent vector"

@@ -19,7 +19,7 @@ from c1atlas.catalog import default_catalog, find_space
 from c1atlas.chevalley import build_algebra
 from c1atlas.classify import CH_FORMULA, OH2_FORMULA, classify
 from c1atlas.cli import main
-from c1atlas.rootsys import Root, level_one, root_system
+from c1atlas.rootsys import Root, root_system
 from c1atlas.shapeops import OrbitSubalgebra, SolvableModel, cpc_charpoly_constancy, shape_operator
 from c1atlas.verify import CHECKS, FULL_CHECKS
 
@@ -53,11 +53,11 @@ class _Budget:
 def test_acceptance_1_figure_oracles():
     with _Budget(1, "level-one figures", 1.0):
         f4 = root_system("F4", 4)
-        assert len(level_one(f4, 1)) == 14
-        assert len(level_one(f4, 4)) == 8
+        assert len(f4.maximal_grading(1).level(1)) == 14
+        assert len(f4.maximal_grading(4).level(1)) == 8
         c5 = root_system("C", 5)
-        assert len(level_one(c5, 1)) == 8
-        assert len(level_one(c5, 5)) == 15
+        assert len(c5.maximal_grading(1).level(1)) == 8
+        assert len(c5.maximal_grading(5).level(1)) == 15
         chain = [
             (0, 0, 0, 0, 1),
             (0, 0, 0, 1, 1),
@@ -66,10 +66,10 @@ def test_acceptance_1_figure_oracles():
             (1, 1, 1, 1, 1),
         ]
         b5 = root_system("B", 5)
-        assert len(level_one(b5, 1)) == 9
-        assert [r.coeffs for r in level_one(b5, 5)] == chain
+        assert len(b5.maximal_grading(1).level(1)) == 9
+        assert [r.coeffs for r in b5.maximal_grading(5).level(1)] == chain
         bc5 = root_system("BC", 5)
-        assert [r.coeffs for r in level_one(bc5, 5)] == chain
+        assert [r.coeffs for r in bc5.maximal_grading(5).level(1)] == chain
 
 
 def test_acceptance_2_elimination_regression():

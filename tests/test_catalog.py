@@ -12,11 +12,10 @@ from c1atlas.catalog import (
     boundary_component,
     find_space,
     homothetic_rank_one_pair,
-    list_spaces,
     load_catalog,
     rank_one_recognize,
 )
-from c1atlas.errors import AdjacentRoots, DimensionMismatch, ParseError, UnknownSpace
+from c1atlas.errors import AdjacentRoots, DimensionMismatch, InvalidIndex, ParseError, UnknownSpace
 from c1atlas.rootsys import RootSystemType
 
 
@@ -62,7 +61,7 @@ def test_load_catalog_from_stream_and_duplicates():
     assert loaded[0].name == "x"
     with pytest.raises(ParseError):
         load_catalog([entry, entry])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^invalid JSON: "):
         load_catalog(io.StringIO("not json"))
 
 
@@ -96,6 +95,13 @@ def test_boundary_component_empty_phi(catalog):
     comp = boundary_component(sp, frozenset())
     assert comp.factors == ()
     assert comp.flat_rank == 3
+
+
+@pytest.mark.parametrize("phi", [{0}, {4}, {1, 9}])
+def test_boundary_component_rejects_out_of_range_phi(catalog, phi):
+    sp = find_space(catalog, "SL(4,R)/SO(4)")
+    with pytest.raises(InvalidIndex, match="not a set of simple indices 1..3"):
+        boundary_component(sp, phi)
 
 
 def test_boundary_component_full_phi(catalog):
@@ -183,14 +189,6 @@ def test_killing_scale_is_consistent(catalog):
     k3 = sp.killing_length_sq(rs.simple(3))
     assert k1 / k3 == rs.length_sq(rs.simple(1)) / rs.length_sq(rs.simple(3))
     assert k1 > 0 and k3 > 0
-
-
-def test_list_spaces_filters(catalog):
-    g2 = list_spaces(catalog, lambda e: e.rtype.family == "G2")
-    assert {e.name for e in g2} == {"G2^2/SO(4)", "G2(C)/G2"}
-    bc1 = list_spaces(catalog, lambda e: e.rtype.family == "BC" and e.rank == 1)
-    assert {e.name for e in bc1} == {"CH^2", "CH^3", "CH^4", "HH^2", "HH^3", "OH^2"}
-    assert list_spaces(catalog) == list(catalog)
 
 
 def test_find_space_by_alias(catalog):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -161,6 +162,8 @@ def test_classify_tg_placeholder_and_table(catalog):
 def test_tg_table_rejects_malformed_input():
     with pytest.raises(ParseError):
         load_tg_table({"not_actions": {}})
+    with pytest.raises(ParseError, match="^invalid JSON in table: "):
+        load_tg_table(io.StringIO("not json"))
 
 
 def test_classify_empty_input_rejected():

@@ -56,6 +56,23 @@ def test_grading_f4_level_one_json(capsys):
     assert all(v[0] == 1 for v in vectors)
 
 
+def test_grading_level_zero_lists_the_level_zero_positives(capsys):
+    # A3 at a2: level 0 is spanned by a1 and a3, which are orthogonal.
+    code, out, _ = run(capsys, "grading", "--type", "A", "--rank", "3", "--j", "2")
+    assert code == 0 and "level 0 (subsystem): 2 roots" in out
+    code, out, _ = run(capsys, "grading", "--type", "A", "--rank", "3", "--j", "2", "--level", "0")
+    assert code == 0
+    assert out == "level 0 of the grading at a2 (2 roots)\na3\na1\n"
+    code, out, _ = run(
+        capsys, "grading", "--type", "A", "--rank", "3", "--j", "2", "--level", "0", "--format", "json"
+    )
+    assert code == 0 and json.loads(out) == [[0, 0, 1], [1, 0, 0]]
+    code, out, _ = run(capsys, "grading", "--type", "F4", "--j", "1", "--format", "json")
+    summary = json.loads(out)["level_zero_positives"]
+    code, out, _ = run(capsys, "grading", "--type", "F4", "--j", "1", "--level", "0", "--format", "json")
+    assert json.loads(out) == summary and len(summary) == 9
+
+
 def test_grading_summary_roundtrip(capsys):
     code, out, _ = run(capsys, "grading", "--type", "C", "--rank", "5", "--j", "5", "--format", "json")
     payload = json.loads(out)

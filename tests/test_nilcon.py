@@ -174,15 +174,13 @@ def test_sweep_witnesses_all_verify(catalog):
 
 
 def test_collision_witness_pairs_are_distinct_level_one_roots(catalog):
-    from c1atlas.rootsys import level_one
-
     for verdict in analyze_all(catalog):
         if verdict.status != ELIMINATED_HEIGHT_COLLISION:
             continue
         space = find_space(catalog, verdict.space)
         first, second = (Root(tuple(c)) for c in verdict.witness["pair"])
         assert first != second and first.height == second.height
-        assert {first, second} <= set(level_one(space.root_system(), verdict.j))
+        assert {first, second} <= set(space.root_system().maximal_grading(verdict.j).level(1))
 
 
 def test_verdicts_equivariant_under_diagram_symmetries(catalog):

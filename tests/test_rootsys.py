@@ -6,8 +6,8 @@ import pytest
 
 from fractions import Fraction
 
-from c1atlas.errors import IdentityViolation, InvalidRank, ProportionalRoots
-from c1atlas.rootsys import MAX_RANK, Root, RootSystemType, level_one, root_system
+from c1atlas.errors import IdentityViolation, InvalidIndex, InvalidRank, ProportionalRoots
+from c1atlas.rootsys import MAX_RANK, Root, RootSystemType, root_system
 
 from coord_models import positive_coefficient_vectors
 
@@ -86,7 +86,7 @@ def test_rank_cap(family):
 
 def test_heights_and_f4_highest_root():
     rs = root_system("F4", 4)
-    top = rs.highest_root
+    top = rs.positives[-1]  # the highest root ends the canonical order
     assert top.coeffs == (2, 3, 4, 2)
     assert top.height == 11
     assert top.coefficient(3) == 4
@@ -190,19 +190,19 @@ def test_grading_f4_levels():
     assert len(g.level(1)) == 14
     assert len(g.level(2)) == 1
     assert len(g.sigma_phi_pos) == 9
-    assert g.level(2)[0] == rs.highest_root
+    assert g.level(2)[0] == rs.positives[-1]
 
 
 def test_grading_c5_levels():
     rs = root_system("C", 5)
-    assert len(level_one(rs, 1)) == 8
-    assert len(level_one(rs, 5)) == 15
+    assert len(rs.maximal_grading(1).level(1)) == 8
+    assert len(rs.maximal_grading(5).level(1)) == 15
 
 
 def test_grading_b5_levels():
     rs = root_system("B", 5)
-    assert len(level_one(rs, 1)) == 9
-    chain = level_one(rs, 5)
+    assert len(rs.maximal_grading(1).level(1)) == 9
+    chain = rs.maximal_grading(5).level(1)
     assert [r.coeffs for r in chain] == [
         (0, 0, 0, 0, 1),
         (0, 0, 0, 1, 1),
@@ -210,6 +210,30 @@ def test_grading_b5_levels():
         (0, 1, 1, 1, 1),
         (1, 1, 1, 1, 1),
     ]
+
+
+@pytest.mark.parametrize("phi", [{0}, {4}, {1, 2, 7}, {-1}])
+def test_out_of_range_phi_is_an_invalid_index(phi):
+    rs = root_system("B", 3)
+    with pytest.raises(InvalidIndex, match="not a set of simple indices 1..3"):
+        rs.grading(phi)
+    with pytest.raises(InvalidIndex, match="not a set of simple indices 1..3"):
+        rs.phi_string(rs.simple(1), phi)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("F4", 4), ("G2", 2)])
+def test_level_zero_is_the_level_zero_subsystem(family, rank):
+    rs = root_system(family, rank)
+    for j in range(1, rank + 1):
+        g = rs.maximal_grading(j)
+        assert g.level(0) == g.sigma_phi_pos
+
+
+def test_root_system_is_memoised_per_family_and_rank():
+    assert root_system("B", 3) is root_system("B", 3)
+    assert root_system("B", 3) is not root_system("C", 3)
+    with pytest.raises(InvalidRank):
+        root_system("C", 2)
 
 
 def test_grading_degenerate_phis():
@@ -243,7 +267,7 @@ def test_level_one_is_the_phi_string(family, rank):
         from_string = {
             lam for lam in rs.phi_string(rs.simple(j), phi) if lam.is_positive
         }
-        assert set(level_one(rs, j)) == from_string
+        assert set(rs.maximal_grading(j).level(1)) == from_string
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("BC", 3), ("F4", 4), ("G2", 2), ("E6", 6)])
@@ -304,15 +328,23 @@ def test_automorphisms_brute_force_oracle():
     assert tuple(sorted(brute)) == rs.weighted_diagram_automorphisms({i: 1 for i in range(1, 5)})
 
 
+def _relabel(lam: Root, sigma) -> Root:
+    """The root with coefficient n_i moved to index sigma(i)."""
+    out = [0] * len(lam.coeffs)
+    for i, n in enumerate(lam.coeffs):
+        out[sigma[i] - 1] = n
+    return Root(tuple(out))
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E6", 6), ("BC", 3), ("F4", 4)])
 def test_operations_equivariant_under_automorphisms(family, rank):
     rs = root_system(family, rank)
     for sigma in rs.weighted_diagram_automorphisms():
-        relabeled = {rs.apply_permutation(lam, sigma) for lam in rs.positives}
+        relabeled = {_relabel(lam, sigma) for lam in rs.positives}
         assert relabeled == set(rs.positives)
         for j in range(1, rank + 1):
-            image = {rs.apply_permutation(lam, sigma) for lam in level_one(rs, j)}
-            assert image == set(level_one(rs, sigma[j - 1]))
+            image = {_relabel(lam, sigma) for lam in rs.maximal_grading(j).level(1)}
+            assert image == set(rs.maximal_grading(sigma[j - 1]).level(1))
 
 
 def test_positives_sorted_by_height_then_lex():

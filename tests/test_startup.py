@@ -89,6 +89,13 @@ def test_exported_names_resolve_to_the_submodule_objects(first):
     assert out.strip() == "ok"
 
 
+@pytest.mark.parametrize("name", ["level_one", "build_root_system", "list_spaces"])
+def test_removed_aliases_are_not_exported(name):
+    assert name not in c1atlas.__all__
+    with pytest.raises(AttributeError):
+        getattr(c1atlas, name)
+
+
 LAYERS = ("rootsys", "catalog", "chevalley", "shapeops", "nilcon", "cli", "errors", "scalars", "linalg", "verify")
 
 
