@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import io
 import json
+from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
-
-from fractions import Fraction
 
 from c1atlas.catalog import (
     RankOneType,
     boundary_component,
+    default_catalog,
     find_space,
     homothetic_rank_one_pair,
     load_catalog,
@@ -202,3 +204,38 @@ def test_expected_catalog_breadth(catalog):
     assert families == {"A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2"}
     assert any(e.rank == 1 for e in catalog)
     assert sum(1 for e in catalog if e.rank >= 2) >= 30
+
+
+# The one factor of the boundary component of every connected simple subset of
+# every catalog space: its type, nodes and restricted multiplicities.
+BOUNDARY_PATH = Path(__file__).parent / "data" / "boundary_factors.json"
+
+
+def boundary_records(catalog) -> list:
+    records = []
+    for space in catalog:
+        rs = space.root_system()
+        for k in range(1, rs.rank + 1):
+            for phi in combinations(range(1, rs.rank + 1), k):
+                if len(rs.components(phi)) != 1:
+                    continue
+                (factor,) = boundary_component(space, phi).factors
+                records.append({
+                    "space": space.name,
+                    "nodes": list(factor.nodes),
+                    "type": [factor.rtype.family, factor.rtype.rank],
+                    "mult": {str(length): m for length, m in factor.mult},
+                })
+    return records
+
+
+def test_boundary_factors_match_recording(catalog):
+    expected = json.loads(BOUNDARY_PATH.read_text(encoding="utf-8"))
+    assert len(expected) == 405
+    assert boundary_records(catalog) == expected
+
+
+if __name__ == "__main__":
+    # Re-record the golden file: python tests/test_catalog.py (with src on the path).
+    lines = ",\n".join(json.dumps(r) for r in boundary_records(default_catalog()))
+    BOUNDARY_PATH.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
