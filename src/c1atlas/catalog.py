@@ -170,63 +170,6 @@ class BoundaryComponent:
         return self.flat_rank == 0
 
 
-def _classify_subdiagram(space: SpaceEntry, nodes: tuple) -> RootSystemType:
-    """Family and rank of the subsystem generated by a connected node set."""
-    rs = space.root_system()
-    k = len(nodes)
-    node_set = set(nodes)
-    bc_end = rs.non_reduced and rs.rank in node_set
-    if k == 1:
-        return RootSystemType("BC" if bc_end else "A", 1)
-    labels = {}
-    degree = {i: 0 for i in nodes}
-    for (i, j, label) in rs.edges():
-        if i in node_set and j in node_set:
-            labels[(i, j)] = label
-            degree[i] += 1
-            degree[j] += 1
-    if any(lab == 3 for lab in labels.values()):
-        return RootSystemType("G2", 2)
-    if max(degree.values()) == 3:
-        center = next(i for i in nodes if degree[i] == 3)
-        arms = sorted(_arm_lengths(nodes, labels, degree, center))
-        if arms[:2] == [1, 1]:
-            return RootSystemType("D", k)
-        return RootSystemType({6: "E6", 7: "E7", 8: "E8"}[k], k)
-    doubles = [e for e, lab in labels.items() if lab == 2]
-    if not doubles:
-        return RootSystemType("A", k)
-    lengths = {i: rs.length_sq(rs.simple(i)) for i in nodes}
-    short = [i for i in nodes if lengths[i] == min(lengths.values())]
-    long_ = [i for i in nodes if i not in short]
-    if len(short) > 1 and len(long_) > 1:
-        return RootSystemType("F4", 4)
-    if bc_end:
-        return RootSystemType("BC", k)
-    if len(short) == 1 or k == 2:
-        return RootSystemType("B", k)
-    return RootSystemType("C", k)
-
-
-def _arm_lengths(nodes, labels, degree, center):
-    adj = {i: set() for i in nodes}
-    for (i, j) in labels:
-        adj[i].add(j)
-        adj[j].add(i)
-    arms = []
-    for start in adj[center]:
-        length = 1
-        prev, cur = center, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return arms
-
-
 def boundary_component(space: SpaceEntry, phi: Iterable[int]) -> BoundaryComponent:
     """Split a simple subset into irreducible factors with inherited multiplicities."""
     rs = space.root_system()
@@ -234,7 +177,7 @@ def boundary_component(space: SpaceEntry, phi: Iterable[int]) -> BoundaryCompone
     phi = grading.phi
     factors = []
     for nodes in rs.components(phi):
-        rtype = _classify_subdiagram(space, nodes)
+        rtype = rs.subsystem_type(nodes)
         sub_pos = [
             lam for lam in grading.sigma_phi_pos if lam.support <= set(nodes)
         ]

@@ -155,7 +155,6 @@ class ChevalleyAlgebra:
         """Fill N(a, b) for positive special pairs a < b, extraspecial signs +."""
         rs = self.rs
         pos = sorted(rs.positives)
-        posset = set(p.coeffs for p in pos)
         table = self._n_pos
         for gamma in pos:
             if gamma.height == 1:
@@ -165,17 +164,17 @@ class ChevalleyAlgebra:
                 if xi.height >= gamma.height:
                     break
                 rest = tuple(g - x for g, x in zip(gamma.coeffs, xi.coeffs))
-                if rest in posset and xi < Root(rest):
+                if rs.contains(rest) and xi < Root(rest):
                     pairs.append((xi, Root(rest)))
             alpha, beta = pairs[0]
             table[(alpha, beta)] = Fraction(1 + rs.string_down_count(beta, alpha))
             for (xi, eta) in pairs[1:]:
                 acc = Fraction(0)
                 d1 = xi.shifted(alpha, -1)
-                if d1 in posset or tuple(-c for c in d1) in posset:
+                if rs.contains(d1):
                     acc += self._n_any(-alpha, xi) * self._n_any(Root(d1), eta)
                 d2 = eta.shifted(alpha, -1)
-                if d2 in posset or tuple(-c for c in d2) in posset:
+                if rs.contains(d2):
                     acc += self._n_any(-alpha, eta) * self._n_any(xi, Root(d2))
                 table[(xi, eta)] = acc / self._n_any(-alpha, gamma)
         if any(value.denominator != 1 for value in table.values()):

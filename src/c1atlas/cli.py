@@ -26,7 +26,7 @@ import sys
 # rest itself, so `roots` or `grading` never loads the Chevalley, shape or
 # elimination code.
 from .catalog import default_catalog, find_space, load_catalog
-from .errors import C1AtlasError, NotARoot
+from .errors import C1AtlasError, NotARoot, UsageError
 from .rootsys import FIXED_RANK, Root, RootSystem, root_system
 
 
@@ -34,7 +34,7 @@ def _root_system_from(args) -> RootSystem:
     rank = args.rank
     if rank is None:
         if args.type not in FIXED_RANK:
-            raise C1AtlasError(f"--rank is required for family {args.type}")
+            raise UsageError(f"--rank is required for family {args.type}")
         rank = FIXED_RANK[args.type]
     return root_system(args.type, rank)
 
@@ -137,7 +137,7 @@ def _cmd_analyze(args) -> int:
         verdicts = nilcon.analyze_all(catalog)
     else:
         if not args.space or args.j is None:
-            raise C1AtlasError("analyze needs --space and --j, or --all")
+            raise UsageError("analyze needs --space and --j, or --all")
         verdicts = [nilcon.analyze(find_space(catalog, args.space), args.j)]
     _emit(
         args,
@@ -163,8 +163,6 @@ def _cmd_shape(args) -> int:
             f"{space.name} is neither split nor complexified; no exact model here"
         )
     rs = space.root_system()
-    if args.w != "zero":
-        raise C1AtlasError("only --w zero is supported")
     algebra = build_algebra(rs, scalars)
     orbit = OrbitSubalgebra(SolvableModel(algebra), args.j)
     ops = [shape_operator(orbit, xi) for xi in orbit.normal_basis()]
@@ -219,7 +217,7 @@ def _cmd_classify(args) -> int:
         _emit(args, blocks_json, "\n\n".join(blocks_text))
         return 0
     if not args.space:
-        raise C1AtlasError("classify needs --space (repeatable) or --all")
+        raise UsageError("classify needs --space (repeatable) or --all")
     factors = [find_space(catalog, name) for name in args.space]
     ac = classify(factors, tg_table)
     _emit(args, ac.to_json(), ac.text())
@@ -260,9 +258,13 @@ def _cmd_catalog(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_verify
 
-    ok, lines = run_verify(full=args.full)
-    print("\n".join(lines))
-    print("verify:", "OK" if ok else "FAILED")
+    records = run_verify(full=args.full)
+    ok = all(r["status"] == "PASS" for r in records)
+    lines = [
+        f"{r['status']}  {r['name']}" + ("" if r["message"] is None else f": {r['message']}")
+        for r in records
+    ]
+    _emit(args, records, "\n".join(lines + ["verify: " + ("OK" if ok else "FAILED")]))
     return 0 if ok else 1
 
 
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shape", help="shape operators of a model orbit")
     p.add_argument("--space", required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--w", default="zero")
+    p.add_argument("--w", choices=("zero",), default="zero")
     add_common(p, catalog=True)
     p.set_defaults(func=_cmd_shape)
 
@@ -393,7 +395,7 @@ def main(argv=None) -> int:
         return 0
     except C1AtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,10 @@ class C1AtlasError(Exception):
     """Base class for all library errors."""
 
 
+class UsageError(C1AtlasError):
+    """Command-line arguments that do not form a valid request (exit code 2)."""
+
+
 class InvalidRank(C1AtlasError):
     """Rank outside the admissible range for a root-system family."""
 

@@ -193,7 +193,6 @@ class RootSystem:
             cartan[i - 1][j - 1] = overrides.get((i, j), -1)
             cartan[j - 1][i - 1] = overrides.get((j, i), -1)
         self.cartan = tuple(tuple(row) for row in cartan)
-        self._d = tuple(d)
         gram = [[cartan[i][j] * d[j] / 2 for j in range(r)] for i in range(r)]
         if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(i + 1, r)):
             raise IdentityViolation(f"Cartan data of {rtype} is not symmetrizable")
@@ -202,7 +201,6 @@ class RootSystem:
         if any(g.denominator != 1 for row in gram6 for g in row):
             raise IdentityViolation(f"six times the Gram matrix of {rtype} is not integral")
         self._gram6 = tuple(tuple(int(g) for g in row) for row in gram6)
-        self._edges = tuple(sorted(edges))
         self.non_reduced = rtype.family == "BC"
 
         # Six times the squared length of every root; a non-root vector's is
@@ -418,13 +416,20 @@ class RootSystem:
             comps.append(tuple(sorted(comp)))
         return comps
 
-    def edges(self):
-        """Dynkin edges as (i, j, label) with i < j; label = bond multiplicity."""
-        out = []
-        for (i, j) in self._edges:
-            label = self.cartan[i - 1][j - 1] * self.cartan[j - 1][i - 1]
-            out.append((i, j, label))
-        return tuple(out)
+    def subsystem_type(self, nodes: Iterable[int]) -> RootSystemType:
+        """Type of the subsystem generated by a connected set of simple roots.
+
+        A connected root system is fixed by its rank and its number of positive
+        roots of each squared length (Bourbaki, Ch. VI, Plates I-IX), so this is
+        the first type of that rank, in FAMILIES order, whose generated system
+        has the same counts from short to long.  Nodes outside 1..rank raise
+        InvalidIndex; a node set no system matches (a disconnected one) raises
+        IdentityViolation.
+        """
+        nodes = self._simple_subset(nodes)
+        off = [i for i in range(self.rank) if i + 1 not in nodes]
+        sizes = Counter(self._root_len6[c] for c in self._posset if not any(c[i] for i in off))
+        return _type_with_counts(len(nodes), tuple(sizes[n] for n in sorted(sizes)))
 
     def weighted_diagram_automorphisms(self, mult: Optional[Mapping[int, object]] = None):
         """All index permutations preserving the Cartan matrix and the weights.
@@ -486,9 +491,12 @@ class ParabolicGrading:
     sigma_phi_pos: tuple
 
     def level(self, nu: int) -> tuple:
-        """The positive roots of level nu; level 0 is ``sigma_phi_pos``."""
+        """The roots of level nu: level 0 is ``sigma_phi_pos``, and a negative
+        level holds the negatives of the roots of level -nu, in their order."""
         if nu == 0:
             return self.sigma_phi_pos
+        if nu < 0:
+            return tuple(-lam for lam in self.levels.get(-nu, ()))
         return self.levels.get(nu, ())
 
 
@@ -501,3 +509,16 @@ def root_system(family: str, rank: int) -> RootSystem:
     if rs is None:
         rs = _CACHE[(family, rank)] = RootSystem(RootSystemType(family, rank))
     return rs
+
+
+@functools.lru_cache(maxsize=None)
+def _type_with_counts(rank: int, counts: tuple) -> RootSystemType:
+    """RootSystem.subsystem_type from its counts, memoised on (rank, counts)."""
+    for family in FAMILIES:
+        try:
+            sizes = root_system(family, rank).length_class_sizes()
+        except InvalidRank:
+            continue
+        if tuple(sizes[k] for k in sorted(sizes)) == counts:
+            return RootSystemType(family, rank)
+    raise IdentityViolation(f"no root system of rank {rank} has {counts} positive roots by length")

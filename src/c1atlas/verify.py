@@ -2,12 +2,14 @@
 
 Each check is a named callable returning None on success and raising a
 C1AtlasError on failure, so the checks still fire under ``python -O``;
-`run_verify` executes them in order and reports one line per check.
+`run_verify` executes them in order and reports one record per check.
 The F4 Jacobi sweep is exhaustive but takes a second or two, so it only runs
 with full=True.
 """
 
 from __future__ import annotations
+
+import time
 
 from . import nilcon
 from .catalog import default_catalog, find_space
@@ -194,16 +196,26 @@ CHECKS = [
 FULL_CHECKS = [("Jacobi identity and |N| = p+1 for F4 (exhaustive)", _check_jacobi_f4)]
 
 
-def run_verify(full: bool = False):
-    """Run the invariant battery; returns (all_passed, list of report lines)."""
-    checks = CHECKS + (FULL_CHECKS if full else [])
-    lines = []
-    ok = True
-    for name, fn in checks:
+def run_verify(full: bool = False) -> list:
+    """Run the invariant battery; returns one record per check, in order.
+
+    A record holds the check's name, its status ("PASS" or "FAIL"), its wall
+    time in seconds, and the type name and message of the error that failed
+    it (None when it passed).
+    """
+    records = []
+    for name, fn in CHECKS + (FULL_CHECKS if full else []):
+        start = time.perf_counter()
+        error = None
         try:
             fn()
-            lines.append(f"PASS  {name}")
         except Exception as exc:  # report and keep going
-            ok = False
-            lines.append(f"FAIL  {name}: {exc}")
-    return ok, lines
+            error = exc
+        records.append({
+            "name": name,
+            "status": "PASS" if error is None else "FAIL",
+            "seconds": time.perf_counter() - start,
+            "error_type": None if error is None else type(error).__name__,
+            "message": None if error is None else str(error),
+        })
+    return records

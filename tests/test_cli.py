@@ -19,7 +19,7 @@ from c1atlas.classify import classify
 from c1atlas.cli import main, render_hasse
 from c1atlas.errors import C1AtlasError
 from c1atlas.rootsys import FAMILIES, FIXED_RANK, RootSystem, root_system
-from c1atlas.verify import run_verify
+from c1atlas.verify import CHECKS, run_verify
 
 TG_SAMPLE = str(Path(__file__).parent / "data" / "tg_table_sample.json")
 # Recorded stdout of `shape`, text and JSON, on split and complexified models
@@ -73,6 +73,23 @@ def test_grading_level_zero_lists_the_level_zero_positives(capsys):
     assert json.loads(out) == summary and len(summary) == 9
 
 
+def test_grading_negative_level_lists_the_negated_roots(capsys):
+    # A3 at a2: level 1 is a2, a2+a3, a1+a2, a1+a2+a3; level -1 their negatives
+    code, out, _ = run(capsys, "grading", "--type", "A", "--rank", "3", "--j", "2", "--level", "-1")
+    assert code == 0
+    assert out == "level -1 of the grading at a2 (4 roots)\n-a2\n-a2-a3\n-a1-a2\n-a1-a2-a3\n"
+    code, out, _ = run(
+        capsys, "grading", "--type", "F4", "--j", "1", "--level", "1", "--format", "json"
+    )
+    level_one = json.loads(out)
+    code, out, _ = run(
+        capsys, "grading", "--type", "F4", "--j", "1", "--level", "-1", "--format", "json"
+    )
+    assert code == 0 and json.loads(out) == [[-c for c in v] for v in level_one]
+    code, out, _ = run(capsys, "grading", "--type", "F4", "--j", "1", "--level", "-3")
+    assert code == 0 and out.startswith("level -3 of the grading at a1 (0 roots)")
+
+
 def test_grading_summary_roundtrip(capsys):
     code, out, _ = run(capsys, "grading", "--type", "C", "--rank", "5", "--j", "5", "--format", "json")
     payload = json.loads(out)
@@ -120,7 +137,7 @@ def test_analyze_single_and_sweep(capsys):
 
 def test_analyze_requires_arguments(capsys):
     code, out, err = run(capsys, "analyze")
-    assert code == 1 and "analyze needs" in err
+    assert code == 2 and "analyze needs" in err
 
 
 def test_shape_subcommand_dichotomy(capsys):
@@ -223,9 +240,22 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
-def test_missing_rank_is_a_data_error(capsys):
+def test_missing_rank_is_a_usage_error(capsys):
     code, _, err = run(capsys, "roots", "--type", "A")
-    assert code == 1 and "--rank is required" in err
+    assert code == 2 and "--rank is required" in err
+
+
+def test_classify_without_a_space_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "classify")
+    assert code == 2 and out == ""
+    assert err == "error: classify needs --space (repeatable) or --all\n"
+
+
+def test_shape_accepts_only_w_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["shape", "--space", "G2^2/SO(4)", "--j", "1", "--w", "full"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'full'" in capsys.readouterr().err
 
 
 def test_catalog_override_via_flag_and_env(tmp_path, capsys, monkeypatch):
@@ -284,6 +314,17 @@ def test_verify_subcommand(capsys):
     assert out.count("PASS") >= 10
 
 
+def test_verify_json_has_one_record_per_check(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    records = json.loads(out)
+    assert code == 0
+    assert [r["name"] for r in records] == [name for name, _ in CHECKS]
+    for r in records:
+        assert set(r) == {"name", "status", "seconds", "error_type", "message"}
+        assert r["status"] == "PASS" and r["error_type"] is None and r["message"] is None
+        assert isinstance(r["seconds"], float) and r["seconds"] >= 0
+
+
 def _catalog_without_survivors(tmp_path):
     # a loadable catalog without the G2 spaces breaks the sweep regression
     small = {
@@ -303,6 +344,11 @@ def test_verify_fails_against_a_catalog_missing_the_survivors(tmp_path, capsys, 
     code = main(["verify"])
     out = capsys.readouterr().out
     assert code == 1 and "FAIL" in out and "verify: FAILED" in out
+    code = main(["verify", "--format", "json"])
+    failed = {r["name"]: r for r in json.loads(capsys.readouterr().out) if r["status"] == "FAIL"}
+    sweep = failed["catalog validates; elimination sweep has exactly the G2 survivors"]
+    assert code == 1
+    assert sweep["error_type"] == "CheckFailed" and sweep["message"].startswith("survivors []")
 
 
 def test_verify_reports_an_unexpected_error_in_a_string_check(monkeypatch):
@@ -316,10 +362,9 @@ def test_verify_reports_an_unexpected_error_in_a_string_check(monkeypatch):
         return original(self, lam, beta)
 
     monkeypatch.setattr(RootSystem, "root_string", broken)
-    ok, lines = run_verify()
-    failed = [line for line in lines if line.startswith("FAIL")]
-    assert not ok
-    assert failed == ["FAIL  root strings reach length 4 only in G2: string lookup broke"]
+    records = run_verify()
+    failed = [(r["name"], r["error_type"], r["message"]) for r in records if r["status"] == "FAIL"]
+    assert failed == [("root strings reach length 4 only in G2", "RuntimeError", "string lookup broke")]
 
 
 def test_verify_checks_fire_under_python_O(tmp_path):

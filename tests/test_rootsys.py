@@ -7,7 +7,7 @@ import pytest
 from fractions import Fraction
 
 from c1atlas.errors import IdentityViolation, InvalidIndex, InvalidRank, ProportionalRoots
-from c1atlas.rootsys import MAX_RANK, Root, RootSystemType, root_system
+from c1atlas.rootsys import FAMILIES, MAX_RANK, Root, RootSystemType, root_system
 
 from coord_models import positive_coefficient_vectors
 
@@ -374,12 +374,47 @@ def test_bc_doubled_roots_are_exactly_the_short_class(rank):
     assert len(doubled) == rank
 
 
+def _edges(rs):
+    """Dynkin edges as (i, j, label) with i < j, read off the Cartan matrix."""
+    c = rs.cartan
+    return tuple(
+        (i + 1, j + 1, c[i][j] * c[j][i])
+        for i in range(rs.rank)
+        for j in range(i + 1, rs.rank)
+        if c[i][j]
+    )
+
+
 def test_dynkin_edges_with_labels():
-    assert root_system("G2", 2).edges() == ((1, 2, 3),)
-    assert root_system("F4", 4).edges() == ((1, 2, 1), (2, 3, 2), (3, 4, 1))
-    assert root_system("BC", 3).edges() == ((1, 2, 1), (2, 3, 2))
-    d4 = root_system("D", 4).edges()
+    assert _edges(root_system("G2", 2)) == ((1, 2, 3),)
+    assert _edges(root_system("F4", 4)) == ((1, 2, 1), (2, 3, 2), (3, 4, 1))
+    assert _edges(root_system("BC", 3)) == ((1, 2, 1), (2, 3, 2))
+    d4 = _edges(root_system("D", 4))
     assert d4 == ((1, 2, 1), (2, 3, 1), (2, 4, 1))
+
+
+def test_whole_diagram_names_its_own_type():
+    # fails if two types of one rank ever share their counts per root length
+    for family in FAMILIES:
+        for rank in range(1, MAX_RANK + 1):
+            try:
+                rs = root_system(family, rank)
+            except InvalidRank:
+                continue
+            assert rs.subsystem_type(range(1, rank + 1)) == rs.rtype
+
+
+# two disconnected node sets, one across the BC end, and the empty set
+@pytest.mark.parametrize("family,rank,nodes", [("A", 3, (1, 3)), ("F4", 4, (1, 2, 4)), ("BC", 3, (1, 3)), ("A", 3, ())])
+def test_subsystem_type_rejects_a_node_set_no_system_matches(family, rank, nodes):
+    with pytest.raises(IdentityViolation, match="no root system of rank"):
+        root_system(family, rank).subsystem_type(nodes)
+
+
+@pytest.mark.parametrize("nodes", [(0,), (1, 5), (4, 5)])
+def test_subsystem_type_rejects_out_of_range_nodes(nodes):
+    with pytest.raises(InvalidIndex, match="not a set of simple indices 1..4"):
+        root_system("F4", 4).subsystem_type(nodes)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("C", 4), ("BC", 3), ("F4", 4)])

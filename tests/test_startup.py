@@ -40,17 +40,40 @@ LIGHT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", sorted(LIGHT_CALLS))
-def test_light_commands_load_no_heavy_layer(call):
+def _layers_loaded_by(call: str) -> set:
     out = _fresh(
         "import io, json, sys, contextlib\n"
         "import c1atlas.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    {LIGHT_CALLS[call]}\n"
+        f"    {call}\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('c1atlas.'))))\n"
     )
-    loaded = json.loads(out)
-    assert not {f"c1atlas.{name}" for name in HEAVY_LAYERS} & set(loaded), loaded
+    return {name.removeprefix("c1atlas.") for name in json.loads(out)}
+
+
+@pytest.mark.parametrize("call", sorted(LIGHT_CALLS))
+def test_light_commands_load_no_heavy_layer(call):
+    loaded = _layers_loaded_by(LIGHT_CALLS[call])
+    assert not set(HEAVY_LAYERS) & loaded, loaded
+
+
+# the mid-weight commands: argv, the layer each runs, the layers it must not load
+MID_CALLS = {
+    "analyze": (
+        ["analyze", "--space", "G2^2/SO(4)", "--j", "2"],
+        "nilcon",
+        ("chevalley", "shapeops", "classify", "verify"),
+    ),
+    "classify": (["classify", "--space", "E6^{-14}"], "classify", ("chevalley", "shapeops", "verify")),
+    "shape": (["shape", "--space", "G2^2/SO(4)", "--j", "2"], "shapeops", ("nilcon", "classify", "verify")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MID_CALLS))
+def test_mid_weight_commands_load_only_their_layers(command):
+    argv, layer, unused = MID_CALLS[command]
+    loaded = _layers_loaded_by(f"assert c1atlas.cli.main({argv!r}) == 0")
+    assert layer in loaded and not set(unused) & loaded, loaded
 
 
 def test_bare_import_loads_no_layer():
