@@ -307,27 +307,24 @@ class ChevalleyAlgebra:
 
         ad(x) ad(y) shifts the root grading by the sum of the weights of x and
         y, so the only nonzero Gram entries are Cartan x Cartan and the pairs
-        (e_lam, e_-lam); those are computed by honest traces in the split
-        algebra.  On the Cartan part the trace is B(h_i, h_j) = sum over roots
-        of lam(h_i) lam(h_j).  The trace form of the realified g(C) is twice
-        the real part of the complex one, so over Q(i) each trace is doubled.
+        (e_lam, e_-lam).  On the Cartan part the trace is B(h_i, h_j) = sum
+        over roots of lam(h_i) lam(h_j).  Invariance with [e_lam, e_-lam] =
+        h_lam gives B(h_lam, h_lam) = lam(h_lam) B(e_lam, e_-lam), so
+        B(e_lam, e_-lam) = B(h_lam, h_lam) / 2.  The trace form of the
+        realified g(C) is twice the real part of the complex one, so over Q(i)
+        the Cartan block is doubled.
         """
         rs = self.rs
         r = rs.rank
         factor = 2 if self.scalars == GAUSSIAN else 1
-        split = self.basis[: r + len(self.roots)]
         cartan = [
             [Fraction(factor * sum(vals[i] * vals[j] for vals in simple_pairings)) for j in range(r)]
             for i in range(r)
         ]
         root_entries = {}
         for lam in rs.positives:
-            e_pos, e_neg = ("e", lam), ("e", -lam)
-            total = Fraction(0)
-            for key in split:
-                for k2, v2 in self.bracket_basis(e_neg, key).items():
-                    total += v2 * self.bracket_basis(e_pos, k2).get(key, 0)
-            root_entries[lam] = factor * total
+            c = self.coroot_coefficients(lam)
+            root_entries[lam] = sum(c[i] * cartan[i][j] * c[j] for i in range(r) for j in range(r)) / 2
         return cartan, root_entries
 
     def _forms(self, cartan, root_gram):

@@ -5,12 +5,13 @@ metric; on the Lie algebra a + n that metric is b_theta on the flat part and
 half of b_theta on the nilpotent part.  Subgroups whose Lie algebra h is a
 bracket-closed span of root spaces have completely explicit shape operators:
 
-    <A_xi X, Y>_AN = 1/4 <[xi, X] - [theta xi, X], Y>_{b_theta},
+    A_xi X = 1/2 P_h([xi, X] - [theta xi, X])   (P_h: projection onto h),
 
-which this module evaluates exactly and always cross-checks against the
-Koszul-formula derivative -(nabla_X xi)^T.  Everything stays in Fractions:
-totally-geodesic verdicts are exact zero tests and the constant-principal-
-curvature check compares characteristic polynomials literally.
+which this module reads off the bracket and always checks against the Koszul
+formula: the AN Gram times each column must equal -(nabla_X xi).
+Everything stays in Fractions: totally-geodesic verdicts are exact zero tests
+and the constant-principal-curvature check compares characteristic
+polynomials literally.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormulaMismatch, IdentityViolation, NotClosed, SpectrumMismatch
-from .linalg import charpoly, inverse, is_symmetric, mat_mul, mat_vec
+from .linalg import charpoly, is_symmetric, mat_mul, mat_vec
 from .rootsys import Root, RootSystem
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 
@@ -144,7 +145,6 @@ class OrbitSubalgebra:
         self.v_keys = alg.real_keys(self.v_roots)
         self._h_keyset = frozenset(self.h_keys)
         self._gram = self._an_gram()
-        self._gram_inv = inverse(self._gram)
 
     def _assert_closed(self):
         rs = self.model.rs
@@ -194,10 +194,11 @@ class OrbitSubalgebra:
 def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorMatrix:
     """The exact shape operator of the orbit in normal direction xi.
 
-    Each column is solved from the covector <A_xi X, .>_AN over the tangent
-    basis.  That covector is first re-derived from the Levi-Civita formula;
-    any disagreement raises FormulaMismatch.  The Gram matrix is invertible,
-    so equal covectors are exactly equal columns.
+    Column X is the tangent projection of ([xi, X] - [theta xi, X]) / 2: that
+    bracket has no flat part, root spaces are b_theta-orthogonal and the AN
+    metric is half of b_theta on n.  Each column is checked: the AN Gram times
+    it must equal -(nabla_X xi) over the tangent basis, else FormulaMismatch.
+    The Gram is positive definite, so that equation has exactly one solution.
     """
     model = orbit.model
     alg = model.algebra
@@ -205,15 +206,16 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
         raise ValueError("xi must lie in the normal space of the orbit")
     basis = [alg.real_vector(k) for k in orbit.h_keys]
     theta_xi = alg.theta(xi)
+    half = Fraction(1, 2)
     columns = []
     for x in basis:
-        combo = Fraction(1, 4) * (alg.bracket(xi, x) - alg.bracket(theta_xi, x))
-        rhs = [alg.b_theta(combo, y) for y in basis]
-        if [-v for v in model.koszul_covector(x, xi, basis)] != rhs:
+        image = orbit.tangent_project(half * (alg.bracket(xi, x) - alg.bracket(theta_xi, x)))
+        column = [image.get(k, Fraction(0)) for k in orbit.h_keys]
+        if mat_vec(orbit.gram, column) != [-v for v in model.koszul_covector(x, xi, basis)]:
             raise FormulaMismatch(
                 "bracket formula and Koszul derivative disagree on a tangent vector"
             )
-        columns.append(mat_vec(orbit._gram_inv, rhs))
+        columns.append(column)
     n = len(basis)
     matrix = tuple(tuple(columns[c][r] for c in range(n)) for r in range(n))
     xi_key = tuple(sorted(xi.terms.items()))
@@ -229,38 +231,27 @@ def check_shape_identities(orbit: OrbitSubalgebra) -> None:
     """Verify the structural identities of the shape operators on this orbit:
 
     (a) A_xi kills the flat part for every normal xi;
-    (b) A_xi X is the tangent projection of ([xi, X] - [theta xi, X]) / 2;
-    (c) for X in a level-zero root space the theta term drops out;
-    (d) normal directions in the top level-one root space kill level zero.
+    (b) for X in a level-zero root space the theta term drops out;
+    (c) normal directions in the top level-one root space kill level zero.
 
     Raises IdentityViolation on the first failure.
     """
-    model = orbit.model
-    alg = model.algebra
+    alg = orbit.model.algebra
     sigma_j = set(orbit.grading.sigma_phi_pos)
     top = orbit.top_level_one_root
     half = Fraction(1, 2)
     for vk in orbit.v_keys:
         xi = alg.real_vector(vk)
         op = shape_operator(orbit, xi)
-        theta_xi = alg.theta(xi)
         for c, key in enumerate(orbit.h_keys):
-            x = alg.real_vector(key)
             col = op.column(c)
             if key[0] == "h" and any(v != 0 for v in col):
                 raise IdentityViolation(f"A_xi does not kill the flat part at {key}")
-            expected = orbit.tangent_project(
-                half * (alg.bracket(xi, x) - alg.bracket(theta_xi, x))
-            )
-            got = {orbit.h_keys[r]: col[r] for r in range(len(col)) if col[r] != 0}
-            if expected != got:
-                raise IdentityViolation(f"projection formula fails at xi={vk}, X={key}")
             if key[0] != "h" and key[1] in sigma_j:
-                plain = orbit.tangent_project(half * alg.bracket(xi, x))
+                got = {orbit.h_keys[r]: col[r] for r in range(len(col)) if col[r] != 0}
+                plain = orbit.tangent_project(half * alg.bracket(xi, alg.real_vector(key)))
                 if plain != got:
-                    raise IdentityViolation(
-                        f"level-zero shortcut fails at xi={vk}, X={key}"
-                    )
+                    raise IdentityViolation(f"level-zero shortcut fails at xi={vk}, X={key}")
                 if vk[1] == top and any(v != 0 for v in col):
                     raise IdentityViolation(
                         f"top-root normal direction acts on level zero at X={key}"
