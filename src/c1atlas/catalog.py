@@ -104,6 +104,8 @@ class SpaceEntry:
     def validate(self):
         rs = self.root_system()
         table = self.mult_map()
+        if any(m < 1 for m in table.values()):
+            raise ParseError(f"{self.name}: every multiplicity must be at least 1")
         sizes = rs.length_class_sizes()
         if set(table) != set(sizes):
             raise ParseError(
@@ -220,19 +222,38 @@ def homothetic_rank_one_pair(space: SpaceEntry, i: int, k: int) -> bool:
 
 # -- loading -----------------------------------------------------------------
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass; JSON floats and strings are not integers either
+    if type(value) is not int:
+        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_flag(obj, key: str) -> bool:
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise ParseError(f"{key!r} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def _entry_from_json(obj) -> SpaceEntry:
     try:
-        rtype = RootSystemType(obj["family"], int(obj["rank"]))
-        mult = tuple(
-            sorted((Fraction(key), int(value)) for key, value in obj["mults"].items())
-        )
+        name = obj["name"]
+        mults = obj["mults"]
+        if not isinstance(mults, dict):
+            raise ParseError(f"{name}: 'mults' must be an object")
         entry = SpaceEntry(
-            name=obj["name"],
-            rtype=rtype,
-            mult=mult,
-            dim=int(obj["dim"]),
-            split_flag=bool(obj.get("split", False)),
-            complexified_flag=bool(obj.get("complexified", False)),
+            name=name,
+            rtype=RootSystemType(obj["family"], _json_int(obj["rank"], f"{name}: rank")),
+            mult=tuple(
+                sorted(
+                    (Fraction(key), _json_int(value, f"{name}: multiplicity {key}"))
+                    for key, value in mults.items()
+                )
+            ),
+            dim=_json_int(obj["dim"], f"{name}: dim"),
+            split_flag=_json_flag(obj, "split"),
+            complexified_flag=_json_flag(obj, "complexified"),
             aliases=tuple(obj.get("aliases", ())),
         )
     except (KeyError, TypeError, ValueError) as exc:

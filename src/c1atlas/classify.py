@@ -188,7 +188,7 @@ def derive_type_e_spaces(catalog):
 def load_tg_table(source) -> dict:
     """Load the pluggable table of totally-geodesic-orbit actions per space."""
     data = read_json(source, "invalid JSON in table")
-    if not isinstance(data, dict) or "actions" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("actions"), dict):
         raise ParseError("table needs an 'actions' object keyed by space name")
     return data["actions"]
 

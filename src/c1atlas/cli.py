@@ -83,9 +83,17 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_grading(args) -> int:
+    if args.dot and (not args.hasse or args.format == "json"):
+        raise UsageError("--dot needs --hasse and text output")
     rs = _root_system_from(args)
     if args.hasse:
-        print(render_hasse(rs, args.j, dot=args.dot))
+        nodes, edges = _hasse_graph(rs, args.j)
+        payload = {
+            "j": args.j,
+            "nodes": [list(lam.coeffs) for lam in nodes],
+            "edges": [[list(a.coeffs), list(b.coeffs), i] for a, b, i in edges],
+        }
+        _emit(args, payload, render_hasse(rs, args.j, dot=args.dot))
         return 0
     grading = rs.maximal_grading(args.j)
     if args.level is not None:
@@ -207,14 +215,8 @@ def _cmd_classify(args) -> int:
     catalog = _load_selected_catalog(args)
     tg_table = load_tg_table(args.tg_table) if args.tg_table else None
     if args.all:
-        names = [entry.name for entry in catalog]
-        blocks_json = []
-        blocks_text = []
-        for name in names:
-            ac = classify([find_space(catalog, name)], tg_table)
-            blocks_json.append(ac.to_json())
-            blocks_text.append(ac.text())
-        _emit(args, blocks_json, "\n\n".join(blocks_text))
+        blocks = [classify([entry], tg_table) for entry in catalog]
+        _emit(args, [ac.to_json() for ac in blocks], "\n\n".join(ac.text() for ac in blocks))
         return 0
     if not args.space:
         raise UsageError("classify needs --space (repeatable) or --all")
@@ -268,12 +270,8 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def render_hasse(rs: RootSystem, j: int, dot: bool = False) -> str:
-    """Diagram of the level-one roots with simple-root covering edges.
-
-    Nodes are identified by their coefficient vectors (stable across runs);
-    an edge labelled a_i joins lam to lam + a_i when both are level one.
-    """
+def _hasse_graph(rs: RootSystem, j: int):
+    """The level-one roots and the (lam, lam + a_i, i) edges between them."""
     nodes = rs.maximal_grading(j).level(1)
     node_set = set(nodes)
     edges = []
@@ -282,6 +280,16 @@ def render_hasse(rs: RootSystem, j: int, dot: bool = False) -> str:
             up = lam.shifted(rs.simple(i))
             if Root(up) in node_set:
                 edges.append((lam, Root(up), i))
+    return nodes, edges
+
+
+def render_hasse(rs: RootSystem, j: int, dot: bool = False) -> str:
+    """Diagram of the level-one roots with simple-root covering edges.
+
+    Nodes are identified by their coefficient vectors (stable across runs);
+    an edge labelled a_i joins lam to lam + a_i when both are level one.
+    """
+    nodes, edges = _hasse_graph(rs, j)
     if dot:
         out = ["digraph level_one {"]
         out.append('  rankdir="LR";')

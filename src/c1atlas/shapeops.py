@@ -110,9 +110,10 @@ class OrbitSubalgebra:
 
     ``selection`` maps each level-one root to "full" (its root space joins w)
     or "zero" (it joins the normal space).  ``dropped`` removes whole root
-    spaces from the higher levels, which is only used to manufacture
+    spaces from the levels >= 2, which is only used to manufacture
     deliberately non-CPC subgroups in tests; the constructor still insists the
-    result is a subalgebra.
+    result is a subalgebra.  Any other selection value or dropped root raises
+    ValueError.
     """
 
     def __init__(self, model: SolvableModel, j: int, selection=None, dropped=()):
@@ -128,14 +129,17 @@ class OrbitSubalgebra:
             selection = dict(selection)
             if set(selection) != set(level_one):
                 raise ValueError("selection must cover exactly the level-one roots")
+            if not set(selection.values()) <= {"full", "zero"}:
+                raise ValueError('selection values must be "full" or "zero"')
         self.selection = selection
+        higher = [lam for nu in sorted(grading.levels) if nu >= 2 for lam in grading.level(nu)]
         dropped = frozenset(dropped)
+        if not dropped <= set(higher):
+            raise ValueError("dropped roots must lie in the levels >= 2")
 
         h_roots = list(grading.sigma_phi_pos)
         h_roots += [lam for lam in level_one if selection[lam] == "full"]
-        for nu in sorted(grading.levels):
-            if nu >= 2:
-                h_roots += [lam for lam in grading.level(nu) if lam not in dropped]
+        h_roots += [lam for lam in higher if lam not in dropped]
         self.h_roots = tuple(sorted(h_roots))
         self.v_roots = tuple(sorted(lam for lam in level_one if selection[lam] == "zero"))
         self._assert_closed()

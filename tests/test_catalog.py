@@ -67,6 +67,38 @@ def test_load_catalog_from_stream_and_duplicates():
         load_catalog(io.StringIO("not json"))
 
 
+_GOOD = {"name": "x", "family": "A", "rank": 1, "mults": {"2": 1}, "dim": 2}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"rank": True},
+        {"rank": 1.0},
+        {"rank": "1"},
+        {"dim": 2.0},
+        {"dim": "2"},
+        {"mults": {"2": 1.0}},
+        {"mults": {"2": True}},
+        {"mults": {"2": "1"}},
+        {"mults": {"2": 1.7}, "dim": 2},
+        {"mults": {"2": 0}, "dim": 1},
+        {"mults": {"2": -1}, "dim": 0},
+        {"mults": [["2", 1]]},
+        {"split": "no"},
+        {"split": 1},
+        {"complexified": "yes", "mults": {"2": 2}, "dim": 3},
+        {"complexified": None},
+    ],
+)
+def test_catalog_entry_types_are_checked(change):
+    # JSON integers for rank, dim and multiplicities, at least 1 for each
+    # multiplicity, booleans for the flags; anything else is a ParseError
+    assert load_catalog([_GOOD])[0].rank == 1
+    with pytest.raises(ParseError):
+        load_catalog([{**_GOOD, **change}])
+
+
 def test_rank_one_recognition_table():
     assert rank_one_recognize(1, 0) == RankOneType("RH", 2)
     assert rank_one_recognize(6, 0) == RankOneType("RH", 7)

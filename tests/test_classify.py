@@ -162,6 +162,9 @@ def test_classify_tg_placeholder_and_table(catalog):
 def test_tg_table_rejects_malformed_input():
     with pytest.raises(ParseError):
         load_tg_table({"not_actions": {}})
+    for actions in ("RH^2", ["RH^2"], None):
+        with pytest.raises(ParseError, match="'actions' object"):
+            load_tg_table({"actions": actions})
     with pytest.raises(ParseError, match="^invalid JSON in table: "):
         load_tg_table(io.StringIO("not json"))
 

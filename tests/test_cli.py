@@ -286,6 +286,35 @@ def test_unreadable_data_path_is_a_data_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_MULT_ZERO = {"name": "bad", "family": "A", "rank": 1, "mults": {"2": 0}, "dim": 1}
+_SPLIT_STRING = {"name": "bad", "family": "A", "rank": 2, "mults": {"2": 1}, "dim": 5, "split": "no"}
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (("analyze", "--all"), _MULT_ZERO),
+        (("classify", "--all"), _MULT_ZERO),
+        (("shape", "--space", "bad", "--j", "1"), _SPLIT_STRING),
+    ],
+    ids=["analyze-mult-zero", "classify-mult-zero", "shape-split-string"],
+)
+def test_bad_catalog_entry_is_a_data_error(tmp_path, capsys, argv, entry):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"schema_version": 1, "spaces": [entry]}))
+    code, out, err = run(capsys, *argv, "--catalog", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_tg_table_without_an_actions_object_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"actions": "RH^2"}))
+    code, out, err = run(capsys, "classify", "--space", "RH^2", "--tg-table", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: table needs an 'actions' object keyed by space name\n"
+
+
 def test_rank_above_the_cap_is_a_data_error(capsys):
     code, out, err = run(capsys, "roots", "--type", "A", "--rank", "100000")
     assert code == 1 and out == ""
@@ -300,6 +329,30 @@ def test_hasse_text_and_dot(capsys):
     assert dot.startswith("digraph")
     assert dot.count("->") == 8  # the eight-node diamond has eight edges
     assert 'label="a1"' in dot
+
+
+def test_hasse_json(capsys):
+    # F4 at a4: the eight level-one roots form a diamond with eight edges
+    code, out, _ = run(capsys, "grading", "--type", "F4", "--j", "4", "--hasse", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and set(payload) == {"j", "nodes", "edges"} and payload["j"] == 4
+    rs = root_system("F4", 4)
+    assert payload["nodes"] == [list(lam.coeffs) for lam in rs.maximal_grading(4).level(1)]
+    assert len(payload["edges"]) == 8
+    for a, b, i in payload["edges"]:
+        assert a in payload["nodes"] and b in payload["nodes"]
+        assert [y - x for x, y in zip(a, b)] == list(rs.simple(i).coeffs)
+    text = render_hasse(rs, 4)
+    assert all(f"--a{i}-->" in text for _, _, i in payload["edges"])
+
+
+@pytest.mark.parametrize(
+    "extra", [("--dot",), ("--hasse", "--dot", "--format", "json")], ids=["no-hasse", "json"]
+)
+def test_dot_needs_hasse_and_text(capsys, extra):
+    code, out, err = run(capsys, "grading", "--type", "B", "--rank", "5", "--j", "1", *extra)
+    assert code == 2 and out == ""
+    assert err == "error: --dot needs --hasse and text output\n"
 
 
 def test_hasse_rank_one_single_node(capsys):

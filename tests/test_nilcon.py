@@ -21,7 +21,10 @@ from c1atlas.nilcon import (
     survivors,
     verify_witness,
 )
+from c1atlas.chevalley import build_algebra
 from c1atlas.rootsys import Root, root_system
+from c1atlas.scalars import GAUSSIAN, RATIONAL
+from c1atlas.shapeops import OrbitSubalgebra, SolvableModel, is_totally_geodesic
 
 
 def test_corner_check():
@@ -213,3 +216,22 @@ def test_snake_validates_heights():
     rs = root_system("B", 5)
     with pytest.raises(ValueError):
         Snake(j=5, roots=(rs.simple(5), Root((1, 1, 1, 1, 1))))
+
+
+def test_snake_verdicts_match_the_computed_geometry(catalog):
+    # every snake-bearing (space, j) of rank >= 2 with an exact model: the
+    # w = 0 orbit bends exactly at the G2 survivors
+    seen = {}
+    for space in catalog:
+        if space.rank < 2 or not (space.split_flag or space.complexified_flag):
+            continue
+        rs = space.root_system()
+        model = SolvableModel(build_algebra(rs, RATIONAL if space.split_flag else GAUSSIAN))
+        for j in range(1, space.rank + 1):
+            if not isinstance(snake_check(rs, j), Snake):
+                continue
+            status = analyze(space, j).status
+            seen[status] = seen.get(status, 0) + 1
+            tg = is_totally_geodesic(OrbitSubalgebra(model, j))
+            assert tg == (status != SURVIVES_W_ZERO_G2), (space.name, j, status)
+    assert seen == {ELIMINATED_MULTIPLICITY: 22, W_ZERO_TOTALLY_GEODESIC: 2, SURVIVES_W_ZERO_G2: 2}

@@ -108,6 +108,24 @@ def test_koszul_cross_check_fires(monkeypatch, g2_split, g2_gaussian, ring):
 
 
 @pytest.mark.parametrize("ring", ["rational", "gaussian"])
+def test_gram_check_fires_on_a_perturbed_projection(monkeypatch, g2_split, g2_gaussian, ring):
+    # each column is read off the bracket through tangent_project; the Gram
+    # check against the Koszul covector must catch a wrong projection
+    alg = g2_split if ring == "rational" else g2_gaussian
+    orbit = OrbitSubalgebra(SolvableModel(alg), 2)
+    xi = alg.e(Root((0, 1)))
+    shape_operator(orbit, xi)
+    tangent_project = OrbitSubalgebra.tangent_project
+    monkeypatch.setattr(
+        OrbitSubalgebra,
+        "tangent_project",
+        lambda self, elem: {k: 2 * v for k, v in tangent_project(self, elem).items()},
+    )
+    with pytest.raises(FormulaMismatch):
+        shape_operator(orbit, xi)
+
+
+@pytest.mark.parametrize("ring", ["rational", "gaussian"])
 def test_koszul_covector_matches_the_metric_koszul_formula(g2_split, g2_gaussian, ring):
     # 2 <nabla_x y, z> = <[x, y], z> - <[y, z], x> + <[z, x], y> for left-invariant fields
     alg = g2_split if ring == "rational" else g2_gaussian
@@ -229,3 +247,22 @@ def test_full_selection_gives_empty_normal_space(g2_model):
 def test_selection_must_cover_level_one(g2_model):
     with pytest.raises(ValueError):
         OrbitSubalgebra(g2_model, 2, selection={Root((0, 1)): "zero"})
+
+
+def test_selection_values_are_full_or_zero(g2_model):
+    level_one = OrbitSubalgebra(g2_model, 2).grading.level(1)
+    selection = {lam: "zero" for lam in level_one}
+    selection[Root((0, 1))] = "half"
+    with pytest.raises(ValueError, match="full"):
+        OrbitSubalgebra(g2_model, 2, selection=selection)
+
+
+@pytest.mark.parametrize(
+    "root",
+    [Root((0, 1)), Root((1, 1)), Root((1, 0)), Root((1, 4)), Root((-1, -3))],
+    ids=["level-one", "level-one-top", "level-zero", "non-root", "negative"],
+)
+def test_dropped_roots_must_lie_in_levels_two_and_up(g2_model, root):
+    # G2 at a2: levels 1, 2, 3 are a2..a1+a2, a1+2a2 and a1+3a2, 2a1+3a2
+    with pytest.raises(ValueError, match="levels >= 2"):
+        OrbitSubalgebra(g2_model, 2, dropped={root})
