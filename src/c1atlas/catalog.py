@@ -238,7 +238,11 @@ def _json_flag(obj, key: str) -> bool:
 
 def _entry_from_json(obj) -> SpaceEntry:
     try:
-        name = obj["name"]
+        name, aliases = obj["name"], obj.get("aliases", [])
+        if not isinstance(name, str):
+            raise ParseError(f"'name' must be a string, not {name!r}")
+        if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
+            raise ParseError(f"{name}: 'aliases' must be a list of strings")
         mults = obj["mults"]
         if not isinstance(mults, dict):
             raise ParseError(f"{name}: 'mults' must be an object")
@@ -254,7 +258,7 @@ def _entry_from_json(obj) -> SpaceEntry:
             dim=_json_int(obj["dim"], f"{name}: dim"),
             split_flag=_json_flag(obj, "split"),
             complexified_flag=_json_flag(obj, "complexified"),
-            aliases=tuple(obj.get("aliases", ())),
+            aliases=tuple(aliases),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed catalog entry {obj!r}: {exc}") from exc

@@ -6,11 +6,19 @@ extraspecial-pair algorithm driven by the canonical (height, lex) order of
 the positive roots, so identical inputs always produce identical tables.
 
 The complexified algebra g(C) is read as a real Lie algebra with the real
-basis h_i, e_lam, i*h_i, i*e_lam (keys "h", "e", "ih", "ie").  Because
-[i^a x, i^b y] = i^(a+b) [x, y], its structure constants are the split ones
-under that i-parity rule, so they are rational too.  Both rings therefore use
-one scalar field: every coefficient is a Fraction, and the terms of an element
-are its real coordinates.
+basis h_i, e_lam, i*h_i, i*e_lam.  Because [i^a x, i^b y] = i^(a+b) [x, y],
+its structure constants are the split ones under that i-parity rule, so they
+are rational too.  Both rings therefore use one scalar field: every
+coefficient is a Fraction, and the terms of an element are its real
+coordinates.
+
+The real basis is numbered 0..dim-1, and every table is keyed by that index:
+element terms, the bracket rows, theta and the Gram rows.  The split basis
+comes first (h_1..h_r, then e_lam in the order of ``roots``, negatives after
+the positives), and over Q(i) its i-copy follows, so i times basis vector k
+is k + split_dim.  Only input and output read names: ``labels[k]`` is
+("h", i), ("e", lam), ("ih", i) or ("ie", lam), and ``index`` maps a label
+back to k.
 
 On the real basis the Cartan involution is a signed permutation:
 theta(h_i) = -h_i and theta(e_lam) = -e_-lam, while theta(i h_i) = i h_i and
@@ -39,7 +47,7 @@ from .scalars import GAUSSIAN, RATIONAL
 
 
 class AlgebraElement:
-    """Sparse vector of real coordinates; zero entries are never stored."""
+    """Sparse vector of real coordinates, keyed by basis index; zero entries are never stored."""
 
     __slots__ = ("algebra", "terms")
 
@@ -50,11 +58,7 @@ class AlgebraElement:
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = out.get(k, 0) + v
         return AlgebraElement(self.algebra, out)
 
     def __sub__(self, other):
@@ -77,38 +81,22 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, key):
-        return self.terms.get(key, 0)
+    def coefficient(self, k: int):
+        return self.terms.get(k, 0)
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for key in sorted(self.terms, key=_basis_sort_key):
-            bits.append(f"({self.terms[key]})*{_basis_name(key)}")
+        for k in sorted(self.terms):
+            tag, payload = self.algebra.labels[k]
+            name = f"{tag}{payload}" if tag[-1] == "h" else f"{tag}[{payload}]"
+            bits.append(f"({self.terms[k]})*{name}")
         return " + ".join(bits)
 
 
-def _basis_name(key):
-    tag, payload = key
-    if tag[-1] == "h":
-        return f"{tag}{payload}"
-    return f"{tag}[{payload}]"
-
-
-def _basis_sort_key(key):
-    tag, payload = key
-    if tag[-1] == "h":
-        return (tag[0] == "i", 0, payload, ())
-    return (tag[0] == "i", 1, payload.height, payload.coeffs)
-
-
-def _times_i(key):
-    """The key of i times the basis vector `key` of the split form."""
-    return ("i" + key[0], key[1])
-
-
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _form(rows, x: AlgebraElement, y: AlgebraElement) -> Fraction:
@@ -116,7 +104,7 @@ def _form(rows, x: AlgebraElement, y: AlgebraElement) -> Fraction:
     xt = x.terms
     total = _ZERO
     for ky, cy in y.terms.items():
-        for kx, g in rows[ky].items():
+        for kx, g in rows[ky]:
             cx = xt.get(kx)
             if cx is not None:
                 total += cx * cy * g
@@ -133,28 +121,38 @@ class ChevalleyAlgebra:
             raise ValueError(f"unknown scalar ring {scalars!r}")
         self.rs = rs
         self.scalars = scalars
-        self.roots = tuple(sorted(rs.positives) + [-p for p in sorted(rs.positives)])
-        split = [("h", i) for i in range(1, rs.rank + 1)] + [("e", lam) for lam in self.roots]
-        self.basis = tuple(split + ([_times_i(k) for k in split] if scalars == GAUSSIAN else []))
-        self.dim = len(self.basis)
-        self._keys = frozenset(self.basis)
-        # theta on the real basis: key -> (image key, whether the sign flips)
-        self._theta = {
-            (tag, p): ((tag, p if tag[-1] == "h" else -p), tag[0] != "i") for tag, p in self.basis
-        }
+        positives = sorted(rs.positives)
+        self.roots = tuple(positives + [-p for p in positives])
+        r, n_pos = rs.rank, len(positives)
+        split = [("h", i) for i in range(1, r + 1)] + [("e", lam) for lam in self.roots]
+        prefixes = ("", "i") if scalars == GAUSSIAN else ("",)
+        self.labels = tuple((prefix + tag, p) for prefix in prefixes for tag, p in split)
+        self.index = {label: k for k, label in enumerate(self.labels)}
+        self.dim = len(self.labels)
+        self.split_dim = len(split)
+        self._copies = range(0, self.dim, self.split_dim)  # offsets of the real copies
+        # theta on the real basis: h_i -> -h_i and e_lam -> -e_-lam, where -lam
+        # sits |Phi+| positions from lam in ``roots``; the i-copies keep the sign
+        split_image = list(range(r)) + [r + (a + n_pos) % (2 * n_pos) for a in range(2 * n_pos)]
+        self._theta_image = tuple(c + k for c in self._copies for k in split_image)
+        self._theta_sign = tuple(-1 if c == 0 else 1 for c in self._copies for _ in split)
         self._n_pos = {}
-        self._positive_constants()
+        self._positive_constants(positives)
         # <lam, a_i-dual> for every root (in the order of self.roots) and simple a_i
         simple_pairings = [tuple(rs.pairing(lam, a) for a in rs.simples) for lam in self.roots]
         self._table = self._bracket_table(simple_pairings)
-        self._cartan_gram, root_gram = self._killing_gram(simple_pairings)
-        self._killing_rows, self._b_theta_rows = self._forms(self._cartan_gram, root_gram)
+        self._cartan_gram, self._killing_rows, self._b_theta_rows = self._forms(
+            positives, simple_pairings
+        )
 
     # -- structure constants -----------------------------------------------
-    def _positive_constants(self):
-        """Fill N(a, b) for positive special pairs a < b, extraspecial signs +."""
+    def _positive_constants(self, pos):
+        """Fill N(a, b) for positive special pairs a < b, extraspecial signs +.
+
+        `pos` lists the positive roots in order; the table is keyed by the
+        coefficient tuples of a and b.
+        """
         rs = self.rs
-        pos = sorted(rs.positives)
         table = self._n_pos
         for gamma in pos:
             if gamma.height == 1:
@@ -167,7 +165,7 @@ class ChevalleyAlgebra:
                 if rs.contains(rest) and xi < Root(rest):
                     pairs.append((xi, Root(rest)))
             alpha, beta = pairs[0]
-            table[(alpha, beta)] = Fraction(1 + rs.string_down_count(beta, alpha))
+            table[(alpha.coeffs, beta.coeffs)] = Fraction(1 + rs.string_down_count(beta, alpha))
             for (xi, eta) in pairs[1:]:
                 acc = Fraction(0)
                 d1 = xi.shifted(alpha, -1)
@@ -176,7 +174,7 @@ class ChevalleyAlgebra:
                 d2 = eta.shifted(alpha, -1)
                 if rs.contains(d2):
                     acc += self._n_any(-alpha, eta) * self._n_any(xi, Root(d2))
-                table[(xi, eta)] = acc / self._n_any(-alpha, gamma)
+                table[(xi.coeffs, eta.coeffs)] = acc / self._n_any(-alpha, gamma)
         if any(value.denominator != 1 for value in table.values()):
             raise IdentityViolation("non-integral structure constant")
 
@@ -184,9 +182,8 @@ class ChevalleyAlgebra:
         """N(lam, mu) for any sign pattern from the positive table; lam + mu is a root."""
         lp, mp = lam.is_positive, mu.is_positive
         if lp and mp:
-            if (lam, mu) in self._n_pos:
-                return self._n_pos[(lam, mu)]
-            return -self._n_pos[(mu, lam)]
+            value = self._n_pos.get((lam.coeffs, mu.coeffs))
+            return -self._n_pos[(mu.coeffs, lam.coeffs)] if value is None else value
         if not lp and not mp:
             return -self._n_any(-lam, -mu)
         if not lp:
@@ -202,7 +199,9 @@ class ChevalleyAlgebra:
         s = lam.shifted(mu)
         if not self.rs.contains(s):
             return 0
-        return int(self.bracket_basis(("e", lam), ("e", mu)).get(("e", Root(s)), 0))
+        index = self.index
+        out = dict(self._table[index[("e", lam)]].get(index[("e", mu)], ()))
+        return int(out.get(index[("e", Root(s))], 0))
 
     def coroot_coefficients(self, lam: Root):
         """Integers c_i with lam-dual = sum c_i alpha_i-dual."""
@@ -217,59 +216,71 @@ class ChevalleyAlgebra:
         return tuple(out)
 
     def _bracket_table(self, simple_pairings):
-        """Brackets of all ordered basis pairs, stored sparsely."""
-        rs = self.rs
-        table = {}
-        for i in range(rs.rank):
-            hi = ("h", i + 1)
-            for lam, vals in zip(self.roots, simple_pairings):
-                if vals[i]:
-                    table[(hi, ("e", lam))] = {("e", lam): Fraction(vals[i])}
-        for a, lam in enumerate(self.roots):
-            for mu in self.roots[a + 1 :]:
-                s = lam.shifted(mu)
-                key = (("e", lam), ("e", mu))
-                if all(c == 0 for c in s):
-                    coro = self.coroot_coefficients(lam if lam.is_positive else mu)
-                    sign = 1 if lam.is_positive else -1
-                    table[key] = {
-                        ("h", i + 1): Fraction(sign * c) for i, c in enumerate(coro) if c
-                    }
-                elif rs.contains(s):
-                    n = self._n_any(lam, mu)
-                    if n.denominator != 1:
-                        raise IdentityViolation(f"non-integral N({lam}, {mu})")
-                    if n:
-                        table[key] = {("e", Root(s)): Fraction(n)}
-        if self.scalars == GAUSSIAN:
-            # [i^a x, i^b y] = i^(a+b) [x, y]: one factor i moves the bracket
-            # to the i-keys, two give the sign of i^2 = -1
-            for (ka, kb), out in list(table.items()):
-                i_out = {_times_i(k): v for k, v in out.items()}
-                table[(_times_i(ka), kb)] = i_out
-                table[(ka, _times_i(kb))] = i_out
-                table[(_times_i(ka), _times_i(kb))] = {k: -v for k, v in out.items()}
-        return table
+        """Brackets of all ordered pairs of basis vectors as rows of sparse terms.
 
-    def bracket_basis(self, ka, kb) -> dict:
-        if ka == kb:
-            return {}
-        if (ka, kb) in self._table:
-            return self._table[(ka, kb)]
-        if (kb, ka) in self._table:
-            return {k: -v for k, v in self._table[(kb, ka)].items()}
-        return {}
+        ``table[ka][kb]`` holds the nonzero (k, coefficient) terms of
+        [basis ka, basis kb]; a pair with a zero bracket is absent.  The
+        coefficients are ints, so a bracket of Fraction elements stays exact.
+        """
+        r = self.rs.rank
+        n = len(self.roots)
+        split = [{} for _ in range(self.split_dim)]
+
+        def put(ka, kb, terms):
+            split[ka][kb] = terms
+            split[kb][ka] = tuple((k, -v) for k, v in terms)
+
+        position = {lam.coeffs: a for a, lam in enumerate(self.roots)}
+        for i in range(r):
+            for a, vals in enumerate(simple_pairings):
+                if vals[i]:
+                    put(i, r + a, ((r + a, vals[i]),))
+        for a, lam in enumerate(self.roots[: n // 2]):
+            # [e_lam, e_-lam] = h_lam, the coroot of the positive root lam
+            coro = self.coroot_coefficients(lam)
+            put(r + a, r + a + n // 2, tuple((i, c) for i, c in enumerate(coro) if c))
+        for a, lam in enumerate(self.roots):
+            for b in range(a + 1, n):
+                mu = self.roots[b]
+                s = position.get(lam.shifted(mu))
+                if s is None:
+                    continue
+                value = self._n_any(lam, mu)
+                if value.denominator != 1:
+                    raise IdentityViolation(f"non-integral N({lam}, {mu})")
+                if value:
+                    put(r + a, r + b, ((r + s, int(value)),))
+        if self.scalars == RATIONAL:
+            return split
+        # [i^a x, i^b y] = i^(a+b) [x, y]: one factor i moves the bracket to
+        # the i-copies, two give the sign of i^2 = -1
+        d = self.split_dim
+        table = split + [{} for _ in split]
+        for ka, row in enumerate(split):
+            for kb, terms in list(row.items()):
+                i_terms = tuple((k + d, v) for k, v in terms)
+                row[kb + d] = i_terms
+                table[ka + d][kb] = i_terms
+                table[ka + d][kb + d] = tuple((k, -v) for k, v in terms)
+        return table
 
     # -- public element API ---------------------------------------------------
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self, {})
 
+    def unit(self, k: int) -> AlgebraElement:
+        """Basis vector number k."""
+        return AlgebraElement(self, {k: _ONE})
+
     def element(self, terms: dict) -> AlgebraElement:
-        """The element with real coordinates `terms`; every key must lie in ``basis``."""
-        for key in terms:
-            if key not in self._keys:
-                raise ValueError(f"{key!r} is not a real basis key of this algebra")
-        return AlgebraElement(self, {k: Fraction(v) for k, v in terms.items()})
+        """The element with coordinates `terms`, keyed by label; every key must lie in ``labels``."""
+        out = {}
+        for label, value in terms.items():
+            k = self.index.get(label)
+            if k is None:
+                raise ValueError(f"{label!r} is not a real basis label of this algebra")
+            out[k] = Fraction(value)
+        return AlgebraElement(self, out)
 
     def h(self, i: int) -> AlgebraElement:
         return self.element({("h", i): 1})
@@ -279,75 +290,65 @@ class ChevalleyAlgebra:
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         out: dict = {}
+        table = self._table
+        y_terms = y.terms.items()
         for ka, ca in x.terms.items():
-            for kb, cb in y.terms.items():
-                tab = self.bracket_basis(ka, kb)
-                if not tab:
+            row = table[ka]
+            for kb, cb in y_terms:
+                terms = row.get(kb)
+                if terms is None:
                     continue
                 c = ca * cb
-                for k, v in tab.items():
-                    s = out.get(k, 0) + c * v
-                    if s == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return AlgebraElement(self, out)
+                for k, v in terms:
+                    out[k] = out.get(k, 0) + c * v
+        return AlgebraElement(self, out)  # drops the terms that cancelled
 
     def theta(self, x: AlgebraElement) -> AlgebraElement:
         """Cartan involution, a signed permutation of the real basis."""
-        out = {}
-        for key, c in x.terms.items():
-            image, flip = self._theta[key]
-            out[image] = -c if flip else c
-        return AlgebraElement(self, out)
+        image, sign = self._theta_image, self._theta_sign
+        return AlgebraElement(self, {image[k]: c if sign[k] > 0 else -c for k, c in x.terms.items()})
 
     # -- invariant forms ---------------------------------------------------------
-    def _killing_gram(self, simple_pairings):
-        """Exact Gram data of the Killing form B of the real algebra on the split keys.
+    def _forms(self, positives, simple_pairings):
+        """The Cartan block of B, and sparse rows of B and of b_theta(x, y) = -B(x, theta y).
 
         ad(x) ad(y) shifts the root grading by the sum of the weights of x and
-        y, so the only nonzero Gram entries are Cartan x Cartan and the pairs
-        (e_lam, e_-lam).  On the Cartan part the trace is B(h_i, h_j) = sum
-        over roots of lam(h_i) lam(h_j).  Invariance with [e_lam, e_-lam] =
-        h_lam gives B(h_lam, h_lam) = lam(h_lam) B(e_lam, e_-lam), so
-        B(e_lam, e_-lam) = B(h_lam, h_lam) / 2.  The trace form of the
-        realified g(C) is twice the real part of the complex one, so over Q(i)
-        the Cartan block is doubled.
+        y, so the only nonzero Gram entries of the Killing form B are Cartan x
+        Cartan and the pairs (e_lam, e_-lam).  On the Cartan part the trace is
+        B(h_i, h_j) = sum over roots of lam(h_i) lam(h_j).  Invariance with
+        [e_lam, e_-lam] = h_lam gives B(h_lam, h_lam) = lam(h_lam) B(e_lam,
+        e_-lam), so B(e_lam, e_-lam) = B(h_lam, h_lam) / 2.
+
+        The trace form of the realified g(C) is twice the real part of the
+        complex one, so over Q(i) the Cartan block is doubled.  For split
+        basis vectors x, y, B(i^a x, i^b y) = Re(i^(a+b)) B(x, y): B keeps its
+        sign on split pairs, changes it on pairs of i-copies and vanishes on
+        mixed pairs.  theta negates the split basis and fixes the i-copies, so
+        b_theta is the Cartan block on each of h and ih, and B(e_lam, e_-lam)
+        on the diagonal at e_lam and at ie_lam.
         """
-        rs = self.rs
-        r = rs.rank
+        r, n_pos = self.rs.rank, len(positives)
         factor = 2 if self.scalars == GAUSSIAN else 1
         cartan = [
             [Fraction(factor * sum(vals[i] * vals[j] for vals in simple_pairings)) for j in range(r)]
             for i in range(r)
         ]
-        root_entries = {}
-        for lam in rs.positives:
+        root_gram = []
+        for lam in positives:
             c = self.coroot_coefficients(lam)
-            root_entries[lam] = sum(c[i] * cartan[i][j] * c[j] for i in range(r) for j in range(r)) / 2
-        return cartan, root_entries
-
-    def _forms(self, cartan, root_gram):
-        """Sparse rows of B and of b_theta(x, y) = -B(x, theta y) on the real basis.
-
-        For split keys x, y, B(i^a x, i^b y) = Re(i^(a+b)) B(x, y): B keeps its
-        sign on split pairs, changes it on pairs of i-keys and vanishes on
-        mixed pairs.  theta negates the split keys and fixes the i-keys, so
-        b_theta is the Cartan block on each of h and ih, and B(e_lam, e_-lam)
-        on the diagonal at e_lam and at ie_lam.
-        """
-        killing, b_theta = {}, {}
-        parts = [("h", "e", 1)] + ([("ih", "ie", -1)] if self.scalars == GAUSSIAN else [])
-        for h_tag, e_tag, sign in parts:
-            for i, cartan_row in enumerate(cartan, start=1):
-                row = {(h_tag, j): v for j, v in enumerate(cartan_row, start=1) if v}
-                b_theta[(h_tag, i)] = row
-                killing[(h_tag, i)] = {k: sign * v for k, v in row.items()}
-            for lam, value in root_gram.items():
-                for mu in (lam, -lam):
-                    b_theta[(e_tag, mu)] = {(e_tag, mu): value}
-                    killing[(e_tag, mu)] = {(e_tag, -mu): sign * value}
-        return killing, b_theta
+            root_gram.append(sum(c[i] * cartan[i][j] * c[j] for i in range(r) for j in range(r)) / 2)
+        killing, b_theta = [], []
+        for c in self._copies:
+            sign = -1 if c else 1
+            for cartan_row in cartan:
+                row = tuple((c + j, v) for j, v in enumerate(cartan_row) if v)
+                b_theta.append(row)
+                killing.append(tuple((k, sign * v) for k, v in row))
+            for a in range(2 * n_pos):
+                value = root_gram[a % n_pos]
+                b_theta.append(((c + r + a, value),))
+                killing.append(((c + r + (a + n_pos) % (2 * n_pos), sign * value),))
+        return cartan, killing, b_theta
 
     def killing(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
         """Killing form of the real algebra."""
@@ -361,8 +362,7 @@ class ChevalleyAlgebra:
         """The vector H in the Cartan part with b_theta(H, .) = lam(.) there."""
         rs = self.rs
         rhs = [Fraction(rs.pairing(lam, a)) for a in rs.simples]
-        coeffs = solve(self._cartan_gram, rhs)
-        return self.element({("h", i + 1): c for i, c in enumerate(coeffs)})
+        return AlgebraElement(self, dict(enumerate(solve(self._cartan_gram, rhs))))
 
     # -- verification helpers -------------------------------------------------
     def jacobi_defect(self, x, y, z) -> AlgebraElement:
@@ -371,7 +371,7 @@ class ChevalleyAlgebra:
 
     def check_jacobi_exhaustive(self) -> int:
         """Jacobi on all unordered basis triples; returns the number checked."""
-        elems = [AlgebraElement(self, {k: Fraction(1)}) for k in self.basis]
+        elems = [self.unit(k) for k in range(self.dim)]
         n = len(elems)
         count = 0
         for i in range(n):
@@ -400,21 +400,19 @@ class ChevalleyAlgebra:
         return count
 
     # -- the real basis -------------------------------------------------------
-    # ("h", i) and ("e", lam) stand for h_i and e_lam; over Q(i) ("ih", i) and
-    # ("ie", lam) stand for i*h_i and i*e_lam.
-    def real_keys(self, roots) -> tuple:
-        """Real basis keys of the root spaces of `roots`, in the given order."""
-        if self.scalars == GAUSSIAN:
-            return tuple(key for lam in roots for key in (("e", lam), ("ie", lam)))
-        return tuple(("e", lam) for lam in roots)
+    def real_vector(self, label) -> AlgebraElement:
+        """The real basis vector named by `label`."""
+        return self.element({label: 1})
 
-    def real_vector(self, key) -> AlgebraElement:
-        """The real basis vector named by `key`."""
-        return self.element({key: 1})
+    def root_indices(self, roots) -> tuple:
+        """Basis indices of the root spaces of `roots`, root by root: e_lam, then i*e_lam over Q(i)."""
+        index = self.index
+        return tuple(index[("e", lam)] + c for lam in roots for c in self._copies)
 
     def in_centraliser_of_flat(self, x: AlgebraElement) -> bool:
-        """Whether x lies in the compact centraliser of the flat (the k_0 part)."""
-        return all(key[0] == "ih" for key in x.terms)
+        """Whether x lies in the compact centraliser of the flat (the k_0 part): the i*h_i span."""
+        d = self.split_dim
+        return all(d <= k < d + self.rs.rank for k in x.terms)
 
 
 def build_algebra(rs: RootSystem, scalars: str = RATIONAL) -> ChevalleyAlgebra:
@@ -428,7 +426,7 @@ def check_theta_bracket_identity(
     and, given Y there b_theta-orthogonal to X, that [theta X, Y] lands in the
     k_0 part.  Raises IdentityViolation on failure.
     """
-    space = set(algebra.real_keys([lam]))
+    space = set(algebra.root_indices([lam]))
     for elem in (x,) + ((y,) if y is not None else ()):
         if not elem.terms.keys() <= space:
             raise ValueError(f"vector has a component off the root space of {lam}")
@@ -454,9 +452,9 @@ def check_string_injectivity(algebra: ChevalleyAlgebra, alpha: Root, beta: Root,
     if k < 1 or k >= len(string):
         raise ValueError(f"power {k} outside the string through {alpha}")
     target = string[k]
-    target_keys = algebra.real_keys([target])
-    source = [algebra.real_vector(key) for key in algebra.real_keys([alpha])]
-    for x in (algebra.real_vector(key) for key in algebra.real_keys([beta])):
+    target_keys = algebra.root_indices([target])
+    source = [algebra.unit(i) for i in algebra.root_indices([alpha])]
+    for x in (algebra.unit(i) for i in algebra.root_indices([beta])):
         images = []
         for img in source:
             for _ in range(k):
@@ -476,22 +474,19 @@ def dump_structure_constants(algebra: ChevalleyAlgebra) -> list:
     """JSON-friendly table of all nonzero N(lam, mu) over root pairs.
 
     Rows follow ``algebra.roots`` in lam, then in mu.  They are read from the
-    bracket table, which stores each unordered pair of roots once; the
-    reversed pair has N(mu, lam) = -N(lam, mu).
+    bracket table's rows of root vectors, keeping the entries that land on a
+    root vector (the (e_lam, e_-lam) entries land in the Cartan).
     """
-    index = {lam: a for a, lam in enumerate(algebra.roots)}
-    rows = [[] for _ in algebra.roots]
-    for (ka, kb), value in algebra._table.items():
-        if ka[0] != "e":
-            continue
-        for (tag, _), n in value.items():
-            if tag == "e":  # the (e_lam, e_-lam) entries land in the Cartan
-                a, b = index[ka[1]], index[kb[1]]
-                rows[a].append((b, int(n)))
-                rows[b].append((a, -int(n)))
+    r = algebra.rs.rank
+    roots = algebra.roots
     out = []
-    for lam, row in zip(algebra.roots, rows):
-        for b, n in sorted(row):
-            mu = algebra.roots[b]
-            out.append({"lam": list(lam.coeffs), "mu": list(mu.coeffs), "n": n})
+    for a, lam in enumerate(roots):
+        row = algebra._table[r + a]
+        entries = sorted(
+            (kb - r, int(terms[0][1]))
+            for kb, terms in row.items()
+            if r <= kb < algebra.split_dim and terms[0][0] >= r
+        )
+        for b, n in entries:
+            out.append({"lam": list(lam.coeffs), "mu": list(roots[b].coeffs), "n": n})
     return out

@@ -190,6 +190,9 @@ def load_tg_table(source) -> dict:
     data = read_json(source, "invalid JSON in table")
     if not isinstance(data, dict) or not isinstance(data.get("actions"), dict):
         raise ParseError("table needs an 'actions' object keyed by space name")
+    for name, actions in data["actions"].items():
+        if not isinstance(actions, list) or not all(isinstance(a, dict) for a in actions):
+            raise ParseError(f"table entry {name!r} must be a list of action objects")
     return data["actions"]
 
 

@@ -85,6 +85,8 @@ def _cmd_roots(args) -> int:
 def _cmd_grading(args) -> int:
     if args.dot and (not args.hasse or args.format == "json"):
         raise UsageError("--dot needs --hasse and text output")
+    if args.hasse and args.level is not None:
+        raise UsageError("--level and --hasse exclude each other")
     rs = _root_system_from(args)
     if args.hasse:
         nodes, edges = _hasse_graph(rs, args.j)
@@ -176,15 +178,16 @@ def _cmd_shape(args) -> int:
     ops = [shape_operator(orbit, xi) for xi in orbit.normal_basis()]
     polys = [[str(c) for c in op.charpoly()] for op in ops]
     tg = all(op.is_zero for op in ops)
+    labels = algebra.labels
     payload = {
         "space": space.name,
         "j": args.j,
         "w": "zero",
         "totally_geodesic": tg,
-        "tangent_basis": [list(map(str, key)) for key in orbit.h_keys],
+        "tangent_basis": [list(map(str, labels[k])) for k in orbit.h_keys],
         "operators": [
             {
-                "xi": [list(map(str, k)) + [str(v)] for k, v in op.xi_key],
+                "xi": [list(map(str, labels[k])) + [str(v)] for k, v in op.xi_key],
                 "matrix": [[str(x) for x in row] for row in op.matrix],
                 "charpoly": poly,
             }
@@ -192,9 +195,9 @@ def _cmd_shape(args) -> int:
         ],
     }
     lines = [f"{space.name}, j = {args.j}, w = 0"]
-    lines.append(f"tangent basis: {', '.join('*'.join(map(str, k)) for k in orbit.h_keys)}")
+    lines.append(f"tangent basis: {', '.join('*'.join(map(str, labels[k])) for k in orbit.h_keys)}")
     for op, poly in zip(ops, polys):
-        xi_label = " + ".join(f"({v})*{'*'.join(map(str, k))}" for k, v in op.xi_key)
+        xi_label = " + ".join(f"({v})*{'*'.join(map(str, labels[k]))}" for k, v in op.xi_key)
         lines.append(f"A_xi for xi = {xi_label}:")
         if op.is_zero:
             lines.append("  0")

@@ -8,7 +8,9 @@ bracket-closed span of root spaces have completely explicit shape operators:
     A_xi X = 1/2 P_h([xi, X] - [theta xi, X])   (P_h: projection onto h),
 
 which this module reads off the bracket and always checks against the Koszul
-formula: the AN Gram times each column must equal -(nabla_X xi).
+formula: the AN Gram times each column must equal -(nabla_X xi).  Vectors are
+keyed by the algebra's basis indices: a + n, h and the normal space are index
+tuples picked by root, and labels are read only for messages and output.
 Everything stays in Fractions: totally-geodesic verdicts are exact zero tests
 and the constant-principal-curvature check compares characteristic
 polynomials literally.
@@ -21,77 +23,69 @@ from fractions import Fraction
 
 from .errors import FormulaMismatch, IdentityViolation, NotClosed, SpectrumMismatch
 from .linalg import charpoly, is_symmetric, mat_mul, mat_vec
-from .rootsys import Root, RootSystem
+from .rootsys import Root
 from .chevalley import AlgebraElement, ChevalleyAlgebra
+
+_ZERO = Fraction(0)
 
 
 class SolvableModel:
     """The metric solvable group attached to a split or complexified algebra.
 
-    ``an_keys`` lists the real basis of a + n: the flat keys ("h", i) first,
-    then the real keys of the positive root spaces.
+    ``an_keys`` lists the basis indices of a + n: the flat h_1..h_r first,
+    then the real basis of the positive root spaces.
     """
 
     def __init__(self, algebra: ChevalleyAlgebra):
         self.algebra = algebra
         rs = algebra.rs
-        flat = tuple(("h", i) for i in range(1, rs.rank + 1))
-        self.an_keys = flat + algebra.real_keys(sorted(rs.positives))
-        self._an_keyset = frozenset(self.an_keys)
+        self.an_keys = tuple(range(rs.rank)) + algebra.root_indices(sorted(rs.positives))
 
-    @property
-    def rs(self) -> RootSystem:
-        return self.algebra.rs
-
-    def _check_in_an(self, x: AlgebraElement):
-        for key in x.terms:
-            if key not in self._an_keyset:
-                raise ValueError(f"component {key} lies outside a + n")
+    def _check_in_an(self, vectors):
+        for v in vectors:
+            for k in v.terms:
+                if k not in self.an_keys:
+                    raise ValueError(f"component {self.algebra.labels[k]} lies outside a + n")
 
     def an_inner(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
-        """<x, y>_AN = b_theta on the flat part plus half b_theta on n."""
-        self._check_in_an(x)
-        self._check_in_an(y)
-        alg = self.algebra
-        xa, xn = _split_flat(alg, x)
-        ya, yn = _split_flat(alg, y)
-        return alg.b_theta(xa, ya) + Fraction(1, 2) * alg.b_theta(xn, yn)
+        """<x, y>_AN = b_theta on the flat part plus half b_theta on n.
 
-    def koszul_covector(self, x, y, zs) -> list:
-        """[<nabla_x y, z>_AN for z in zs] for left-invariant fields on AN, exactly.
+        b_theta has no entries between the flat part and n, so this is the
+        mean of b_theta(x, y) and b_theta(flat part of x, y).
+        """
+        self._check_in_an((x, y))
+        alg = self.algebra
+        flat = AlgebraElement(alg, {k: c for k, c in x.terms.items() if k < alg.rs.rank})
+        return (alg.b_theta(x, y) + alg.b_theta(flat, y)) / 2
+
+    def koszul_covectors(self, xs, y, zs) -> list:
+        """[[<nabla_x y, z>_AN for z in zs] for x in xs] for left-invariant fields on AN, exactly.
 
         The Koszul formula gives 4 <nabla_x y, z>_AN = b_theta(c, z) with
-        c = [x, y] + [theta x, y] - [x, theta y]; c / 4 is formed once for all z.
+        c = [x, y] + [theta x, y] - [x, theta y]; c / 4 is formed once per x.
+        Membership of every vector in a + n is checked once for the batch.
         """
-        for v in (x, y, *zs):
-            self._check_in_an(v)
+        self._check_in_an((*xs, y, *zs))
         alg = self.algebra
         b = alg.bracket
-        combo = Fraction(1, 4) * (b(x, y) + b(alg.theta(x), y) - b(x, alg.theta(y)))
-        return [alg.b_theta(combo, z) for z in zs]
+        theta_y = alg.theta(y)
+        out = []
+        for x in xs:
+            combo = Fraction(1, 4) * (b(x, y) + b(alg.theta(x), y) - b(x, theta_y))
+            out.append([alg.b_theta(combo, z) for z in zs])
+        return out
 
     def levi_civita(self, x, y, z) -> Fraction:
         """<nabla_x y, z>_AN for left-invariant fields on AN, exactly."""
-        return self.koszul_covector(x, y, (z,))[0]
-
-
-def _split_flat(algebra, x):
-    flat = {}
-    nilp = {}
-    for key, c in x.terms.items():
-        if key[0] == "h":
-            flat[key] = c
-        else:
-            nilp[key] = c
-    return AlgebraElement(algebra, flat), AlgebraElement(algebra, nilp)
+        return self.koszul_covectors((x,), y, (z,))[0][0]
 
 
 @dataclass
 class ShapeOperatorMatrix:
     """Exact matrix of one shape operator over the tangent basis of an orbit."""
 
-    xi_key: tuple
-    basis: tuple
+    xi_key: tuple  # the (basis index, coefficient) terms of xi, sorted
+    basis: tuple  # the tangent basis indices
     matrix: tuple
 
     @property
@@ -119,7 +113,7 @@ class OrbitSubalgebra:
     def __init__(self, model: SolvableModel, j: int, selection=None, dropped=()):
         self.model = model
         self.j = j
-        rs = model.rs
+        rs = model.algebra.rs
         grading = rs.maximal_grading(j)
         self.grading = grading
         level_one = grading.level(1)
@@ -145,13 +139,12 @@ class OrbitSubalgebra:
         self._assert_closed()
 
         alg = model.algebra
-        self.h_keys = model.an_keys[: rs.rank] + alg.real_keys(self.h_roots)
-        self.v_keys = alg.real_keys(self.v_roots)
-        self._h_keyset = frozenset(self.h_keys)
-        self._gram = self._an_gram()
+        self.h_keys = tuple(range(rs.rank)) + alg.root_indices(self.h_roots)
+        self.v_keys = alg.root_indices(self.v_roots)
+        self.gram = self._an_gram()
 
     def _assert_closed(self):
-        rs = self.model.rs
+        rs = self.model.algebra.rs
         roots = set(self.h_roots)
         for a in self.h_roots:
             for b in self.h_roots:
@@ -163,27 +156,24 @@ class OrbitSubalgebra:
 
     def _an_gram(self):
         model = self.model
-        vecs = [model.algebra.real_vector(k) for k in self.h_keys]
+        vecs = [model.algebra.unit(k) for k in self.h_keys]
         return [[model.an_inner(x, y) for y in vecs] for x in vecs]
 
-    @property
-    def gram(self):
-        return self._gram
-
-    def tangent_project(self, elem: AlgebraElement) -> dict:
-        """b_theta-orthogonal projection onto h, in real coordinates.
+    def tangent_project(self, elem: AlgebraElement) -> list:
+        """b_theta-orthogonal projection onto h, as coordinates on ``h_keys``.
 
         The real basis vectors are pairwise b_theta-orthogonal across the
         h / complement divide (the flat part lies entirely inside h), so the
         projection just keeps the h-components.
         """
-        return {k: v for k, v in elem.terms.items() if k in self._h_keyset}
+        terms = elem.terms
+        return [terms.get(k, _ZERO) for k in self.h_keys]
 
     def normal_basis(self):
-        return [self.model.algebra.real_vector(k) for k in self.v_keys]
+        return [self.model.algebra.unit(k) for k in self.v_keys]
 
     def contains_normal(self, xi: AlgebraElement) -> bool:
-        return xi.terms.keys() <= set(self.v_keys)
+        return all(k in self.v_keys for k in xi.terms)
 
     @property
     def top_level_one_root(self) -> Root:
@@ -208,14 +198,13 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
     alg = model.algebra
     if not orbit.contains_normal(xi):
         raise ValueError("xi must lie in the normal space of the orbit")
-    basis = [alg.real_vector(k) for k in orbit.h_keys]
+    basis = [alg.unit(k) for k in orbit.h_keys]
     theta_xi = alg.theta(xi)
     half = Fraction(1, 2)
     columns = []
-    for x in basis:
-        image = orbit.tangent_project(half * (alg.bracket(xi, x) - alg.bracket(theta_xi, x)))
-        column = [image.get(k, Fraction(0)) for k in orbit.h_keys]
-        if mat_vec(orbit.gram, column) != [-v for v in model.koszul_covector(x, xi, basis)]:
+    for x, covector in zip(basis, model.koszul_covectors(basis, xi, basis)):
+        column = orbit.tangent_project(half * (alg.bracket(xi, x) - alg.bracket(theta_xi, x)))
+        if mat_vec(orbit.gram, column) != [-v for v in covector]:
             raise FormulaMismatch(
                 "bracket formula and Koszul derivative disagree on a tangent vector"
             )
@@ -241,24 +230,26 @@ def check_shape_identities(orbit: OrbitSubalgebra) -> None:
     Raises IdentityViolation on the first failure.
     """
     alg = orbit.model.algebra
-    sigma_j = set(orbit.grading.sigma_phi_pos)
-    top = orbit.top_level_one_root
+    rank = alg.rs.rank
+    level_zero = set(alg.root_indices(orbit.grading.sigma_phi_pos))
+    top = alg.root_indices([orbit.top_level_one_root])
     half = Fraction(1, 2)
     for vk in orbit.v_keys:
-        xi = alg.real_vector(vk)
+        xi = alg.unit(vk)
         op = shape_operator(orbit, xi)
         for c, key in enumerate(orbit.h_keys):
             col = op.column(c)
-            if key[0] == "h" and any(v != 0 for v in col):
-                raise IdentityViolation(f"A_xi does not kill the flat part at {key}")
-            if key[0] != "h" and key[1] in sigma_j:
-                got = {orbit.h_keys[r]: col[r] for r in range(len(col)) if col[r] != 0}
-                plain = orbit.tangent_project(half * alg.bracket(xi, alg.real_vector(key)))
-                if plain != got:
-                    raise IdentityViolation(f"level-zero shortcut fails at xi={vk}, X={key}")
-                if vk[1] == top and any(v != 0 for v in col):
+            if key < rank and any(v != 0 for v in col):
+                raise IdentityViolation(f"A_xi does not kill the flat part at {alg.labels[key]}")
+            if key in level_zero:
+                plain = orbit.tangent_project(half * alg.bracket(xi, alg.unit(key)))
+                if plain != col:
                     raise IdentityViolation(
-                        f"top-root normal direction acts on level zero at X={key}"
+                        f"level-zero shortcut fails at xi={alg.labels[vk]}, X={alg.labels[key]}"
+                    )
+                if vk in top and any(v != 0 for v in col):
+                    raise IdentityViolation(
+                        f"top-root normal direction acts on level zero at X={alg.labels[key]}"
                     )
 
 

@@ -89,11 +89,17 @@ _GOOD = {"name": "x", "family": "A", "rank": 1, "mults": {"2": 1}, "dim": 2}
         {"split": 1},
         {"complexified": "yes", "mults": {"2": 2}, "dim": 3},
         {"complexified": None},
+        {"aliases": "SL"},  # would load as the aliases "S" and "L"
+        {"aliases": ["SL", 2]},
+        {"aliases": {"SL": 1}},
+        {"name": 5},
+        {"name": ["x"]},
     ],
 )
 def test_catalog_entry_types_are_checked(change):
     # JSON integers for rank, dim and multiplicities, at least 1 for each
-    # multiplicity, booleans for the flags; anything else is a ParseError
+    # multiplicity, booleans for the flags, a string name and a list of
+    # string aliases; anything else is a ParseError
     assert load_catalog([_GOOD])[0].rank == 1
     with pytest.raises(ParseError):
         load_catalog([{**_GOOD, **change}])

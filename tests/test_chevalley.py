@@ -79,7 +79,7 @@ def test_bracket_alternating(g2_split):
 @given(st.lists(st.integers(-4, 4), min_size=6, max_size=6), st.lists(st.integers(-4, 4), min_size=6, max_size=6))
 def test_bracket_bilinear_on_random_elements(xs, ys):
     alg = build_algebra(root_system("A", 2))
-    keys = list(alg.basis[:6])
+    keys = list(alg.labels[:6])
     x = alg.element({k: v for k, v in zip(keys, xs)})
     y = alg.element({k: v for k, v in zip(keys, ys)})
     assert alg.bracket(x, y) == (-1) * alg.bracket(y, x)
@@ -196,18 +196,25 @@ def test_theta_bracket_identity_gaussian_k0_part(g2_gaussian):
 
 def test_real_basis_round_trip(g2_split, g2_gaussian):
     a1 = g2_split.rs.simple(1)
-    assert g2_split.real_keys([a1, -a1]) == (("e", a1), ("e", -a1))
-    assert g2_gaussian.real_keys([a1]) == (("e", a1), ("ie", a1))
+    # G2 has 6 positive roots, a1 second by height: h_1, h_2, e_a2, e_a1, ..., e_-a2, e_-a1, ...
+    assert g2_split.root_indices([a1, -a1]) == (3, 9)
+    assert g2_gaussian.root_indices([a1]) == (3, 17)
+    assert g2_gaussian.split_dim == g2_split.dim == 14 and g2_gaussian.dim == 28
     for alg in (g2_split, g2_gaussian):
-        keys = [("h", 1), ("h", 2)] + list(alg.real_keys(alg.roots))
+        labels = [("h", 1), ("h", 2)] + [("e", lam) for lam in alg.roots]
         if alg.scalars == GAUSSIAN:
-            keys += [("ih", 1), ("ih", 2)]
-        assert sorted(keys, key=alg.basis.index) == list(alg.basis)
-        for key in keys:
-            assert alg.real_vector(key).terms == {key: 1}
+            labels += [("i" + tag, p) for tag, p in labels]
+        assert list(alg.labels) == labels
+        for k, label in enumerate(labels):
+            assert alg.index[label] == k
+            assert alg.real_vector(label).terms == {k: 1}
+            assert alg.unit(k) == alg.real_vector(label)
+        assert alg.root_indices(alg.roots) == tuple(
+            alg.index[(tag, lam)] for lam in alg.roots for tag in ("e", "ie")[: alg.dim // alg.split_dim]
+        )
     # (2 - 3i) h_1 + 1/2 e_a1 in real coordinates
     x = g2_gaussian.element({("h", 1): 2, ("ih", 1): -3, ("e", a1): Fraction(1, 2)})
-    assert x.terms == {("h", 1): 2, ("ih", 1): -3, ("e", a1): Fraction(1, 2)}
+    assert x.terms == {0: 2, 14: -3, 3: Fraction(1, 2)}
     assert not g2_gaussian.in_centraliser_of_flat(x)
     assert g2_gaussian.in_centraliser_of_flat(g2_gaussian.real_vector(("ih", 2)))
 
@@ -231,7 +238,7 @@ def test_string_injectivity_raises_on_a_rank_drop(monkeypatch):
     a1, a2 = alg.rs.simple(1), alg.rs.simple(2)
     bracket = alg.bracket
     monkeypatch.setattr(
-        alg, "bracket", lambda x, y: alg.zero() if ("ie", a1) in y.terms else bracket(x, y)
+        alg, "bracket", lambda x, y: alg.zero() if alg.index[("ie", a1)] in y.terms else bracket(x, y)
     )
     with pytest.raises(InjectivityViolation):
         check_string_injectivity(alg, a1, a2, 1)
@@ -312,7 +319,7 @@ REALIFIED = [("G2", 2), ("A", 2)]
 def realified(request):
     family, rank = request.param
     alg = build_algebra(root_system(family, rank), GAUSSIAN)
-    return alg, [alg.real_vector(k) for k in alg.basis]
+    return alg, [alg.real_vector(label) for label in alg.labels]
 
 
 def test_realified_jacobi_exhaustive(realified):
@@ -334,15 +341,15 @@ def test_realified_killing_is_the_trace_of_ad_ad(realified):
     alg, basis = realified
     for x in basis:
         for y in basis:
-            trace = sum(alg.bracket(x, alg.bracket(y, z)).coefficient(k) for k, z in zip(alg.basis, basis))
+            trace = sum(alg.bracket(x, alg.bracket(y, z)).coefficient(k) for k, z in enumerate(basis))
             assert alg.killing(x, y) == trace
 
 
 def test_realified_b_theta_is_a_cartan_block_plus_a_diagonal(realified):
     alg, basis = realified
     split = build_algebra(alg.rs)
-    for kx, x in zip(alg.basis, basis):
-        for ky, y in zip(alg.basis, basis):
+    for kx, x in zip(alg.labels, basis):
+        for ky, y in zip(alg.labels, basis):
             value = alg.b_theta(x, y)
             assert value == -alg.killing(x, alg.theta(y))
             tx, px = kx
@@ -358,10 +365,11 @@ def test_realified_b_theta_is_a_cartan_block_plus_a_diagonal(realified):
 def test_realified_bracket_follows_the_i_rule(realified):
     # [i x, i y] = -[x, y] and [x, i y] = [i x, y] = i [x, y] for split basis vectors
     alg, _ = realified
-    split_keys = [k for k in alg.basis if k[0] in ("h", "e")]
+    split_keys = [k for k in alg.labels if k[0] in ("h", "e")]
 
     def times_i(elem):
-        return alg.element({("i" + tag, p): c for (tag, p), c in elem.terms.items()})
+        labels = (alg.labels[k] for k in elem.terms)
+        return alg.element({("i" + tag, p): c for (tag, p), c in zip(labels, elem.terms.values())})
 
     for ka in split_keys:
         for kb in split_keys:

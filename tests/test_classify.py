@@ -169,6 +169,12 @@ def test_tg_table_rejects_malformed_input():
         load_tg_table(io.StringIO("not json"))
 
 
+@pytest.mark.parametrize("value", [5, "point", {"label": "point"}, [{"label": "point"}, "geodesic"]])
+def test_tg_table_values_are_lists_of_action_objects(value):
+    with pytest.raises(ParseError, match="list of action objects"):
+        load_tg_table({"actions": {"RH^2": value}})
+
+
 def test_classify_empty_input_rejected():
     with pytest.raises(ValueError):
         classify([])

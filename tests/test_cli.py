@@ -288,6 +288,8 @@ def test_unreadable_data_path_is_a_data_error(tmp_path, capsys, argv):
 
 _MULT_ZERO = {"name": "bad", "family": "A", "rank": 1, "mults": {"2": 0}, "dim": 1}
 _SPLIT_STRING = {"name": "bad", "family": "A", "rank": 2, "mults": {"2": 1}, "dim": 5, "split": "no"}
+# "SL" must not load as the two aliases "S" and "L"
+_STRING_ALIASES = {"name": "bad", "family": "A", "rank": 1, "mults": {"2": 1}, "dim": 2, "aliases": "SL"}
 
 
 @pytest.mark.parametrize(
@@ -296,8 +298,9 @@ _SPLIT_STRING = {"name": "bad", "family": "A", "rank": 2, "mults": {"2": 1}, "di
         (("analyze", "--all"), _MULT_ZERO),
         (("classify", "--all"), _MULT_ZERO),
         (("shape", "--space", "bad", "--j", "1"), _SPLIT_STRING),
+        (("analyze", "--space", "S", "--j", "1"), _STRING_ALIASES),
     ],
-    ids=["analyze-mult-zero", "classify-mult-zero", "shape-split-string"],
+    ids=["analyze-mult-zero", "classify-mult-zero", "shape-split-string", "analyze-string-aliases"],
 )
 def test_bad_catalog_entry_is_a_data_error(tmp_path, capsys, argv, entry):
     path = tmp_path / "cat.json"
@@ -313,6 +316,15 @@ def test_tg_table_without_an_actions_object_is_a_data_error(tmp_path, capsys):
     code, out, err = run(capsys, "classify", "--space", "RH^2", "--tg-table", str(path))
     assert code == 1 and out == ""
     assert err == "error: table needs an 'actions' object keyed by space name\n"
+
+
+@pytest.mark.parametrize("value", [5, [5], {"label": "point"}], ids=["int", "list-of-int", "object"])
+def test_tg_table_value_that_is_not_a_list_of_actions_is_a_data_error(tmp_path, capsys, value):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"actions": {"RH^2": value}}))
+    code, out, err = run(capsys, "classify", "--space", "RH^2", "--tg-table", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: table entry 'RH^2' must be a list of action objects\n"
 
 
 def test_rank_above_the_cap_is_a_data_error(capsys):
@@ -353,6 +365,13 @@ def test_dot_needs_hasse_and_text(capsys, extra):
     code, out, err = run(capsys, "grading", "--type", "B", "--rank", "5", "--j", "1", *extra)
     assert code == 2 and out == ""
     assert err == "error: --dot needs --hasse and text output\n"
+
+
+@pytest.mark.parametrize("level", ["1", "5"])
+def test_level_with_hasse_is_a_usage_error(capsys, level):
+    code, out, err = run(capsys, "grading", "--type", "A", "--rank", "2", "--j", "1", "--hasse", "--level", level)
+    assert code == 2 and out == ""
+    assert err == "error: --level and --hasse exclude each other\n"
 
 
 def test_hasse_rank_one_single_node(capsys):

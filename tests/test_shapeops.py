@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from c1atlas.chevalley import build_algebra
 from c1atlas.errors import FormulaMismatch, NotClosed, SpectrumMismatch
 from c1atlas.rootsys import Root, root_system
+from c1atlas.scalars import GAUSSIAN
 from c1atlas.shapeops import (
     OrbitSubalgebra,
     SolvableModel,
@@ -57,9 +58,10 @@ def test_levi_civita_vanishes_on_the_flat(g2_model):
 def test_levi_civita_torsion_free_and_metric(coeffs):
     alg = build_algebra(root_system("G2", 2))
     model = SolvableModel(alg)
-    x = alg.element({k: c for k, c in zip(model.an_keys[:8], coeffs[:3]) if c})
-    y = alg.element({k: c for k, c in zip(model.an_keys[3:], coeffs[3:6]) if c})
-    z = alg.element({k: c for k, c in zip(model.an_keys[1:], coeffs[6:9]) if c})
+    labels = [alg.labels[k] for k in model.an_keys]
+    x = alg.element({k: c for k, c in zip(labels[:8], coeffs[:3]) if c})
+    y = alg.element({k: c for k, c in zip(labels[3:], coeffs[3:6]) if c})
+    z = alg.element({k: c for k, c in zip(labels[1:], coeffs[6:9]) if c})
     lc = model.levi_civita
     bracket_xy = alg.bracket(x, y)
     assert lc(x, y, z) - lc(y, x, z) == model.an_inner(bracket_xy, z)
@@ -83,11 +85,11 @@ def test_g2_long_root_w_zero_totally_geodesic(g2_model):
 def test_g2_short_root_w_zero_not_totally_geodesic(g2_model):
     orbit = OrbitSubalgebra(g2_model, 2)
     assert not is_totally_geodesic(orbit)
-    xi = g2_model.algebra.e(Root((0, 1)))
-    op = shape_operator(orbit, xi)
-    col = op.column(orbit.h_keys.index(("e", Root((1, 3)))))
+    alg = g2_model.algebra
+    op = shape_operator(orbit, alg.e(Root((0, 1))))
+    col = op.column(orbit.h_keys.index(alg.index[("e", Root((1, 3)))]))
     assert any(v != 0 for v in col)  # image lands in the level-two root space
-    assert col[orbit.h_keys.index(("e", Root((1, 2))))] != 0
+    assert col[orbit.h_keys.index(alg.index[("e", Root((1, 2)))])] != 0
 
 
 @pytest.mark.parametrize("ring", ["rational", "gaussian"])
@@ -97,11 +99,11 @@ def test_koszul_cross_check_fires(monkeypatch, g2_split, g2_gaussian, ring):
     orbit = OrbitSubalgebra(model, 2)
     xi = alg.e(Root((0, 1)))
     shape_operator(orbit, xi)  # consistent before the connection is perturbed
-    koszul_covector = SolvableModel.koszul_covector
+    koszul_covectors = SolvableModel.koszul_covectors
     monkeypatch.setattr(
         SolvableModel,
-        "koszul_covector",
-        lambda self, x, y, zs: [v + 1 for v in koszul_covector(self, x, y, zs)],
+        "koszul_covectors",
+        lambda self, xs, y, zs: [[v + 1 for v in row] for row in koszul_covectors(self, xs, y, zs)],
     )
     with pytest.raises(FormulaMismatch):
         shape_operator(orbit, xi)
@@ -119,7 +121,7 @@ def test_gram_check_fires_on_a_perturbed_projection(monkeypatch, g2_split, g2_ga
     monkeypatch.setattr(
         OrbitSubalgebra,
         "tangent_project",
-        lambda self, elem: {k: 2 * v for k, v in tangent_project(self, elem).items()},
+        lambda self, elem: [2 * v for v in tangent_project(self, elem)],
     )
     with pytest.raises(FormulaMismatch):
         shape_operator(orbit, xi)
@@ -131,23 +133,23 @@ def test_koszul_covector_matches_the_metric_koszul_formula(g2_split, g2_gaussian
     alg = g2_split if ring == "rational" else g2_gaussian
     model = SolvableModel(alg)
     ip, b = model.an_inner, alg.bracket
-    vecs = [alg.real_vector(k) for k in model.an_keys]
-    for x in vecs[::3]:
-        for y in vecs[1::2]:
-            expected = [
-                Fraction(1, 2) * (ip(b(x, y), z) - ip(b(y, z), x) + ip(b(z, x), y)) for z in vecs
-            ]
-            assert model.koszul_covector(x, y, vecs) == expected
-            assert [model.levi_civita(x, y, z) for z in vecs] == expected
+    vecs = [alg.unit(k) for k in model.an_keys]
+    for y in vecs[1::2]:
+        expected = [
+            [Fraction(1, 2) * (ip(b(x, y), z) - ip(b(y, z), x) + ip(b(z, x), y)) for z in vecs]
+            for x in vecs[::3]
+        ]
+        assert model.koszul_covectors(vecs[::3], y, vecs) == expected
+        assert [[model.levi_civita(x, y, z) for z in vecs] for x in vecs[::3]] == expected
 
 
 def test_gaussian_g2_dichotomy(g2_gaussian_model):
     assert is_totally_geodesic(OrbitSubalgebra(g2_gaussian_model, 1))
     orbit = OrbitSubalgebra(g2_gaussian_model, 2)
     assert not is_totally_geodesic(orbit)
-    xi = g2_gaussian_model.algebra.e(Root((0, 1)))
-    op = shape_operator(orbit, xi)
-    col = op.column(orbit.h_keys.index(("e", Root((1, 3)))))
+    alg = g2_gaussian_model.algebra
+    op = shape_operator(orbit, alg.e(Root((0, 1))))
+    col = op.column(orbit.h_keys.index(alg.index[("e", Root((1, 3)))]))
     assert any(v != 0 for v in col)
 
 
@@ -266,3 +268,24 @@ def test_dropped_roots_must_lie_in_levels_two_and_up(g2_model, root):
     # G2 at a2: levels 1, 2, 3 are a2..a1+a2, a1+2a2 and a1+3a2, 2a1+3a2
     with pytest.raises(ValueError, match="levels >= 2"):
         OrbitSubalgebra(g2_model, 2, dropped={root})
+
+
+def test_shape_operators_hash_no_roots(monkeypatch):
+    # after construction every table is keyed by basis index, so the geometry
+    # of G2(C)/G2 at j=2 and of E6^6 at j=1 runs without hashing a Root
+    orbits = [
+        OrbitSubalgebra(SolvableModel(build_algebra(root_system("G2", 2), GAUSSIAN)), 2),
+        OrbitSubalgebra(SolvableModel(build_algebra(root_system("E6", 6))), 1),
+    ]
+
+    def no_hash(self):
+        raise AssertionError("a Root was hashed")
+
+    monkeypatch.setattr(Root, "__hash__", no_hash)
+    with pytest.raises(AssertionError):
+        hash(Root((1, 0)))
+    g2, e6 = orbits
+    assert not is_totally_geodesic(g2)
+    assert is_totally_geodesic(e6)
+    op = shape_operator(g2, g2.normal_basis()[0])
+    assert check_self_adjoint(g2, op) and not op.is_zero

@@ -25,3 +25,25 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+BASIS_TAGS = {"h", "e", "ih", "ie"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_basis_labels_stay_in_chevalley(path):
+    # a real basis vector is an index everywhere; only chevalley spells its
+    # label, a tuple such as ("e", lam) or ("ih", i)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple)
+        and node.elts
+        and isinstance(node.elts[0], ast.Constant)
+        and node.elts[0].value in BASIS_TAGS
+    ]
+    if path.name == "chevalley.py":
+        assert lines, "chevalley.py should spell the basis labels"
+    else:
+        assert not lines, f"{path.name} spells a basis label at lines {lines}"
