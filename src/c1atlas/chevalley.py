@@ -4,6 +4,9 @@ The split algebra has the real basis {h_1..h_r} (simple coroots) plus
 {e_lam : lam a root}.  Signs of the constants N(lam, mu) are fixed by the
 extraspecial-pair algorithm driven by the canonical (height, lex) order of
 the positive roots, so identical inputs always produce identical tables.
+They are computed on ints by root position: the negative of a root sits
+|Phi+| positions away, a sum is found by its coefficient tuple, and each
+length ratio is an exact divmod of six-fold squared lengths.
 
 The complexified algebra g(C) is read as a real Lie algebra with the real
 basis h_i, e_lam, i*h_i, i*e_lam.  Because [i^a x, i^b y] = i^(a+b) [x, y],
@@ -33,6 +36,7 @@ Algebras are immutable after construction; brackets and Gram lookups are pure.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -136,63 +140,87 @@ class ChevalleyAlgebra:
         split_image = list(range(r)) + [r + (a + n_pos) % (2 * n_pos) for a in range(2 * n_pos)]
         self._theta_image = tuple(c + k for c in self._copies for k in split_image)
         self._theta_sign = tuple(-1 if c == 0 else 1 for c in self._copies for _ in split)
-        self._n_pos = {}
-        self._positive_constants(positives)
         # <lam, a_i-dual> for every root (in the order of self.roots) and simple a_i
-        simple_pairings = [tuple(rs.pairing(lam, a) for a in rs.simples) for lam in self.roots]
+        simples = rs.simples
+        simple_pairings = [tuple(rs.pairing(lam, a) for a in simples) for lam in self.roots]
         self._table = self._bracket_table(simple_pairings)
         self._cartan_gram, self._killing_rows, self._b_theta_rows = self._forms(
             positives, simple_pairings
         )
 
     # -- structure constants -----------------------------------------------
-    def _positive_constants(self, pos):
-        """Fill N(a, b) for positive special pairs a < b, extraspecial signs +.
+    def _root_constants(self) -> list:
+        """(a, b, s, N) for the root positions a < b whose roots sum to a root.
 
-        `pos` lists the positive roots in order; the table is keyed by the
-        coefficient tuples of a and b.
+        The positions index ``roots``: [e_lam, e_mu] = N e_(lam+mu) for lam =
+        roots[a], mu = roots[b] and lam + mu = roots[s].  The positive special
+        pairs are filled first, in root order, with the extraspecial signs +;
+        every other sign pattern follows from them.  Everything runs on ints:
+        -roots[a] sits at a +- |Phi+|, sums are looked up by coefficient tuple,
+        and a length ratio is an exact divmod of six-fold squared lengths whose
+        remainder raises IdentityViolation.
         """
-        rs = self.rs
-        table = self._n_pos
-        for gamma in pos:
-            if gamma.height == 1:
+        coeffs = [lam.coeffs for lam in self.roots]
+        n_pos = len(coeffs) // 2
+        position = {c: a for a, c in enumerate(coeffs)}
+        len6 = [self.rs._root_len6[c] for c in coeffs]
+        heights = [sum(c) for c in coeffs]
+        positive = {}  # (a, b) -> N for the positive special pairs a < b
+
+        def minus(a, b):
+            return position.get(tuple(map(operator.sub, coeffs[a], coeffs[b])))
+
+        def exact(num, den, a, b):
+            q, rem = divmod(num, den)
+            if rem:
+                raise IdentityViolation(f"non-integral N({self.roots[a]}, {self.roots[b]})")
+            return q
+
+        def n(a, b):
+            """N(roots[a], roots[b]) for any signs; the sum is a root."""
+            if a >= n_pos:
+                return -n(a - n_pos, b - n_pos) if b >= n_pos else -n(b, a)
+            if b < n_pos:
+                value = positive.get((a, b))
+                return -positive[(b, a)] if value is None else value
+            s = position[tuple(map(operator.add, coeffs[a], coeffs[b]))]
+            if s < n_pos:
+                return exact(len6[s] * n(s, b - n_pos), len6[a], a, b)
+            return exact(len6[s] * n(s - n_pos, a), len6[b], a, b)
+
+        for g in range(n_pos):
+            if heights[g] == 1:
                 continue
             pairs = []
-            for xi in pos:
-                if xi.height >= gamma.height:
+            for x in range(g):
+                if heights[x] >= heights[g]:
                     break
-                rest = tuple(g - x for g, x in zip(gamma.coeffs, xi.coeffs))
-                if rs.contains(rest) and xi < Root(rest):
-                    pairs.append((xi, Root(rest)))
-            alpha, beta = pairs[0]
-            table[(alpha.coeffs, beta.coeffs)] = Fraction(1 + rs.string_down_count(beta, alpha))
-            for (xi, eta) in pairs[1:]:
-                acc = Fraction(0)
-                d1 = xi.shifted(alpha, -1)
-                if rs.contains(d1):
-                    acc += self._n_any(-alpha, xi) * self._n_any(Root(d1), eta)
-                d2 = eta.shifted(alpha, -1)
-                if rs.contains(d2):
-                    acc += self._n_any(-alpha, eta) * self._n_any(xi, Root(d2))
-                table[(xi.coeffs, eta.coeffs)] = acc / self._n_any(-alpha, gamma)
-        if any(value.denominator != 1 for value in table.values()):
-            raise IdentityViolation("non-integral structure constant")
-
-    def _n_any(self, lam: Root, mu: Root) -> Fraction:
-        """N(lam, mu) for any sign pattern from the positive table; lam + mu is a root."""
-        lp, mp = lam.is_positive, mu.is_positive
-        if lp and mp:
-            value = self._n_pos.get((lam.coeffs, mu.coeffs))
-            return -self._n_pos[(mu.coeffs, lam.coeffs)] if value is None else value
-        if not lp and not mp:
-            return -self._n_any(-lam, -mu)
-        if not lp:
-            return -self._n_any(mu, lam)
-        nu = Root(lam.shifted(mu))
-        rs = self.rs
-        if nu.is_positive:
-            return rs.length_sq(nu) / rs.length_sq(lam) * self._n_any(nu, -mu)
-        return rs.length_sq(nu) / rs.length_sq(mu) * self._n_any(-nu, lam)
+                e = minus(g, x)
+                if e is not None and x < e:
+                    pairs.append((x, e))
+            alpha, beta = pairs[0]  # the extraspecial pair of g
+            minus_alpha = alpha + n_pos
+            # N(alpha, beta) = p + 1, p the depth of the alpha-string below beta
+            p, down = 0, minus(beta, alpha)
+            while down is not None:
+                p, down = p + 1, minus(down, alpha)
+            positive[(alpha, beta)] = 1 + p
+            for x, e in pairs[1:]:
+                acc = 0
+                d1 = minus(x, alpha)
+                if d1 is not None:
+                    acc += n(minus_alpha, x) * n(d1, e)
+                d2 = minus(e, alpha)
+                if d2 is not None:
+                    acc += n(minus_alpha, e) * n(x, d2)
+                positive[(x, e)] = exact(acc, n(minus_alpha, g), x, e)
+        out = []
+        for a, ca in enumerate(coeffs):
+            for b in range(a + 1, 2 * n_pos):
+                s = position.get(tuple(map(operator.add, ca, coeffs[b])))
+                if s is not None:
+                    out.append((a, b, s, n(a, b)))
+        return out
 
     def structure_constant(self, lam: Root, mu: Root) -> int:
         """N(lam, mu) with [e_lam, e_mu] = N(lam, mu) e_(lam+mu); 0 if not a root."""
@@ -206,13 +234,13 @@ class ChevalleyAlgebra:
     def coroot_coefficients(self, lam: Root):
         """Integers c_i with lam-dual = sum c_i alpha_i-dual."""
         rs = self.rs
-        ll = rs.length_sq(lam)
+        ll = rs._length6(lam.coeffs)
         out = []
-        for i in range(1, rs.rank + 1):
-            c = lam.coeffs[i - 1] * rs.length_sq(rs.simple(i)) / ll
-            if c.denominator != 1:
+        for i in range(rs.rank):
+            c, rem = divmod(lam.coeffs[i] * rs._gram6[i][i], ll)
+            if rem:
                 raise IdentityViolation(f"coroot of {lam} is not an integral coroot combination")
-            out.append(int(c))
+            out.append(c)
         return tuple(out)
 
     def _bracket_table(self, simple_pairings):
@@ -224,13 +252,13 @@ class ChevalleyAlgebra:
         """
         r = self.rs.rank
         n = len(self.roots)
+        constants = self._root_constants()
         split = [{} for _ in range(self.split_dim)]
 
         def put(ka, kb, terms):
             split[ka][kb] = terms
             split[kb][ka] = tuple((k, -v) for k, v in terms)
 
-        position = {lam.coeffs: a for a, lam in enumerate(self.roots)}
         for i in range(r):
             for a, vals in enumerate(simple_pairings):
                 if vals[i]:
@@ -239,17 +267,9 @@ class ChevalleyAlgebra:
             # [e_lam, e_-lam] = h_lam, the coroot of the positive root lam
             coro = self.coroot_coefficients(lam)
             put(r + a, r + a + n // 2, tuple((i, c) for i, c in enumerate(coro) if c))
-        for a, lam in enumerate(self.roots):
-            for b in range(a + 1, n):
-                mu = self.roots[b]
-                s = position.get(lam.shifted(mu))
-                if s is None:
-                    continue
-                value = self._n_any(lam, mu)
-                if value.denominator != 1:
-                    raise IdentityViolation(f"non-integral N({lam}, {mu})")
-                if value:
-                    put(r + a, r + b, ((r + s, int(value)),))
+        for a, b, s, value in constants:
+            if value:
+                put(r + a, r + b, ((r + s, value),))
         if self.scalars == RATIONAL:
             return split
         # [i^a x, i^b y] = i^(a+b) [x, y]: one factor i moves the bracket to
@@ -329,14 +349,15 @@ class ChevalleyAlgebra:
         """
         r, n_pos = self.rs.rank, len(positives)
         factor = 2 if self.scalars == GAUSSIAN else 1
-        cartan = [
-            [Fraction(factor * sum(vals[i] * vals[j] for vals in simple_pairings)) for j in range(r)]
+        block = [
+            [factor * sum(vals[i] * vals[j] for vals in simple_pairings) for j in range(r)]
             for i in range(r)
         ]
+        cartan = [[Fraction(v) for v in row] for row in block]
         root_gram = []
         for lam in positives:
             c = self.coroot_coefficients(lam)
-            root_gram.append(sum(c[i] * cartan[i][j] * c[j] for i in range(r) for j in range(r)) / 2)
+            root_gram.append(Fraction(sum(c[i] * block[i][j] * c[j] for i in range(r) for j in range(r)), 2))
         killing, b_theta = [], []
         for c in self._copies:
             sign = -1 if c else 1
@@ -365,22 +386,33 @@ class ChevalleyAlgebra:
         return AlgebraElement(self, dict(enumerate(solve(self._cartan_gram, rhs))))
 
     # -- verification helpers -------------------------------------------------
-    def jacobi_defect(self, x, y, z) -> AlgebraElement:
-        b = self.bracket
-        return b(x, b(y, z)) + b(y, b(z, x)) + b(z, b(x, y))
-
     def check_jacobi_exhaustive(self) -> int:
-        """Jacobi on all unordered basis triples; returns the number checked."""
-        elems = [self.unit(k) for k in range(self.dim)]
-        n = len(elems)
+        """Jacobi on all unordered basis triples; returns the number checked.
+
+        For basis vectors b_i, b_j, b_k with i < j < k it sums the int terms
+        of [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] straight
+        from the bracket rows; a triple whose three inner brackets all vanish
+        has nothing to sum.
+        """
+        table = self._table
+        n = self.dim
         count = 0
         for i in range(n):
+            row_i = table[i]
             for j in range(i + 1, n):
+                row_j = table[j]
+                ij = row_i.get(j)
                 for k in range(j + 1, n):
-                    if not self.jacobi_defect(elems[i], elems[j], elems[k]).is_zero:
-                        raise IdentityViolation(
-                            f"Jacobi fails on basis triple {i},{j},{k}"
-                        )
+                    row_k = table[k]
+                    jk, ki = row_j.get(k), row_k.get(i)
+                    if jk or ki or ij:
+                        total = {}
+                        for outer, inner in ((row_i, jk), (row_j, ki), (row_k, ij)):
+                            for t, c in inner or ():
+                                for u, v in outer.get(t, ()):
+                                    total[u] = total.get(u, 0) + c * v
+                        if any(total.values()):
+                            raise IdentityViolation(f"Jacobi fails on basis triple {i},{j},{k}")
                     count += 1
         return count
 

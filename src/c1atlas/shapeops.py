@@ -204,7 +204,9 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
     columns = []
     for x, covector in zip(basis, model.koszul_covectors(basis, xi, basis)):
         column = orbit.tangent_project(half * (alg.bracket(xi, x) - alg.bracket(theta_xi, x)))
-        if mat_vec(orbit.gram, column) != [-v for v in covector]:
+        # Gram * column = -covector, entry by entry; most entries of both are 0
+        gram_column = mat_vec(orbit.gram, column)
+        if any(g != -v if v else g for g, v in zip(gram_column, covector, strict=True)):
             raise FormulaMismatch(
                 "bracket formula and Koszul derivative disagree on a tangent vector"
             )

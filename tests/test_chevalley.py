@@ -12,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c1atlas.chevalley import (
+    AlgebraElement,
     build_algebra,
     check_string_injectivity,
     check_theta_bracket_identity,
     dump_structure_constants,
 )
-from c1atlas.errors import InjectivityViolation, NonReducedSystem
+from c1atlas.errors import IdentityViolation, InjectivityViolation, NonReducedSystem
 from c1atlas.linalg import det
-from c1atlas.rootsys import Root, root_system
+from c1atlas.rootsys import Root, RootSystem, RootSystemType, root_system
 from c1atlas.scalars import GAUSSIAN, RATIONAL
 
 
@@ -52,6 +53,54 @@ def test_jacobi_exhaustive_small(family, rank):
 def test_g2_jacobi_triple_count(g2_split):
     # dim 14 gives C(14, 3) = 364 unordered basis triples
     assert g2_split.check_jacobi_exhaustive() == 364
+
+
+def _negate_constant(alg, lam, mu):
+    """Flip the sign of N(lam, mu) in both stored orders of the bracket table."""
+    ka, kb = alg.index[("e", lam)], alg.index[("e", mu)]
+    for x, y in ((ka, kb), (kb, ka)):
+        alg._table[x][y] = tuple((k, -v) for k, v in alg._table[x][y])
+
+
+@pytest.mark.parametrize(
+    "family,rank,scalars,lam,mu,triple",
+    [
+        ("F4", 4, RATIONAL, (0, 1, 0, 0), (0, 0, 1, 0), "4,5,6"),
+        ("F4", 4, RATIONAL, (0, 1, 2, 0), (1, 1, 0, 0), "4,10,12"),
+        ("G2", 2, GAUSSIAN, (1, 0), (0, 1), "2,3,5"),
+    ],
+)
+def test_jacobi_sweep_names_the_first_failing_triple(family, rank, scalars, lam, mu, triple):
+    # one negated root-root constant breaks Jacobi; the sweep reports the
+    # first failing triple in (i, j, k) loop order, the one an element-bracket
+    # sweep reports
+    alg = build_algebra(root_system(family, rank), scalars)
+    _negate_constant(alg, Root(lam), Root(mu))
+    with pytest.raises(IdentityViolation, match=f"basis triple {triple}$"):
+        alg.check_jacobi_exhaustive()
+
+
+def test_jacobi_sweep_builds_no_elements(monkeypatch):
+    alg = build_algebra(root_system("F4", 4))
+
+    def refuse(self, algebra, terms):
+        raise RuntimeError("the Jacobi sweep built an AlgebraElement")
+
+    monkeypatch.setattr(AlgebraElement, "__init__", refuse)
+    assert alg.check_jacobi_exhaustive() == comb(alg.dim, 3)
+
+
+@pytest.mark.parametrize(
+    "family,rank,coeffs", [("G2", 2, (-1, -1)), ("G2", 2, (1, 3)), ("F4", 4, (2, 3, 4, 2))]
+)
+def test_structure_constants_reject_a_non_integral_length_ratio(family, rank, coeffs):
+    # a private system with one six-fold squared length off by one (the
+    # memoised system of root_system stays intact); the length-ratio guard of
+    # the structure constants fires before the coroot and pairing guards
+    rs = RootSystem(RootSystemType(family, rank))
+    rs._root_len6[coeffs] += 1
+    with pytest.raises(IdentityViolation, match=r"non-integral N\("):
+        build_algebra(rs)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G2", 2)])
@@ -276,6 +325,12 @@ def test_theta_bracket_identity_every_root():
             check_theta_bracket_identity(alg, lam, alg.e(lam, Fraction(3, 7)))
 
 
+def jacobi_defect(alg, x, y, z):
+    """[x, [y, z]] + [y, [z, x]] + [z, [x, y]] through element brackets."""
+    b = alg.bracket
+    return b(x, b(y, z)) + b(y, b(z, x)) + b(z, b(x, y))
+
+
 def test_gaussian_jacobi_spot_checks(g2_gaussian):
     # i e_a1 + h_1, (1/2 + 3i) e_a2 + e_-a1, i e_(a1+2a2) + h_2, e_-(a1+3a2) + i e_a2
     alg = g2_gaussian
@@ -289,7 +344,7 @@ def test_gaussian_jacobi_spot_checks(g2_gaussian):
     for x in samples:
         for y in samples:
             for z in samples:
-                assert alg.jacobi_defect(x, y, z).is_zero
+                assert jacobi_defect(alg, x, y, z).is_zero
 
 
 def test_element_rejects_keys_outside_the_real_basis(g2_split, g2_gaussian):
