@@ -10,24 +10,25 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional
 
 from .errors import AdjacentRoots, DimensionMismatch, ParseError, UnknownSpace
 from .linalg import solve
-from .rootsys import Root, RootSystem, RootSystemType, root_system
+from .rootsys import Record, Root, RootSystem, RootSystemType, root_system
 
 _DATA_ENV = "C1_ATLAS_CATALOG"
 
 
-@dataclass(frozen=True)
-class RankOneType:
-    """A rank-one symmetric space of noncompact type, e.g. CH^3."""
+class RankOneType(Record):
+    """A rank-one symmetric space of noncompact type, e.g. CH^3.
 
-    kind: str  # "RH" | "CH" | "HH" | "OH2"
-    n: int  # the superscript: RH^n, CH^n, HH^n; OH2 always has n = 2
+    ``kind`` is "RH", "CH", "HH" or "OH2"; ``n`` is the superscript of RH^n,
+    CH^n, HH^n, and OH2 always has n = 2.
+    """
+
+    __slots__ = ("kind", "n")
 
     def __str__(self):
         if self.kind == "OH2":
@@ -35,7 +36,7 @@ class RankOneType:
         return f"{self.kind}^{self.n}"
 
 
-def rank_one_recognize(m1: int, m2: int) -> Optional[RankOneType]:
+def rank_one_recognize(m1: int, m2: int) -> RankOneType | None:
     """Recognise a rank-one space from the multiplicities (m_a, m_2a).
 
     (m, 0) -> RH^(m+1); (2n, 1) -> CH^(n+1); (4n, 3) -> HH^(n+1);
@@ -54,21 +55,16 @@ def rank_one_recognize(m1: int, m2: int) -> Optional[RankOneType]:
     return None
 
 
-@dataclass(frozen=True)
-class SpaceEntry:
+class SpaceEntry(Record):
     """One irreducible symmetric space of noncompact type.
 
     ``mult`` maps the squared root length (in the normalisation with long
-    roots of squared length 2) to the common multiplicity of that class.
+    roots of squared length 2) to the common multiplicity of that class, as
+    a sorted tuple of (Fraction squared length, int multiplicity) pairs.
     """
 
-    name: str
-    rtype: RootSystemType
-    mult: tuple  # sorted tuple of (Fraction squared length, int multiplicity)
-    dim: int
-    split_flag: bool = False
-    complexified_flag: bool = False
-    aliases: tuple = ()
+    __slots__ = ("name", "rtype", "mult", "dim", "split_flag", "complexified_flag", "aliases")
+    _defaults = {"split_flag": False, "complexified_flag": False, "aliases": ()}
 
     def root_system(self) -> RootSystem:
         return root_system(self.rtype.family, self.rtype.rank)
@@ -149,23 +145,26 @@ class SpaceEntry:
         return self.name
 
 
-@dataclass(frozen=True)
-class BoundaryFactor:
-    """One irreducible factor of a boundary component."""
+class BoundaryFactor(Record):
+    """One irreducible factor of a boundary component.
 
-    rtype: RootSystemType
-    nodes: tuple  # ambient simple indices spanning this factor
-    mult: tuple  # ambient squared length -> multiplicity, restricted
-    rank_one: Optional[RankOneType] = None
+    ``nodes`` are the ambient simple indices spanning the factor, ``mult``
+    the restricted (ambient squared length, multiplicity) pairs, and
+    ``rank_one`` the recognised RankOneType of a one-node factor, else None.
+    """
+
+    __slots__ = ("rtype", "nodes", "mult", "rank_one")
+    _defaults = {"rank_one": None}
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
-    """The totally geodesic symmetric subspace attached to a simple subset."""
+class BoundaryComponent(Record):
+    """The totally geodesic symmetric subspace attached to a simple subset.
 
-    phi: frozenset
-    factors: tuple
-    flat_rank: int
+    ``phi`` is the frozenset of simple indices, ``factors`` a tuple of
+    BoundaryFactor and ``flat_rank`` the rank of the flat factor.
+    """
+
+    __slots__ = ("phi", "factors", "flat_rank")
 
     @property
     def is_whole_space(self) -> bool:

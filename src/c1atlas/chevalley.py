@@ -43,6 +43,7 @@ from .errors import (
     IdentityViolation,
     InjectivityViolation,
     NonReducedSystem,
+    NotARoot,
 )
 from .linalg import rank as mat_rank
 from .linalg import solve
@@ -222,18 +223,30 @@ class ChevalleyAlgebra:
                     out.append((a, b, s, n(a, b)))
         return out
 
+    def _root_index(self, lam: Root) -> int:
+        """Basis index of e_lam; NotARoot unless lam is a root of the system."""
+        k = self.index.get(("e", lam))
+        if k is None:
+            raise NotARoot(f"{lam} is not a root of {self.rs.rtype}")
+        return k
+
     def structure_constant(self, lam: Root, mu: Root) -> int:
-        """N(lam, mu) with [e_lam, e_mu] = N(lam, mu) e_(lam+mu); 0 if not a root."""
+        """N(lam, mu) with [e_lam, e_mu] = N(lam, mu) e_(lam+mu); 0 if lam + mu is not a root.
+
+        lam and mu must be roots, else NotARoot.
+        """
+        ka, kb = self._root_index(lam), self._root_index(mu)
         s = lam.shifted(mu)
         if not self.rs.contains(s):
             return 0
-        index = self.index
-        out = dict(self._table[index[("e", lam)]].get(index[("e", mu)], ()))
-        return int(out.get(index[("e", Root(s))], 0))
+        out = dict(self._table[ka].get(kb, ()))
+        return int(out.get(self.index[("e", Root(s))], 0))
 
     def coroot_coefficients(self, lam: Root):
-        """Integers c_i with lam-dual = sum c_i alpha_i-dual."""
+        """Integers c_i with lam-dual = sum c_i alpha_i-dual; NotARoot unless lam is a root."""
         rs = self.rs
+        if not rs.contains(lam):
+            raise NotARoot(f"{lam} is not a root of {rs.rtype}")
         ll = rs._length6(lam.coeffs)
         out = []
         for i in range(rs.rank):
@@ -306,7 +319,8 @@ class ChevalleyAlgebra:
         return self.element({("h", i): 1})
 
     def e(self, lam: Root, coefficient=1) -> AlgebraElement:
-        return self.element({("e", lam): coefficient})
+        """coefficient * e_lam; NotARoot unless lam is a root."""
+        return AlgebraElement(self, {self._root_index(lam): Fraction(coefficient)})
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         out: dict = {}
@@ -437,9 +451,11 @@ class ChevalleyAlgebra:
         return self.element({label: 1})
 
     def root_indices(self, roots) -> tuple:
-        """Basis indices of the root spaces of `roots`, root by root: e_lam, then i*e_lam over Q(i)."""
-        index = self.index
-        return tuple(index[("e", lam)] + c for lam in roots for c in self._copies)
+        """Basis indices of the root spaces of `roots`, root by root: e_lam, then i*e_lam over Q(i).
+
+        Every entry must be a root, else NotARoot.
+        """
+        return tuple(self._root_index(lam) + c for lam in roots for c in self._copies)
 
     def in_centraliser_of_flat(self, x: AlgebraElement) -> bool:
         """Whether x lies in the compact centraliser of the flat (the k_0 part): the i*h_i span."""

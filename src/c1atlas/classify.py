@@ -20,8 +20,6 @@ the elimination sweep) and the two answers are required to agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .catalog import (
     RankOneType,
     SpaceEntry,
@@ -31,6 +29,7 @@ from .catalog import (
     read_json,
 )
 from .errors import IdentityViolation, ParseError, RHHasNoNCModuli
+from .rootsys import Record
 from . import nilcon
 
 CH_FORMULA = "(0,π/2) × {2,4,…,2⌊n/2⌋} ⊔ {π/2} × {2,…,n}"
@@ -39,13 +38,14 @@ HH_FORMULA = "subset of a disjoint union of cubes [0,π/2]³ (symbolic)"
 G2_FORMULA = "{H_{2,0}}"
 
 
-@dataclass(frozen=True)
-class ModuliDescriptor:
-    """Moduli of the nilpotent-construction families on a rank-one space."""
+class ModuliDescriptor(Record):
+    """Moduli of the nilpotent-construction families on a rank-one space.
 
-    kind: str  # CH_EXPLICIT | HH_SYMBOLIC | OH2_EXPLICIT | G2_SINGLETON
-    formula: str
-    data: dict = field(default_factory=dict)
+    ``kind`` is CH_EXPLICIT, HH_SYMBOLIC, OH2_EXPLICIT or G2_SINGLETON.
+    """
+
+    __slots__ = ("kind", "formula", "data")
+    _defaults = {"data": {}}
 
     @property
     def is_empty(self) -> bool:
@@ -81,11 +81,12 @@ def moduli(rank_one: RankOneType) -> ModuliDescriptor:
     )
 
 
-@dataclass(frozen=True)
-class ActionFamily:
-    kind: str  # HOROSPHERICAL | SOLVABLE | CE_TOTALLY_GEODESIC | CE_DIAGONAL | NILPOTENT
-    parameters: dict
-    provenance: str  # construction-origin tag
+class ActionFamily(Record):
+    """One family of actions: ``kind`` is HOROSPHERICAL, SOLVABLE,
+    CE_TOTALLY_GEODESIC, CE_DIAGONAL or NILPOTENT, ``parameters`` a dict and
+    ``provenance`` the construction-origin tag."""
+
+    __slots__ = ("kind", "parameters", "provenance")
 
     def to_json(self) -> dict:
         return {
@@ -95,10 +96,10 @@ class ActionFamily:
         }
 
 
-@dataclass(frozen=True)
-class ActionCatalog:
-    spaces: tuple
-    families: tuple
+class ActionCatalog(Record):
+    """The action families of one space or product, in classification order."""
+
+    __slots__ = ("spaces", "families")
 
     def by_kind(self, kind: str):
         return [f for f in self.families if f.kind == kind]

@@ -20,12 +20,9 @@ alone, and the whole (space, j) sweep is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from .catalog import SpaceEntry, rank_one_recognize
 from .errors import IdentityViolation, UnknownConfiguration
-from .rootsys import Root, RootSystem
+from .rootsys import Record, Root, RootSystem
 
 RANK_ONE_KNOWN = "RANK_ONE_KNOWN"
 ELIMINATED_CORNER = "ELIMINATED_CORNER"
@@ -36,17 +33,15 @@ W_ZERO_TOTALLY_GEODESIC = "W_ZERO_TOTALLY_GEODESIC"
 SURVIVES_W_ZERO_G2 = "SURVIVES_W_ZERO_G2"
 
 
-@dataclass(frozen=True)
-class Snake:
+class Snake(Record):
     """The height chain in the level-one roots: one root per height 1..m.
 
     Consecutive roots differ by a simple root; the chain starts at a_j.
     """
 
-    j: int
-    roots: tuple
+    __slots__ = ("j", "roots")
 
-    def __post_init__(self):
+    def _check(self):
         for k, lam in enumerate(self.roots, start=1):
             if lam.height != k:
                 raise ValueError("snake heights must be 1, 2, ... in order")
@@ -96,7 +91,7 @@ def ce_reduction_check(rs: RootSystem, snake: Snake) -> frozenset:
     return frozenset(untouched)
 
 
-def multiplicity_check(space: SpaceEntry, snake: Snake) -> Optional[int]:
+def multiplicity_check(space: SpaceEntry, snake: Snake) -> int | None:
     """Violating simple index for the doubling bound, or None when all pass.
 
     A nonzero candidate subspace forces, for every other simple root a_i, some
@@ -117,15 +112,11 @@ def multiplicity_check(space: SpaceEntry, snake: Snake) -> Optional[int]:
     return max(violators, key=lambda i: (space.simple_mult(i), i))
 
 
-@dataclass(frozen=True)
-class NCVerdict:
-    """Decision for one (space, distinguished root) pair, with its witness."""
+class NCVerdict(Record):
+    """Decision for one (space, distinguished root) pair, with its witness dict."""
 
-    space: str
-    j: int
-    status: str
-    witness: dict = field(default_factory=dict)
-    note: str = ""
+    __slots__ = ("space", "j", "status", "witness", "note")
+    _defaults = {"witness": {}, "note": ""}
 
     def to_json(self) -> dict:
         return {
@@ -141,7 +132,7 @@ def _coeffs(lam: Root):
     return list(lam.coeffs)
 
 
-def short_g2_root(space: SpaceEntry) -> Optional[int]:
+def short_g2_root(space: SpaceEntry) -> int | None:
     """Index of the short simple root of a G2-type space; None for other types."""
     if space.rtype.family != "G2":
         return None

@@ -19,9 +19,8 @@ from __future__ import annotations
 import functools
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
 
 from .errors import IdentityViolation, InvalidIndex, InvalidRank, NotARoot, ProportionalRoots
 
@@ -32,14 +31,77 @@ FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 MAX_RANK = 20
 
 
-@dataclass(frozen=True)
-class RootSystemType:
+class Record:
+    """An immutable value record, built without generated code.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    may give defaults in ``_defaults``; a dict default is copied, so each
+    instance owns its own.  The constructor takes fields by position or by
+    keyword, stores them with ``object.__setattr__`` and then runs the
+    ``_check`` hook.  Assignment and deletion raise AttributeError, and
+    equality, hashing and repr go by the field values in field order:
+    ``Root(coeffs=(1, 0))``.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes at most {len(names)} fields")
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(f"{type(self).__name__}() got two values for {name!r}")
+            kwargs[name] = value
+        for name in names:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+                if type(value) is dict:
+                    value = dict(value)
+            else:
+                raise TypeError(f"{type(self).__name__}() is missing the field {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() has no field {next(iter(kwargs))!r}")
+        self._check()
+
+    def _check(self):
+        """Validate the fields once they are set; a subclass raises on bad values."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class RootSystemType(Record):
     """A family letter plus a rank, e.g. ('BC', 2)."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
+    def _check(self):
         if self.family not in FAMILIES:
             raise InvalidRank(f"unknown family {self.family!r}")
         r = self.rank
@@ -73,16 +135,27 @@ def root_order(coeffs: tuple) -> tuple:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Root:
-    """Integer coefficient vector over the simple roots a1..ar."""
+class Root(Record):
+    """Integer coefficient vector over the simple roots a1..ar.
 
-    coeffs: tuple
+    Roots are built in hot loops, so the constructor, equality and hash are
+    written out for the one field.
+    """
 
-    def __post_init__(self):
-        signs = {1 if n > 0 else -1 for n in self.coeffs if n != 0}
-        if len(signs) > 1:
-            raise ValueError(f"mixed-sign coefficient vector {self.coeffs}")
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        if coeffs and min(coeffs) < 0 < max(coeffs):
+            raise ValueError(f"mixed-sign coefficient vector {coeffs}")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @property
     def height(self) -> int:
@@ -138,38 +211,36 @@ def _chain_edges(r):
 
 
 def _family_diagram(family: str, rank: int):
-    """Return (edges, cartan_overrides, squared_lengths) for the family."""
-    two = Fraction(2)
-    one = Fraction(1)
+    """Return (edges, cartan_overrides, six times the squared lengths) for the family."""
     if family == "A":
-        return _chain_edges(rank), {}, [two] * rank
+        return _chain_edges(rank), {}, [12] * rank
     if family in ("B", "BC"):
         if rank == 1:
-            return [], {}, [one]
-        d = [two] * (rank - 1) + [one]
+            return [], {}, [6]
+        d = [12] * (rank - 1) + [6]
         ov = {(rank - 1, rank): -2, (rank, rank - 1): -1}
         return _chain_edges(rank), ov, d
     if family == "C":
-        d = [one] * (rank - 1) + [two]
+        d = [6] * (rank - 1) + [12]
         ov = {(rank - 1, rank): -1, (rank, rank - 1): -2}
         return _chain_edges(rank), ov, d
     if family == "D":
         edges = _chain_edges(rank - 1) + [(rank - 2, rank)]
-        return edges, {}, [two] * rank
+        return edges, {}, [12] * rank
     if family in ("E6", "E7", "E8"):
         edges = [(1, 3), (3, 4), (2, 4), (4, 5), (5, 6)]
         if family in ("E7", "E8"):
             edges.append((6, 7))
         if family == "E8":
             edges.append((7, 8))
-        return edges, {}, [two] * rank
+        return edges, {}, [12] * rank
     if family == "F4":
         ov = {(2, 3): -2, (3, 2): -1}
-        return _chain_edges(4), ov, [two, two, one, one]
+        return _chain_edges(4), ov, [12, 12, 6, 6]
     if family == "G2":
         # a2 is the short simple root.
         ov = {(1, 2): -3, (2, 1): -1}
-        return [(1, 2)], ov, [two, Fraction(2, 3)]
+        return [(1, 2)], ov, [12, 4]
     raise InvalidRank(f"unknown family {family!r}")
 
 
@@ -185,7 +256,7 @@ class RootSystem:
         self.rtype = rtype
         r = rtype.rank
         base_family = "B" if rtype.family == "BC" else rtype.family
-        edges, overrides, d = _family_diagram(rtype.family, r)
+        edges, overrides, d6 = _family_diagram(rtype.family, r)
         cartan = [[0] * r for _ in range(r)]
         for i in range(r):
             cartan[i][i] = 2
@@ -193,14 +264,15 @@ class RootSystem:
             cartan[i - 1][j - 1] = overrides.get((i, j), -1)
             cartan[j - 1][i - 1] = overrides.get((j, i), -1)
         self.cartan = tuple(tuple(row) for row in cartan)
-        gram = [[cartan[i][j] * d[j] / 2 for j in range(r)] for i in range(r)]
-        if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(i + 1, r)):
+        # six times (a_i, a_j) = cartan[i][j] * 6 (a_j, a_j) / 2
+        twice = [[cartan[i][j] * d6[j] for j in range(r)] for i in range(r)]
+        if any(twice[i][j] != twice[j][i] for i in range(r) for j in range(i + 1, r)):
             raise IdentityViolation(f"Cartan data of {rtype} is not symmetrizable")
-        self.gram = tuple(tuple(row) for row in gram)
-        gram6 = [[6 * g for g in row] for row in gram]
-        if any(g.denominator != 1 for row in gram6 for g in row):
+        gram6 = [[divmod(t, 2) for t in row] for row in twice]
+        if any(rem for row in gram6 for _, rem in row):
             raise IdentityViolation(f"six times the Gram matrix of {rtype} is not integral")
-        self._gram6 = tuple(tuple(int(g) for g in row) for row in gram6)
+        self._gram6 = tuple(tuple(g for g, _ in row) for row in gram6)
+        self.gram = tuple(tuple(Fraction(g, 6) for g in row) for row in self._gram6)
         self.non_reduced = rtype.family == "BC"
 
         # Six times the squared length of every root; a non-root vector's is
@@ -310,7 +382,7 @@ class RootSystem:
     def simples(self):
         return tuple(self.simple(i) for i in range(1, self.rank + 1))
 
-    def contains(self, coeffs: Union[Root, tuple]) -> bool:
+    def contains(self, coeffs: Root | tuple) -> bool:
         if isinstance(coeffs, Root):
             coeffs = coeffs.coeffs
         return coeffs in self._allset
@@ -431,7 +503,7 @@ class RootSystem:
         sizes = Counter(self._root_len6[c] for c in self._posset if not any(c[i] for i in off))
         return _type_with_counts(len(nodes), tuple(sizes[n] for n in sorted(sizes)))
 
-    def weighted_diagram_automorphisms(self, mult: Optional[Mapping[int, object]] = None):
+    def weighted_diagram_automorphisms(self, mult: Mapping[int, object] | None = None):
         """All index permutations preserving the Cartan matrix and the weights.
 
         ``mult`` maps 1-based simple indices to arbitrary comparable weights
@@ -476,19 +548,16 @@ class RootSystem:
         return f"RootSystem({self.rtype}, {len(self.positives)} positive roots)"
 
 
-@dataclass(frozen=True)
-class ParabolicGrading:
+class ParabolicGrading(Record):
     """Level decomposition of the positive roots off a simple subset phi.
 
+    ``base`` is the RootSystem and ``phi`` a frozenset of simple indices.
     ``levels[nu]`` holds the positive roots whose coefficient sum over the
     complement of phi equals nu; ``sigma_phi_pos`` is the level-zero subsystem's
     positive part.
     """
 
-    base: RootSystem
-    phi: frozenset
-    levels: dict
-    sigma_phi_pos: tuple
+    __slots__ = ("base", "phi", "levels", "sigma_phi_pos")
 
     def level(self, nu: int) -> tuple:
         """The roots of level nu: level 0 is ``sigma_phi_pos``, and a negative

@@ -18,12 +18,11 @@ polynomials literally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormulaMismatch, IdentityViolation, NotClosed, SpectrumMismatch
 from .linalg import charpoly, is_symmetric, mat_mul, mat_vec
-from .rootsys import Root
+from .rootsys import Record, Root
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 
 _ZERO = Fraction(0)
@@ -80,13 +79,14 @@ class SolvableModel:
         return self.koszul_covectors((x,), y, (z,))[0][0]
 
 
-@dataclass
-class ShapeOperatorMatrix:
-    """Exact matrix of one shape operator over the tangent basis of an orbit."""
+class ShapeOperatorMatrix(Record):
+    """Exact matrix of one shape operator over the tangent basis of an orbit.
 
-    xi_key: tuple  # the (basis index, coefficient) terms of xi, sorted
-    basis: tuple  # the tangent basis indices
-    matrix: tuple
+    ``xi_key`` holds the sorted (basis index, coefficient) terms of xi and
+    ``basis`` the tangent basis indices of the rows and columns.
+    """
+
+    __slots__ = ("xi_key", "basis", "matrix")
 
     @property
     def is_zero(self) -> bool:

@@ -18,7 +18,7 @@ from c1atlas.chevalley import (
     check_theta_bracket_identity,
     dump_structure_constants,
 )
-from c1atlas.errors import IdentityViolation, InjectivityViolation, NonReducedSystem
+from c1atlas.errors import IdentityViolation, InjectivityViolation, NonReducedSystem, NotARoot
 from c1atlas.linalg import det
 from c1atlas.rootsys import Root, RootSystem, RootSystemType, root_system
 from c1atlas.scalars import GAUSSIAN, RATIONAL
@@ -364,6 +364,31 @@ def test_element_rejects_keys_outside_the_real_basis(g2_split, g2_gaussian):
             alg.e(not_a_root)
         with pytest.raises(ValueError):
             alg.h(0)
+
+
+# each call names a vector of G2 that is not a root
+NON_ROOT_CALLS = {
+    "structure_constant-first": lambda alg: alg.structure_constant(Root((2, 0)), Root((-1, 0))),
+    "structure_constant-second": lambda alg: alg.structure_constant(Root((-1, 0)), Root((2, 0))),
+    "structure_constant-far": lambda alg: alg.structure_constant(Root((5, 5)), Root((1, 0))),
+    "coroot_coefficients-zero": lambda alg: alg.coroot_coefficients(Root((0, 0))),
+    "coroot_coefficients-double": lambda alg: alg.coroot_coefficients(Root((2, 0))),
+    "root_indices": lambda alg: alg.root_indices([Root((1, 0)), Root((2, 0))]),
+    "e": lambda alg: alg.e(Root((5, 5))),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_ROOT_CALLS))
+def test_root_arguments_must_be_roots(g2_split, g2_gaussian, call):
+    for alg in (g2_split, g2_gaussian):
+        with pytest.raises(NotARoot, match="is not a root of G2"):
+            NON_ROOT_CALLS[call](alg)
+
+
+def test_structure_constant_of_roots_without_a_root_sum_is_zero(g2_split):
+    a1, a2 = g2_split.rs.simples
+    assert g2_split.structure_constant(a1, -a2) == 0
+    assert g2_split.structure_constant(a1, -a1) == 0
 
 
 # The realification of g(C): G2 and A2 over Q(i), on every real basis vector.

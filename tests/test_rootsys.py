@@ -6,8 +6,9 @@ import pytest
 
 from fractions import Fraction
 
+from c1atlas import rootsys
 from c1atlas.errors import IdentityViolation, InvalidIndex, InvalidRank, ProportionalRoots
-from c1atlas.rootsys import FAMILIES, MAX_RANK, Root, RootSystemType, root_system
+from c1atlas.rootsys import FAMILIES, MAX_RANK, Root, RootSystem, RootSystemType, root_system
 
 from coord_models import positive_coefficient_vectors
 
@@ -520,3 +521,32 @@ def test_generator_against_closed_forms_and_reflections(family):
         assert gram == [list(row) for row in rs.gram]
         unit = {c for c in present if sum(a * sum(map(operator.mul, c, row)) for a, row in zip(c, gram) if a) == 1}
         assert doubles == {tuple(2 * n for n in c) for c in unit}, rank
+
+
+@pytest.mark.parametrize(
+    "family,rank,lengths6,message",
+    [("G2", 2, [12, 6], "is not symmetrizable"), ("A", 2, [3, 3], "is not integral")],
+)
+def test_gram_guards_reject_bad_six_fold_lengths(monkeypatch, family, rank, lengths6, message):
+    # the Cartan data of the family with other six-fold squared lengths, on a
+    # private system (the memoised one of root_system stays intact)
+    diagram = rootsys._family_diagram
+
+    def patched(fam, r):
+        edges, overrides, _ = diagram(fam, r)
+        return edges, overrides, lengths6
+
+    monkeypatch.setattr(rootsys, "_family_diagram", patched)
+    with pytest.raises(IdentityViolation, match=message):
+        RootSystem(RootSystemType(family, rank))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("BC", 2), ("C", 3), ("F4", 4), ("G2", 2)])
+def test_gram_is_six_fold_gram_over_six(family, rank):
+    rs = root_system(family, rank)
+    for i, row in enumerate(rs.gram):
+        assert row == tuple(Fraction(g, 6) for g in rs._gram6[i])
+        assert all(type(g) is Fraction for g in row)
+        # the diagonal is the squared length, the off-diagonal (a_i, a_j) = cartan[i][j] |a_j|^2 / 2
+        for j, g in enumerate(row):
+            assert g == rs.cartan[i][j] * rs.length_sq(rs.simple(j + 1)) / 2

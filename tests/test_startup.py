@@ -20,11 +20,11 @@ import c1atlas
 HEAVY_LAYERS = ("chevalley", "shapeops", "scalars", "nilcon", "classify", "verify")
 
 
-def _fresh(script: str) -> str:
+def _fresh(script: str, *flags: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(c1atlas.__file__).parents[1]))
     env.pop("C1_ATLAS_CATALOG", None)
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -40,15 +40,21 @@ LIGHT_CALLS = {
 }
 
 
-def _layers_loaded_by(call: str) -> set:
+def _modules_loaded_by(call: str, *flags: str) -> set:
     out = _fresh(
         "import io, json, sys, contextlib\n"
         "import c1atlas.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {call}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('c1atlas.'))))\n"
+        "print(json.dumps(sorted(sys.modules)))\n",
+        *flags,
     )
-    return {name.removeprefix("c1atlas.") for name in json.loads(out)}
+    return set(json.loads(out))
+
+
+def _layers_loaded_by(call: str) -> set:
+    loaded = _modules_loaded_by(call)
+    return {name.removeprefix("c1atlas.") for name in loaded if name.startswith("c1atlas.")}
 
 
 @pytest.mark.parametrize("call", sorted(LIGHT_CALLS))
@@ -74,6 +80,28 @@ def test_mid_weight_commands_load_only_their_layers(command):
     argv, layer, unused = MID_CALLS[command]
     loaded = _layers_loaded_by(f"assert c1atlas.cli.main({argv!r}) == 0")
     assert layer in loaded and not set(unused) & loaded, loaded
+
+
+# Standard-library modules no command needs: `dataclasses` pulls in `inspect`
+# (and with it `ast`, `dis` and `tokenize`), and `typing` is only ever wanted
+# for annotations, which are strings here.
+UNUSED_STDLIB = ("dataclasses", "inspect", "typing")
+
+COMMAND_PATHS = {
+    **LIGHT_CALLS,
+    **{command: f"assert c1atlas.cli.main({argv!r}) == 0" for command, (argv, _, _) in MID_CALLS.items()},
+    "verify": 'assert c1atlas.cli.main(["verify"]) == 0',
+    "api-dump": "from c1atlas import chevalley, rootsys; "
+    "chevalley.dump_structure_constants(chevalley.build_algebra(rootsys.root_system('A', 3)))",
+}
+
+
+@pytest.mark.parametrize("path", sorted(COMMAND_PATHS))
+def test_command_paths_import_no_unused_stdlib_module(path):
+    # -S: no site module, so nothing is loaded before the package is
+    loaded = _modules_loaded_by(COMMAND_PATHS[path], "-S")
+    assert "c1atlas.cli" in loaded
+    assert not set(UNUSED_STDLIB) & loaded, sorted(set(UNUSED_STDLIB) & loaded)
 
 
 def test_bare_import_loads_no_layer():
