@@ -33,7 +33,6 @@ _EXPORTS = {
         "boundary_component",
         "default_catalog",
         "find_space",
-        "homothetic_rank_one_pair",
         "load_catalog",
         "rank_one_recognize",
     ),

@@ -14,8 +14,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import AdjacentRoots, DimensionMismatch, ParseError, UnknownSpace
-from .linalg import solve
+from .errors import DimensionMismatch, NotARoot, ParseError, UnknownSpace
 from .rootsys import Record, Root, RootSystem, RootSystemType, root_system
 
 _DATA_ENV = "C1_ATLAS_CATALOG"
@@ -73,15 +72,12 @@ class SpaceEntry(Record):
     def rank(self) -> int:
         return self.rtype.rank
 
-    def mult_map(self) -> dict:
-        return dict(self.mult)
-
     def mult_of(self, lam: Root) -> int:
-        length = self.root_system().length_sq(lam)
-        table = self.mult_map()
-        if length not in table:
-            raise KeyError(f"no multiplicity class of squared length {length} in {self.name}")
-        return table[length]
+        """Multiplicity of a root; NotARoot unless lam is a root of this space."""
+        rs = self.root_system()
+        if not rs.contains(lam):
+            raise NotARoot(f"{lam.coeffs} is not a root of {self.name}")
+        return dict(self.mult)[rs.length_sq(lam)]
 
     def simple_mult(self, i: int) -> int:
         return self.mult_of(self.root_system().simple(i))
@@ -89,17 +85,17 @@ class SpaceEntry(Record):
     def simple_mults(self) -> dict:
         return {i: self.simple_mult(i) for i in range(1, self.rank + 1)}
 
-    def double_mult(self, i: int) -> int:
-        """Multiplicity of 2*a_i, or 0 when 2*a_i is not a root."""
+    def rank_one(self, i: int) -> RankOneType | None:
+        """The rank-one type recognised at a_i from (m(a_i), m(2a_i)), m(2a_i) = 0 off the roots."""
         rs = self.root_system()
-        doubled = tuple(2 * n for n in rs.simple(i).coeffs)
-        if not rs.contains(doubled):
-            return 0
-        return self.mult_of(Root(doubled))
+        doubled = Root(tuple(2 * n for n in rs.simple(i).coeffs))
+        return rank_one_recognize(
+            self.simple_mult(i), self.mult_of(doubled) if rs.contains(doubled) else 0
+        )
 
     def validate(self):
         rs = self.root_system()
-        table = self.mult_map()
+        table = dict(self.mult)
         if any(m < 1 for m in table.values()):
             raise ParseError(f"{self.name}: every multiplicity must be at least 1")
         sizes = rs.length_class_sizes()
@@ -122,24 +118,19 @@ class SpaceEntry(Record):
                 raise ParseError(f"{self.name}: complexified entries need a reduced system")
 
     def killing_length_sq(self, lam: Root) -> Fraction:
-        """Squared length of a root in the honest Killing scale of this space.
+        """Squared length of lam in the Killing scale of this space.
 
-        The Killing form restricted to a maximal flat is determined exactly by
-        the root data: B(H, H') = sum over roots of mult * lam(H) lam(H').
+        On a maximal flat B(H, H') = sum over roots mu of m_mu mu(H) mu(H').
+        The space is irreducible, so its Weyl group acts irreducibly on the
+        flat and B is kappa times the normalised form.  The trace against that
+        form gives rank * kappa = sum over roots of m_mu |mu|^2, which is twice
+        the sum over length classes of m * length * count, and on roots the
+        dual of B is the normalised form divided by kappa.
         """
         rs = self.root_system()
-        r = self.rank
-        k = [[Fraction(0)] * r for _ in range(r)]
-        for mu in rs.positives:
-            m = self.mult_of(mu)
-            for a in range(r):
-                if mu.coeffs[a] == 0:
-                    continue
-                for b in range(r):
-                    if mu.coeffs[b]:
-                        k[a][b] += 2 * m * mu.coeffs[a] * mu.coeffs[b]
-        dual = solve(k, [Fraction(c) for c in lam.coeffs])
-        return sum(Fraction(c) * d for c, d in zip(lam.coeffs, dual))
+        sizes = rs.length_class_sizes()
+        trace = 2 * sum(m * length * sizes[length] for length, m in self.mult)
+        return self.rank * rs.length_sq(lam) / trace
 
     def __str__(self):
         return self.name
@@ -185,38 +176,17 @@ def boundary_component(space: SpaceEntry, phi: Iterable[int]) -> BoundaryCompone
         mult = {}
         for lam in sub_pos:
             mult[rs.length_sq(lam)] = space.mult_of(lam)
-        rank_one = None
-        if len(nodes) == 1:
-            i = nodes[0]
-            rank_one = rank_one_recognize(space.simple_mult(i), space.double_mult(i))
         factors.append(
             BoundaryFactor(
                 rtype=rtype,
                 nodes=nodes,
                 mult=tuple(sorted(mult.items())),
-                rank_one=rank_one,
+                rank_one=space.rank_one(nodes[0]) if len(nodes) == 1 else None,
             )
         )
     return BoundaryComponent(
         phi=phi, factors=tuple(factors), flat_rank=rs.rank - len(phi)
     )
-
-
-def homothetic_rank_one_pair(space: SpaceEntry, i: int, k: int) -> bool:
-    """Whether {a_i, a_k} spans two isometric rank-one boundary components.
-
-    Requires the two simple roots to be non-adjacent; equal recognised type
-    plus equal root length forces the two factors to be isometric once the
-    space carries its Killing metric.
-    """
-    rs = space.root_system()
-    if k in rs.dynkin_neighbors(i):
-        raise AdjacentRoots(f"a{i} and a{k} are adjacent; the boundary is irreducible")
-    first = rank_one_recognize(space.simple_mult(i), space.double_mult(i))
-    second = rank_one_recognize(space.simple_mult(k), space.double_mult(k))
-    if first is None or second is None or first != second:
-        return False
-    return rs.length_sq(rs.simple(i)) == rs.length_sq(rs.simple(k))
 
 
 # -- loading -----------------------------------------------------------------

@@ -9,7 +9,9 @@ Five families of actions exist on a symmetric space of noncompact type:
                         singular orbits on irreducible boundary components
                         (data-driven: populated from a pluggable table);
  * CE_DIAGONAL        - canonical extensions of diagonal actions on products
-                        of two isometric rank-one boundary components;
+                        of two isometric rank-one boundary components: two
+                        simple roots, not adjacent in one factor, with one
+                        rank-one type and one Killing length;
  * NILPOTENT          - the genuinely new families: canonical extensions of
                         the rank-one moduli attached to CH/HH/OH boundary
                         components, plus the short-root G2 subgroup H_{2,0}.
@@ -20,14 +22,9 @@ the elimination sweep) and the two answers are required to agree.
 
 from __future__ import annotations
 
-from .catalog import (
-    RankOneType,
-    SpaceEntry,
-    boundary_component,
-    homothetic_rank_one_pair,
-    rank_one_recognize,
-    read_json,
-)
+from itertools import combinations
+
+from .catalog import RankOneType, SpaceEntry, boundary_component, read_json
 from .errors import IdentityViolation, ParseError, RHHasNoNCModuli
 from .rootsys import Record
 from . import nilcon
@@ -173,7 +170,7 @@ def derive_type_e_spaces(catalog):
     for space in sorted(catalog, key=lambda s: s.name):
         hits = {}
         for i in range(1, space.rank + 1):
-            rec = rank_one_recognize(space.simple_mult(i), space.double_mult(i))
+            rec = space.rank_one(i)
             if rec is None or rec.kind == "RH":
                 continue
             if rec.kind == "CH" and rec.n < 3:
@@ -285,50 +282,40 @@ def classify(factors, tg_table=None) -> ActionCatalog:
 def _diagonal_families(factors, orbit_key):
     """Reducible rank-2 boundary components with isometric rank-one factors.
 
-    Within a factor two non-adjacent simple roots qualify when they recognise
-    the same rank-one type with equal root length; across factors the lengths
-    are compared on the honest Killing scale of each factor.  One family is
-    emitted per orbit of node pairs under the product symmetries.
+    Every simple root that recognises a rank-one type is a candidate node,
+    read as (factor, index, type, Killing length of the root).  Two nodes
+    span such a component when they have the same type and the same Killing
+    length and are not adjacent in one factor; within one factor equal
+    Killing lengths are equal normalised lengths.  One family is emitted per
+    orbit of node pairs under the product symmetries.
     """
+    nodes = []
+    for f, space in enumerate(factors):
+        rs = space.root_system()
+        for i in range(1, space.rank + 1):
+            rec = space.rank_one(i)
+            if rec is not None:
+                nodes.append((f, i, rec, space.killing_length_sq(rs.simple(i))))
     seen = set()
     out = []
-
-    def emit(a, b, rec, key):
-        if key in seen:
-            return
-        seen.add(key)
-        out.append(
-            ActionFamily(
-                "CE_DIAGONAL",
-                {
-                    "pair": [list(a), list(b)],
-                    "boundary": f"{rec} x {rec}",
-                },
-                provenance="canonical extension of diagonal action",
-            )
-        )
-
-    for f1, s1 in enumerate(factors):
-        rs1 = s1.root_system()
-        for i in range(1, s1.rank + 1):
-            rec1 = rank_one_recognize(s1.simple_mult(i), s1.double_mult(i))
-            if rec1 is None:
+    for (f1, i, rec, length), (f2, k, rec2, length2) in combinations(nodes, 2):
+        if (rec, length) != (rec2, length2):
+            continue
+        if f1 == f2:
+            if k in factors[f1].root_system().dynkin_neighbors(i):
                 continue
-            for k in range(i + 1, s1.rank + 1):
-                if k not in rs1.dynkin_neighbors(i) and homothetic_rank_one_pair(s1, i, k):
-                    emit((f1, i), (f1, k), rec1, ("within", orbit_key(f1, (i, k))))
-            for f2 in range(f1 + 1, len(factors)):
-                s2 = factors[f2]
-                rs2 = s2.root_system()
-                for k in range(1, s2.rank + 1):
-                    rec2 = rank_one_recognize(s2.simple_mult(k), s2.double_mult(k))
-                    if rec2 != rec1:
-                        continue
-                    if s1.killing_length_sq(rs1.simple(i)) == s2.killing_length_sq(
-                        rs2.simple(k)
-                    ):
-                        legs = sorted((orbit_key(f1, (i,)), orbit_key(f2, (k,))))
-                        emit((f1, i), (f2, k), rec1, ("across", *legs))
+            key = ("within", orbit_key(f1, (i, k)))
+        else:
+            key = ("across", *sorted((orbit_key(f1, (i,)), orbit_key(f2, (k,)))))
+        if key not in seen:
+            seen.add(key)
+            out.append(
+                ActionFamily(
+                    "CE_DIAGONAL",
+                    {"pair": [[f1, i], [f2, k]], "boundary": f"{rec} x {rec}"},
+                    provenance="canonical extension of diagonal action",
+                )
+            )
     return out
 
 

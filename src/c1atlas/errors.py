@@ -35,10 +35,6 @@ class DimensionMismatch(C1AtlasError):
     """Catalog entry whose dimension disagrees with rank + sum of multiplicities."""
 
 
-class AdjacentRoots(C1AtlasError):
-    """Simple roots joined by an edge cannot form a reducible rank-2 boundary."""
-
-
 class NonReducedSystem(C1AtlasError):
     """Chevalley construction requires a reduced root system."""
 

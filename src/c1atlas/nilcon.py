@@ -20,7 +20,7 @@ alone, and the whole (space, j) sweep is deterministic.
 
 from __future__ import annotations
 
-from .catalog import SpaceEntry, rank_one_recognize
+from .catalog import SpaceEntry
 from .errors import IdentityViolation, UnknownConfiguration
 from .rootsys import Record, Root, RootSystem
 
@@ -146,7 +146,7 @@ def analyze(space: SpaceEntry, j: int) -> NCVerdict:
     snake = snake_check(rs, j)  # rejects j outside 1..rank
     name = space.name
     if rs.rank == 1:
-        recognised = rank_one_recognize(space.simple_mult(1), space.double_mult(1))
+        recognised = space.rank_one(1)
         return NCVerdict(
             name,
             j,

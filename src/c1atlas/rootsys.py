@@ -347,11 +347,20 @@ class RootSystem:
         n = self._root_len6.get(coeffs)
         return self._inner6(coeffs, coeffs) if n is None else n
 
+    def _vector(self, lam: Root) -> tuple:
+        """lam's coefficients; NotARoot unless there is one per simple root."""
+        if len(lam.coeffs) != self.rank:
+            raise NotARoot(
+                f"coefficient vector {lam.coeffs} has {len(lam.coeffs)} entries, "
+                f"not one per simple root of {self.rtype}"
+            )
+        return lam.coeffs
+
     def inner(self, lam: Root, mu: Root) -> Fraction:
-        return Fraction(self._inner6(lam.coeffs, mu.coeffs), 6)
+        return Fraction(self._inner6(self._vector(lam), self._vector(mu)), 6)
 
     def length_sq(self, lam: Root) -> Fraction:
-        return Fraction(self._length6(lam.coeffs), 6)
+        return Fraction(self._length6(self._vector(lam)), 6)
 
     def _pairing_coeffs(self, lam_coeffs, mu_coeffs) -> int:
         val, rem = divmod(2 * self._inner6(lam_coeffs, mu_coeffs), self._length6(mu_coeffs))
@@ -363,7 +372,7 @@ class RootSystem:
 
     def pairing(self, lam: Root, mu: Root) -> int:
         """Cartan integer 2 (lam, mu) / (mu, mu)."""
-        return self._pairing_coeffs(lam.coeffs, mu.coeffs)
+        return self._pairing_coeffs(self._vector(lam), self._vector(mu))
 
     def length_class_sizes(self) -> dict:
         """Number of positive roots of each squared length, keyed by the exact length."""
@@ -410,6 +419,8 @@ class RootSystem:
 
     def string_down_count(self, lam: Root, beta: Root) -> int:
         """Largest p with lam - p*beta still a root (the classical string depth)."""
+        if not (self.contains(lam) and self.contains(beta)):
+            raise NotARoot("string endpoints must be roots")
         if self._proportional(lam, beta):
             raise ProportionalRoots(f"{lam} and {beta} are proportional")
         p = 0
@@ -419,12 +430,13 @@ class RootSystem:
 
     def phi_string(self, lam: Root, phi: Iterable[int]):
         """All of Sigma u {0} congruent to lam modulo the span of {a_i : i in phi}."""
+        lam_coeffs = self._vector(lam)
         phi = self._simple_subset(phi)
         fixed = [i for i in range(self.rank) if (i + 1) not in phi]
         out = set()
         zero = (0,) * self.rank
         for coeffs in self._allset | {zero}:
-            if all(coeffs[i] == lam.coeffs[i] for i in fixed):
+            if all(coeffs[i] == lam_coeffs[i] for i in fixed):
                 out.add(Root(coeffs))
         return out
 

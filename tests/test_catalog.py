@@ -13,12 +13,12 @@ from c1atlas.catalog import (
     boundary_component,
     default_catalog,
     find_space,
-    homothetic_rank_one_pair,
     load_catalog,
     rank_one_recognize,
 )
-from c1atlas.errors import AdjacentRoots, DimensionMismatch, InvalidIndex, ParseError, UnknownSpace
-from c1atlas.rootsys import RootSystemType
+from c1atlas.errors import DimensionMismatch, InvalidIndex, NotARoot, ParseError, UnknownSpace
+from c1atlas.linalg import solve
+from c1atlas.rootsys import Root, RootSystemType
 
 
 def test_every_entry_satisfies_dim_identity(catalog):
@@ -30,7 +30,7 @@ def test_every_entry_satisfies_dim_identity(catalog):
 
 def test_split_and_complexified_flags(catalog):
     for entry in catalog:
-        table = entry.mult_map()
+        table = dict(entry.mult)
         if entry.split_flag:
             assert set(table.values()) == {1}
         if entry.complexified_flag:
@@ -210,15 +210,50 @@ def test_boundary_restriction_is_transitive(catalog):
     assert set(direct_factor.mult) <= set(inner[0].mult)
 
 
-def test_homothetic_pairs(catalog):
-    a3 = find_space(catalog, "SL(4,R)/SO(4)")
-    assert homothetic_rank_one_pair(a3, 1, 3) is True
-    b3 = find_space(catalog, "SO(3,4)/SO(3)SO(4)")
-    assert homothetic_rank_one_pair(b3, 1, 3) is False  # a3 shorter than a1
-    with pytest.raises(AdjacentRoots):
-        homothetic_rank_one_pair(a3, 1, 2)
-    bc3 = find_space(catalog, "SO(7,H)/U(7)")
-    assert homothetic_rank_one_pair(bc3, 1, 3) is False  # RH^5 vs CH^3
+def _trace_form_killing_length_sq(space, lam):
+    # B(H, H') = sum over roots of m * mu(H) mu(H') in the coordinates a_i(H);
+    # the squared length of lam is its covector's length under the inverse form
+    rs = space.root_system()
+    r = space.rank
+    k = [[Fraction(0)] * r for _ in range(r)]
+    for mu in rs.positives:
+        m = space.mult_of(mu)
+        for a in range(r):
+            for b in range(r):
+                k[a][b] += 2 * m * mu.coeffs[a] * mu.coeffs[b]
+    dual = solve(k, [Fraction(c) for c in lam.coeffs])
+    return sum(c * d for c, d in zip(lam.coeffs, dual))
+
+
+def test_killing_length_closed_form_matches_the_trace_form(catalog):
+    checked = 0
+    for space in catalog:
+        for lam in space.root_system().positives:
+            assert space.killing_length_sq(lam) == _trace_form_killing_length_sq(space, lam), (
+                space.name, lam)
+            checked += 1
+    assert checked == 713
+
+
+def test_rank_one_reads_a_i_and_2a_i(catalog):
+    recognised = 0
+    for space in catalog:
+        rs = space.root_system()
+        for i in range(1, space.rank + 1):
+            doubled = tuple(2 * n for n in rs.simple(i).coeffs)
+            m2 = sum(space.mult_of(lam) for lam in rs.positives if lam.coeffs == doubled)
+            expected = rank_one_recognize(space.mult_of(rs.simple(i)), m2)
+            assert space.rank_one(i) == expected, (space.name, i)
+            recognised += expected is not None
+    assert recognised > 0
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 0), (5, 5), (0, 0), (1,)])
+def test_mult_of_rejects_non_roots(catalog, coeffs):
+    g2 = find_space(catalog, "G2^2/SO(4)")
+    assert g2.mult_of(Root((1, 0))) == 1
+    with pytest.raises(NotARoot):
+        g2.mult_of(Root(coeffs))
 
 
 def test_killing_scale_is_consistent(catalog):

@@ -120,6 +120,13 @@ def test_classify_b3_has_no_diagonal_pair(catalog):
     assert ac.by_kind("CE_DIAGONAL") == []
 
 
+def test_diagonal_pairs_need_isometric_non_adjacent_nodes(catalog):
+    # BC3: RH^5 at a1 and a2, which are adjacent, and CH^3 at a3
+    sp = find_space(catalog, "SO(7,H)/U(7)")
+    assert [sp.rank_one(i) for i in (1, 2, 3)] == [RankOneType("RH", 5)] * 2 + [RankOneType("CH", 3)]
+    assert classify([sp]).by_kind("CE_DIAGONAL") == []
+
+
 def test_classify_product_of_identical_rank_one_spaces(catalog):
     ch3 = find_space(catalog, "CH^3")
     ac = classify([ch3, ch3])

@@ -7,7 +7,7 @@ import pytest
 from fractions import Fraction
 
 from c1atlas import rootsys
-from c1atlas.errors import IdentityViolation, InvalidIndex, InvalidRank, ProportionalRoots
+from c1atlas.errors import IdentityViolation, InvalidIndex, InvalidRank, NotARoot, ProportionalRoots
 from c1atlas.rootsys import FAMILIES, MAX_RANK, Root, RootSystem, RootSystemType, root_system
 
 from coord_models import positive_coefficient_vectors
@@ -478,6 +478,27 @@ def test_non_integral_pairing_raises():
     # 2 (a2, 3a2) / (3a2, 3a2) = 2/3 on G2
     with pytest.raises(IdentityViolation, match="non-integral Cartan pairing of a2 with 3a2"):
         root_system("G2", 2)._pairing_coeffs((0, 1), (0, 3))
+
+
+# each call reads a coefficient vector of the wrong length, or a non-root where
+# a root is due, on G2
+WRONG_VECTOR_CALLS = {
+    "inner-long": lambda rs: rs.inner(Root((1, 0, 0)), rs.simple(1)),
+    "inner-short": lambda rs: rs.inner(rs.simple(1), Root((1,))),
+    "length_sq": lambda rs: rs.length_sq(Root((1, 0, 0))),
+    "pairing-long": lambda rs: rs.pairing(Root((1, 0, 0)), rs.simple(1)),
+    "pairing-short": lambda rs: rs.pairing(rs.simple(1), Root((1,))),
+    "phi_string": lambda rs: rs.phi_string(Root((1, 0, 7)), [1]),
+    "string_down_count-short": lambda rs: rs.string_down_count(Root((1,)), rs.simple(2)),
+    "string_down_count-non-root": lambda rs: rs.string_down_count(Root((5, 5)), rs.simple(2)),
+    "string_down_count-beta": lambda rs: rs.string_down_count(rs.simple(1), Root((0, 3))),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_VECTOR_CALLS))
+def test_wrong_vectors_raise_not_a_root(call):
+    with pytest.raises(NotARoot):
+        WRONG_VECTOR_CALLS[call](root_system("G2", 2))
 
 
 # -- an independent check of the generator on every family up to MAX_RANK ---------

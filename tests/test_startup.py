@@ -17,7 +17,8 @@ import pytest
 
 import c1atlas
 
-HEAVY_LAYERS = ("chevalley", "shapeops", "scalars", "nilcon", "classify", "verify")
+# linalg is heavy too: no catalog question needs a matrix solve
+HEAVY_LAYERS = ("chevalley", "shapeops", "scalars", "linalg", "nilcon", "classify", "verify")
 
 
 def _fresh(script: str, *flags: str) -> str:
@@ -68,9 +69,9 @@ MID_CALLS = {
     "analyze": (
         ["analyze", "--space", "G2^2/SO(4)", "--j", "2"],
         "nilcon",
-        ("chevalley", "shapeops", "classify", "verify"),
+        ("chevalley", "shapeops", "linalg", "classify", "verify"),
     ),
-    "classify": (["classify", "--space", "E6^{-14}"], "classify", ("chevalley", "shapeops", "verify")),
+    "classify": (["classify", "--space", "E6^{-14}"], "classify", ("chevalley", "shapeops", "linalg", "verify")),
     "shape": (["shape", "--space", "G2^2/SO(4)", "--j", "2"], "shapeops", ("nilcon", "classify", "verify")),
 }
 
@@ -140,7 +141,7 @@ def test_exported_names_resolve_to_the_submodule_objects(first):
     assert out.strip() == "ok"
 
 
-@pytest.mark.parametrize("name", ["level_one", "build_root_system", "list_spaces"])
+@pytest.mark.parametrize("name", ["level_one", "build_root_system", "list_spaces", "homothetic_rank_one_pair"])
 def test_removed_aliases_are_not_exported(name):
     assert name not in c1atlas.__all__
     with pytest.raises(AttributeError):
