@@ -45,8 +45,6 @@ from .errors import (
     NonReducedSystem,
     NotARoot,
 )
-from .linalg import rank as mat_rank
-from .linalg import solve
 from .rootsys import Root, RootSystem
 from .scalars import GAUSSIAN, RATIONAL
 
@@ -150,23 +148,28 @@ class ChevalleyAlgebra:
         )
 
     # -- structure constants -----------------------------------------------
-    def _root_constants(self) -> list:
-        """(a, b, s, N) for the root positions a < b whose roots sum to a root.
+    def _root_constants(self, split) -> None:
+        """Write [e_lam, e_mu] = N(lam, mu) e_(lam+mu) into the rows `split` wherever lam + mu is a root.
 
-        The positions index ``roots``: [e_lam, e_mu] = N e_(lam+mu) for lam =
-        roots[a], mu = roots[b] and lam + mu = roots[s].  The positive special
-        pairs are filled first, in root order, with the extraspecial signs +;
-        every other sign pattern follows from them.  Everything runs on ints:
-        -roots[a] sits at a +- |Phi+|, sums are looked up by coefficient tuple,
-        and a length ratio is an exact divmod of six-fold squared lengths whose
-        remainder raises IdentityViolation.
+        Root position a (in ``roots``) is basis index rank + a.  The positive
+        special pairs x + e = g are filled first, in root order, with the
+        extraspecial signs +.  Each positive triple then gives all six of its
+        sign variants at once: N(x, e) / |g|^2 = N(e, -g) / |x|^2 =
+        N(-g, x) / |e|^2 and N(-x, -e) = -N(x, e), each stored in both orders
+        with N(b, a) = -N(a, b).  Every pair of roots summing to a root lies in
+        exactly one such triple.  Everything runs on ints: -roots[a] sits at
+        a +- |Phi+|, sums are looked up by coefficient tuple, and each length
+        ratio is an exact divmod of the six-fold squared lengths of the roots
+        it involves, negatives included, whose remainder raises
+        IdentityViolation.  The constants of earlier triples are read back
+        from `split`.
         """
+        r = self.rs.rank
         coeffs = [lam.coeffs for lam in self.roots]
         n_pos = len(coeffs) // 2
         position = {c: a for a, c in enumerate(coeffs)}
         len6 = [self.rs._root_len6[c] for c in coeffs]
         heights = [sum(c) for c in coeffs]
-        positive = {}  # (a, b) -> N for the positive special pairs a < b
 
         def minus(a, b):
             return position.get(tuple(map(operator.sub, coeffs[a], coeffs[b])))
@@ -178,16 +181,21 @@ class ChevalleyAlgebra:
             return q
 
         def n(a, b):
-            """N(roots[a], roots[b]) for any signs; the sum is a root."""
-            if a >= n_pos:
-                return -n(a - n_pos, b - n_pos) if b >= n_pos else -n(b, a)
-            if b < n_pos:
-                value = positive.get((a, b))
-                return -positive[(b, a)] if value is None else value
-            s = position[tuple(map(operator.add, coeffs[a], coeffs[b]))]
-            if s < n_pos:
-                return exact(len6[s] * n(s, b - n_pos), len6[a], a, b)
-            return exact(len6[s] * n(s - n_pos, a), len6[b], a, b)
+            return split[r + a][r + b][0][1]
+
+        def put(a, b, s, value):
+            split[r + a][r + b] = ((r + s, value),)
+            split[r + b][r + a] = ((r + s, -value),)
+
+        def emit(x, e, g, value):
+            """The six sign variants of the positive triple x + e = g with N(x, e) = value."""
+            mx, me, mg = x + n_pos, e + n_pos, g + n_pos
+            put(x, e, g, value)
+            put(e, mg, mx, exact(value * len6[x], len6[g], e, mg))
+            put(mg, x, me, exact(value * len6[e], len6[g], mg, x))
+            put(mx, me, mg, -value)
+            put(me, g, x, -exact(value * len6[mx], len6[mg], me, g))
+            put(g, mx, e, -exact(value * len6[me], len6[mg], g, mx))
 
         for g in range(n_pos):
             if heights[g] == 1:
@@ -205,7 +213,7 @@ class ChevalleyAlgebra:
             p, down = 0, minus(beta, alpha)
             while down is not None:
                 p, down = p + 1, minus(down, alpha)
-            positive[(alpha, beta)] = 1 + p
+            emit(alpha, beta, g, 1 + p)
             for x, e in pairs[1:]:
                 acc = 0
                 d1 = minus(x, alpha)
@@ -214,14 +222,7 @@ class ChevalleyAlgebra:
                 d2 = minus(e, alpha)
                 if d2 is not None:
                     acc += n(minus_alpha, e) * n(x, d2)
-                positive[(x, e)] = exact(acc, n(minus_alpha, g), x, e)
-        out = []
-        for a, ca in enumerate(coeffs):
-            for b in range(a + 1, 2 * n_pos):
-                s = position.get(tuple(map(operator.add, ca, coeffs[b])))
-                if s is not None:
-                    out.append((a, b, s, n(a, b)))
-        return out
+                emit(x, e, g, exact(acc, n(minus_alpha, g), x, e))
 
     def _root_index(self, lam: Root) -> int:
         """Basis index of e_lam; NotARoot unless lam is a root of the system."""
@@ -265,8 +266,9 @@ class ChevalleyAlgebra:
         """
         r = self.rs.rank
         n = len(self.roots)
-        constants = self._root_constants()
         split = [{} for _ in range(self.split_dim)]
+        # first, so that its length-ratio guards run before the coroot guard
+        self._root_constants(split)
 
         def put(ka, kb, terms):
             split[ka][kb] = terms
@@ -280,9 +282,6 @@ class ChevalleyAlgebra:
             # [e_lam, e_-lam] = h_lam, the coroot of the positive root lam
             coro = self.coroot_coefficients(lam)
             put(r + a, r + a + n // 2, tuple((i, c) for i, c in enumerate(coro) if c))
-        for a, b, s, value in constants:
-            if value:
-                put(r + a, r + b, ((r + s, value),))
         if self.scalars == RATIONAL:
             return split
         # [i^a x, i^b y] = i^(a+b) [x, y]: one factor i moves the bracket to
@@ -322,11 +321,18 @@ class ChevalleyAlgebra:
         """coefficient * e_lam; NotARoot unless lam is a root."""
         return AlgebraElement(self, {self._root_index(lam): Fraction(coefficient)})
 
-    def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        out: dict = {}
+    def bracket_terms(self, x: dict, y: dict, out: dict | None = None) -> dict:
+        """Add [x, y] into `out` (a new dict by default) and return it.
+
+        x, y and `out` are sparse term dicts keyed by basis index.  The bracket
+        rows hold ints, so int coefficients give int results; terms that cancel
+        stay in `out` as zeros.
+        """
+        if out is None:
+            out = {}
         table = self._table
-        y_terms = y.terms.items()
-        for ka, ca in x.terms.items():
+        y_terms = y.items()
+        for ka, ca in x.items():
             row = table[ka]
             for kb, cb in y_terms:
                 terms = row.get(kb)
@@ -335,12 +341,19 @@ class ChevalleyAlgebra:
                 c = ca * cb
                 for k, v in terms:
                     out[k] = out.get(k, 0) + c * v
-        return AlgebraElement(self, out)  # drops the terms that cancelled
+        return out
+
+    def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+        return AlgebraElement(self, self.bracket_terms(x.terms, y.terms))  # drops the terms that cancelled
+
+    def theta_terms(self, x: dict) -> dict:
+        """Cartan involution of a sparse term dict, a signed permutation of the real basis."""
+        image, sign = self._theta_image, self._theta_sign
+        return {image[k]: c if sign[k] > 0 else -c for k, c in x.items()}
 
     def theta(self, x: AlgebraElement) -> AlgebraElement:
         """Cartan involution, a signed permutation of the real basis."""
-        image, sign = self._theta_image, self._theta_sign
-        return AlgebraElement(self, {image[k]: c if sign[k] > 0 else -c for k, c in x.terms.items()})
+        return AlgebraElement(self, self.theta_terms(x.terms))
 
     # -- invariant forms ---------------------------------------------------------
     def _forms(self, positives, simple_pairings):
@@ -395,6 +408,8 @@ class ChevalleyAlgebra:
 
     def cartan_dual(self, lam: Root) -> AlgebraElement:
         """The vector H in the Cartan part with b_theta(H, .) = lam(.) there."""
+        from .linalg import solve  # imported here: building and dumping an algebra need no linalg
+
         rs = self.rs
         rhs = [Fraction(rs.pairing(lam, a)) for a in rs.simples]
         return AlgebraElement(self, dict(enumerate(solve(self._cartan_gram, rhs))))
@@ -495,6 +510,8 @@ def check_string_injectivity(algebra: ChevalleyAlgebra, alpha: Root, beta: Root,
     """Exact-rank check that ad(X)^k : g_alpha -> g_(alpha+k*beta) is injective
     for every real basis vector X of g_beta.  Raises InjectivityViolation on failure.
     """
+    from .linalg import rank as mat_rank
+
     rs = algebra.rs
     string = rs.root_string(alpha, beta)
     if k < 1 or k >= len(string):

@@ -384,7 +384,13 @@ class RootSystem:
     def rank(self) -> int:
         return self.rtype.rank
 
+    def _check_index(self, i: int) -> None:
+        if not 1 <= i <= self.rank:
+            raise InvalidIndex(f"simple index {i} is outside 1..{self.rank}")
+
     def simple(self, i: int) -> Root:
+        """The simple root a_i; InvalidIndex unless 1 <= i <= rank."""
+        self._check_index(i)
         return Root(tuple(int(j == i - 1) for j in range(self.rank)))
 
     @property
@@ -473,6 +479,8 @@ class RootSystem:
 
     # -- diagram ----------------------------------------------------------------
     def dynkin_neighbors(self, i: int) -> frozenset:
+        """The nodes joined to node i; InvalidIndex unless 1 <= i <= rank."""
+        self._check_index(i)
         return frozenset(
             j + 1
             for j in range(self.rank)

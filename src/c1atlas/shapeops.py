@@ -11,9 +11,14 @@ which this module reads off the bracket and always checks against the Koszul
 formula: the AN Gram times each column must equal -(nabla_X xi).  Vectors are
 keyed by the algebra's basis indices: a + n, h and the normal space are index
 tuples picked by root, and labels are read only for messages and output.
-Everything stays in Fractions: totally-geodesic verdicts are exact zero tests
-and the constant-principal-curvature check compares characteristic
-polynomials literally.
+
+Both sides of that check are sparse maps read off sparse rows: the bracket
+rows, twice b_theta, and four times the AN Gram, which are all integral.  So
+a column and its check run on ints whenever xi is integral (a basis vector,
+say), and only the nonzero matrix entries become Fractions.  Nothing is
+approximated: totally-geodesic verdicts are exact zero tests and the
+constant-principal-curvature check compares characteristic polynomials
+literally.
 """
 
 from __future__ import annotations
@@ -21,11 +26,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FormulaMismatch, IdentityViolation, NotClosed, SpectrumMismatch
-from .linalg import charpoly, is_symmetric, mat_mul, mat_vec
+from .linalg import charpoly, is_symmetric, mat_mul
 from .rootsys import Record, Root
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 
 _ZERO = Fraction(0)
+
+
+def _as_int(v):
+    """v as an int if it is integral, else v itself."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _integral(terms: dict) -> dict:
+    """The same terms with each integral coefficient as an int, so that products stay ints."""
+    return {k: _as_int(v) for k, v in terms.items()}
 
 
 class SolvableModel:
@@ -39,40 +54,70 @@ class SolvableModel:
         self.algebra = algebra
         rs = algebra.rs
         self.an_keys = tuple(range(rs.rank)) + algebra.root_indices(sorted(rs.positives))
+        self._an_set = frozenset(self.an_keys)
+        # b_theta is a Cartan block plus a root diagonal of half-integers, and
+        # a + n is a union of its blocks; so on a + n, 2 b_theta and 4 times
+        # the AN Gram (the block doubled, the diagonal kept) have int rows
+        b_theta = algebra._b_theta_rows
+        self._b2_rows = {
+            k: tuple((kz, _as_int(2 * g)) for kz, g in b_theta[k]) for k in self.an_keys
+        }
+        self._gram4_rows = {
+            k: tuple((kz, 2 * g if k < rs.rank else g) for kz, g in self._b2_rows[k])
+            for k in self.an_keys
+        }
 
     def _check_in_an(self, vectors):
         for v in vectors:
             for k in v.terms:
-                if k not in self.an_keys:
+                if k not in self._an_set:
                     raise ValueError(f"component {self.algebra.labels[k]} lies outside a + n")
 
     def an_inner(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
-        """<x, y>_AN = b_theta on the flat part plus half b_theta on n.
-
-        b_theta has no entries between the flat part and n, so this is the
-        mean of b_theta(x, y) and b_theta(flat part of x, y).
-        """
+        """<x, y>_AN = b_theta on the flat part plus half b_theta on n, read off the Gram rows."""
         self._check_in_an((x, y))
+        rows, yt = self._gram4_rows, y.terms
+        total = sum(c * g * yt[kz] for k, c in x.terms.items() for kz, g in rows[k] if kz in yt)
+        return Fraction(total, 4)
+
+    def koszul_image(self, xs, y) -> list:
+        """[{k: 8 <nabla_x y, e_k>_AN} for x in xs]: each Koszul covector as a sparse map on a + n.
+
+        The Koszul formula gives 4 <nabla_x y, z>_AN = b_theta(c, z) with
+        c = [x, y] + [theta x, y] - [x, theta y], so the map is c times the
+        int rows of 2 b_theta, kept on a + n.  Integral x and y give int
+        values; an index whose terms cancelled holds a 0.  Membership of every
+        vector in a + n is checked once for the batch.
+        """
+        self._check_in_an((*xs, y))
         alg = self.algebra
-        flat = AlgebraElement(alg, {k: c for k, c in x.terms.items() if k < alg.rs.rank})
-        return (alg.b_theta(x, y) + alg.b_theta(flat, y)) / 2
+        bracket, theta = alg.bracket_terms, alg.theta_terms
+        rows = self._b2_rows
+        yt = _integral(y.terms)
+        minus_theta_y = {k: -v for k, v in theta(yt).items()}
+        out = []
+        for x in xs:
+            xt = _integral(x.terms)
+            c = bracket(xt, minus_theta_y, bracket(theta(xt), yt, bracket(xt, yt)))
+            image = {}
+            for k, v in c.items():
+                row = rows.get(k)
+                if row and v:
+                    for kz, g in row:
+                        image[kz] = image.get(kz, 0) + v * g
+            out.append(image)
+        return out
 
     def koszul_covectors(self, xs, y, zs) -> list:
         """[[<nabla_x y, z>_AN for z in zs] for x in xs] for left-invariant fields on AN, exactly.
 
-        The Koszul formula gives 4 <nabla_x y, z>_AN = b_theta(c, z) with
-        c = [x, y] + [theta x, y] - [x, theta y]; c / 4 is formed once per x.
-        Membership of every vector in a + n is checked once for the batch.
+        Each row pairs the Koszul image of x with the vectors zs.
         """
-        self._check_in_an((*xs, y, *zs))
-        alg = self.algebra
-        b = alg.bracket
-        theta_y = alg.theta(y)
-        out = []
-        for x in xs:
-            combo = Fraction(1, 4) * (b(x, y) + b(alg.theta(x), y) - b(x, theta_y))
-            out.append([alg.b_theta(combo, z) for z in zs])
-        return out
+        self._check_in_an(zs)
+        return [
+            [Fraction(sum(image.get(k, 0) * v for k, v in z.terms.items()), 8) for z in zs]
+            for image in self.koszul_image(xs, y)
+        ]
 
     def levi_civita(self, x, y, z) -> Fraction:
         """<nabla_x y, z>_AN for left-invariant fields on AN, exactly."""
@@ -90,7 +135,10 @@ class ShapeOperatorMatrix(Record):
 
     @property
     def is_zero(self) -> bool:
-        return all(all(v == 0 for v in row) for row in self.matrix)
+        # the zero entries of a computed operator are all the one _ZERO, which
+        # tuple equality matches by identity; any other entry is compared
+        zero = (_ZERO,) * len(self.basis)
+        return all(tuple(row) == zero for row in self.matrix)
 
     def charpoly(self):
         return charpoly(self.matrix)
@@ -140,6 +188,7 @@ class OrbitSubalgebra:
 
         alg = model.algebra
         self.h_keys = tuple(range(rs.rank)) + alg.root_indices(self.h_roots)
+        self._h_position = {k: c for c, k in enumerate(self.h_keys)}
         self.v_keys = alg.root_indices(self.v_roots)
         self.gram = self._an_gram()
 
@@ -155,18 +204,28 @@ class OrbitSubalgebra:
                     )
 
     def _an_gram(self):
-        model = self.model
-        vecs = [model.algebra.unit(k) for k in self.h_keys]
-        return [[model.an_inner(x, y) for y in vecs] for x in vecs]
+        """The AN Gram on ``h_keys``: the Cartan block of b_theta on the flat part, half its diagonal on n."""
+        position = self._h_position
+        n = len(position)
+        gram = [[_ZERO] * n for _ in range(n)]
+        for k, c in position.items():
+            for kz, g in self.model._gram4_rows[k]:
+                gram[position[kz]][c] = Fraction(g, 4)
+        return gram
 
-    def tangent_project(self, elem: AlgebraElement) -> list:
-        """b_theta-orthogonal projection onto h, as coordinates on ``h_keys``.
+    def tangent_terms(self, terms: dict) -> dict:
+        """b_theta-orthogonal projection onto h of a sparse term dict, kept sparse.
 
         The real basis vectors are pairwise b_theta-orthogonal across the
         h / complement divide (the flat part lies entirely inside h), so the
         projection just keeps the h-components.
         """
-        terms = elem.terms
+        position = self._h_position
+        return {k: v for k, v in terms.items() if k in position}
+
+    def tangent_project(self, elem: AlgebraElement) -> list:
+        """The projection onto h of an element, as coordinates on ``h_keys``."""
+        terms = self.tangent_terms(elem.terms)
         return [terms.get(k, _ZERO) for k in self.h_keys]
 
     def normal_basis(self):
@@ -193,28 +252,39 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
     metric is half of b_theta on n.  Each column is checked: the AN Gram times
     it must equal -(nabla_X xi) over the tangent basis, else FormulaMismatch.
     The Gram is positive definite, so that equation has exactly one solution.
+    The check runs on sparse maps scaled by 8: the rows of 4 x Gram times
+    twice the column, plus the Koszul image of X, must vanish on h entry by
+    entry.
     """
     model = orbit.model
     alg = model.algebra
     if not orbit.contains_normal(xi):
         raise ValueError("xi must lie in the normal space of the orbit")
-    basis = [alg.unit(k) for k in orbit.h_keys]
-    theta_xi = alg.theta(xi)
-    half = Fraction(1, 2)
-    columns = []
-    for x, covector in zip(basis, model.koszul_covectors(basis, xi, basis)):
-        column = orbit.tangent_project(half * (alg.bracket(xi, x) - alg.bracket(theta_xi, x)))
-        # Gram * column = -covector, entry by entry; most entries of both are 0
-        gram_column = mat_vec(orbit.gram, column)
-        if any(g != -v if v else g for g, v in zip(gram_column, covector, strict=True)):
+    h_keys = orbit.h_keys
+    position = orbit._h_position
+    gram4 = model._gram4_rows
+    bracket = alg.bracket_terms
+    xt = _integral(xi.terms)
+    minus_theta_xi = {k: -v for k, v in alg.theta_terms(xt).items()}
+    n = len(h_keys)
+    rows = [[_ZERO] * n for _ in range(n)]
+    images = model.koszul_image([alg.unit(k) for k in h_keys], xi)
+    for c, (k, image) in enumerate(zip(h_keys, images)):
+        x = {k: 1}
+        twice_column = orbit.tangent_terms(bracket(minus_theta_xi, x, bracket(xt, x)))
+        residual = {kz: v for kz, v in image.items() if kz in position}
+        for kc, v in twice_column.items():
+            for kz, g in gram4[kc]:
+                residual[kz] = residual.get(kz, 0) + g * v
+        if any(residual.values()):
             raise FormulaMismatch(
                 "bracket formula and Koszul derivative disagree on a tangent vector"
             )
-        columns.append(column)
-    n = len(basis)
-    matrix = tuple(tuple(columns[c][r] for c in range(n)) for r in range(n))
+        for kc, v in twice_column.items():
+            if v:
+                rows[position[kc]][c] = Fraction(v, 2)
     xi_key = tuple(sorted(xi.terms.items()))
-    return ShapeOperatorMatrix(xi_key=xi_key, basis=orbit.h_keys, matrix=matrix)
+    return ShapeOperatorMatrix(xi_key=xi_key, basis=h_keys, matrix=tuple(map(tuple, rows)))
 
 
 def is_totally_geodesic(orbit: OrbitSubalgebra) -> bool:

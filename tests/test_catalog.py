@@ -248,6 +248,13 @@ def test_rank_one_reads_a_i_and_2a_i(catalog):
     assert recognised > 0
 
 
+@pytest.mark.parametrize("i", [0, 3, 5])
+def test_rank_one_rejects_an_index_outside_the_diagram(catalog, i):
+    space = find_space(catalog, "SL(3,R)/SO(3)")
+    with pytest.raises(InvalidIndex, match="outside 1..2"):
+        space.rank_one(i)
+
+
 @pytest.mark.parametrize("coeffs", [(1, 0, 0), (5, 5), (0, 0), (1,)])
 def test_mult_of_rejects_non_roots(catalog, coeffs):
     g2 = find_space(catalog, "G2^2/SO(4)")

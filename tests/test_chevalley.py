@@ -103,6 +103,89 @@ def test_structure_constants_reject_a_non_integral_length_ratio(family, rank, co
         build_algebra(rs)
 
 
+def _all_pairs_constants(alg) -> dict:
+    """Reference: N(a, b) for every ordered pair of root positions whose roots sum to a root.
+
+    The positive special pairs come from the extraspecial recursion, and every
+    other sign pattern from a scan over all pairs of roots, through the
+    negation, antisymmetry and length-ratio rules applied one pair at a time.
+    """
+    coeffs = [lam.coeffs for lam in alg.roots]
+    n_pos = len(coeffs) // 2
+    position = {c: a for a, c in enumerate(coeffs)}
+    len6 = [alg.rs._root_len6[c] for c in coeffs]
+    heights = [sum(c) for c in coeffs]
+    positive = {}
+
+    def add(a, b):
+        return position.get(tuple(x + y for x, y in zip(coeffs[a], coeffs[b])))
+
+    def minus(a, b):
+        return position.get(tuple(x - y for x, y in zip(coeffs[a], coeffs[b])))
+
+    def exact(num, den):
+        q, rem = divmod(num, den)
+        assert not rem
+        return q
+
+    def n(a, b):
+        if a >= n_pos:
+            return -n(a - n_pos, b - n_pos) if b >= n_pos else -n(b, a)
+        if b < n_pos:
+            value = positive.get((a, b))
+            return -positive[(b, a)] if value is None else value
+        s = add(a, b)
+        if s < n_pos:
+            return exact(len6[s] * n(s, b - n_pos), len6[a])
+        return exact(len6[s] * n(s - n_pos, a), len6[b])
+
+    for g in range(n_pos):
+        if heights[g] == 1:
+            continue
+        pairs = [(x, minus(g, x)) for x in range(g) if heights[x] < heights[g]]
+        pairs = [(x, e) for x, e in pairs if e is not None and x < e]
+        alpha, beta = pairs[0]
+        p, down = 0, minus(beta, alpha)
+        while down is not None:
+            p, down = p + 1, minus(down, alpha)
+        positive[(alpha, beta)] = 1 + p
+        for x, e in pairs[1:]:
+            acc = 0
+            if minus(x, alpha) is not None:
+                acc += n(alpha + n_pos, x) * n(minus(x, alpha), e)
+            if minus(e, alpha) is not None:
+                acc += n(alpha + n_pos, e) * n(x, minus(e, alpha))
+            positive[(x, e)] = exact(acc, n(alpha + n_pos, g))
+    return {
+        (a, b): (add(a, b), n(a, b))
+        for a in range(2 * n_pos)
+        for b in range(2 * n_pos)
+        if a != b and add(a, b) is not None
+    }
+
+
+REFERENCE_TYPES = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(3, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)]
+)
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES, ids=lambda v: str(v))
+def test_root_constants_per_triple_match_the_all_pairs_scan(family, rank):
+    alg = build_algebra(root_system(family, rank))
+    r = alg.rs.rank
+    table = {
+        (ka - r, kb - r): (terms[0][0] - r, terms[0][1])
+        for ka in range(r, alg.split_dim)
+        for kb, terms in alg._table[ka].items()
+        if kb >= r and terms[0][0] >= r
+    }
+    assert table == _all_pairs_constants(alg)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G2", 2)])
 def test_constant_magnitudes(family, rank):
     alg = build_algebra(root_system(family, rank))

@@ -222,6 +222,16 @@ def test_out_of_range_phi_is_an_invalid_index(phi):
         rs.phi_string(rs.simple(1), phi)
 
 
+@pytest.mark.parametrize("i", [0, 3, -1, 7])
+def test_simple_and_neighbors_reject_an_index_outside_the_diagram(i):
+    rs = root_system("A", 2)
+    with pytest.raises(InvalidIndex, match=r"simple index -?\d+ is outside 1..2"):
+        rs.simple(i)
+    with pytest.raises(InvalidIndex, match=r"simple index -?\d+ is outside 1..2"):
+        rs.dynkin_neighbors(i)
+    assert rs.simple(2) == Root((0, 1)) and rs.dynkin_neighbors(2) == {1}
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("F4", 4), ("G2", 2)])
 def test_level_zero_is_the_level_zero_subsystem(family, rank):
     rs = root_system(family, rank)

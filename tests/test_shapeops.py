@@ -7,8 +7,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c1atlas.chevalley import build_algebra
+from c1atlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from c1atlas.errors import FormulaMismatch, NotClosed, SpectrumMismatch
+from c1atlas.linalg import mat_vec
 from c1atlas.rootsys import Root, root_system
 from c1atlas.scalars import GAUSSIAN
 from c1atlas.shapeops import (
@@ -99,11 +100,11 @@ def test_koszul_cross_check_fires(monkeypatch, g2_split, g2_gaussian, ring):
     orbit = OrbitSubalgebra(model, 2)
     xi = alg.e(Root((0, 1)))
     shape_operator(orbit, xi)  # consistent before the connection is perturbed
-    koszul_covectors = SolvableModel.koszul_covectors
+    koszul_image = SolvableModel.koszul_image
     monkeypatch.setattr(
         SolvableModel,
-        "koszul_covectors",
-        lambda self, xs, y, zs: [[v + 1 for v in row] for row in koszul_covectors(self, xs, y, zs)],
+        "koszul_image",
+        lambda self, xs, y: [{k: v + 1 for k, v in image.items()} for image in koszul_image(self, xs, y)],
     )
     with pytest.raises(FormulaMismatch):
         shape_operator(orbit, xi)
@@ -111,17 +112,17 @@ def test_koszul_cross_check_fires(monkeypatch, g2_split, g2_gaussian, ring):
 
 @pytest.mark.parametrize("ring", ["rational", "gaussian"])
 def test_gram_check_fires_on_a_perturbed_projection(monkeypatch, g2_split, g2_gaussian, ring):
-    # each column is read off the bracket through tangent_project; the Gram
+    # each column is read off the bracket through tangent_terms; the Gram
     # check against the Koszul covector must catch a wrong projection
     alg = g2_split if ring == "rational" else g2_gaussian
     orbit = OrbitSubalgebra(SolvableModel(alg), 2)
     xi = alg.e(Root((0, 1)))
     shape_operator(orbit, xi)
-    tangent_project = OrbitSubalgebra.tangent_project
+    tangent_terms = OrbitSubalgebra.tangent_terms
     monkeypatch.setattr(
         OrbitSubalgebra,
-        "tangent_project",
-        lambda self, elem: [2 * v for v in tangent_project(self, elem)],
+        "tangent_terms",
+        lambda self, terms: {k: 2 * v for k, v in tangent_terms(self, terms).items()},
     )
     with pytest.raises(FormulaMismatch):
         shape_operator(orbit, xi)
@@ -289,3 +290,69 @@ def test_shape_operators_hash_no_roots(monkeypatch):
     assert is_totally_geodesic(e6)
     op = shape_operator(g2, g2.normal_basis()[0])
     assert check_self_adjoint(g2, op) and not op.is_zero
+
+
+def _dense_shape_operator(orbit, xi):
+    """Reference: the dense path, with a Gram of n^2 b_theta pairs, n b_theta
+    calls per Koszul covector and a mat_vec Gram check per column."""
+    alg = orbit.model.algebra
+    rank = alg.rs.rank
+
+    def an_inner(x, y):  # b_theta on the flat part, half of it on n
+        flat = AlgebraElement(alg, {k: c for k, c in x.terms.items() if k < rank})
+        return (alg.b_theta(x, y) + alg.b_theta(flat, y)) / 2
+
+    basis = [alg.unit(k) for k in orbit.h_keys]
+    gram = [[an_inner(x, y) for y in basis] for x in basis]
+    theta_xi = alg.theta(xi)
+    columns = []
+    for x in basis:
+        combo = Fraction(1, 4) * (
+            alg.bracket(x, xi) + alg.bracket(alg.theta(x), xi) - alg.bracket(x, theta_xi)
+        )
+        covector = [alg.b_theta(combo, z) for z in basis]
+        terms = (Fraction(1, 2) * (alg.bracket(xi, x) - alg.bracket(theta_xi, x))).terms
+        column = [terms.get(k, Fraction(0)) for k in orbit.h_keys]
+        assert mat_vec(gram, column) == [-v for v in covector]
+        columns.append(column)
+    n = len(basis)
+    return gram, tuple(tuple(columns[c][r] for c in range(n)) for r in range(n))
+
+
+DENSE_CASES = [("G2", 2, 1), ("G2", 2, 2), ("B", 3, 1), ("B", 3, 2), ("B", 3, 3)]
+DENSE_CASES += [("F4", 4, j) for j in (1, 2, 3, 4)] + [("E6", 6, 1)]
+
+
+@pytest.mark.parametrize("ring", ["rational", "gaussian"])
+@pytest.mark.parametrize("family,rank,j", DENSE_CASES, ids=lambda v: str(v))
+def test_sparse_shape_operators_match_the_dense_path(family, rank, j, ring):
+    alg = build_algebra(root_system(family, rank), ring)
+    orbit = OrbitSubalgebra(SolvableModel(alg), j)
+    normals = orbit.normal_basis()
+    # every normal basis vector, and one combination with fractional coefficients
+    mixed = alg.zero()
+    for c, v in enumerate(normals, start=1):
+        mixed = mixed + Fraction(c, 3) * v
+    for xi in normals + [mixed]:
+        gram, matrix = _dense_shape_operator(orbit, xi)
+        op = shape_operator(orbit, xi)
+        assert op.matrix == matrix and op.basis == orbit.h_keys
+        assert all(type(v) is Fraction for row in op.matrix for v in row)
+        assert op.is_zero == all(v == 0 for row in matrix for v in row)
+    assert orbit.gram == gram
+
+
+def test_shape_operators_call_no_b_theta_or_an_inner(monkeypatch):
+    # the Gram, the Koszul covectors and the Gram check all read sparse int rows
+    alg = build_algebra(root_system("E6", 6), GAUSSIAN)
+    model = SolvableModel(alg)
+
+    def refuse(*args):
+        raise AssertionError("a dense form evaluation ran")
+
+    monkeypatch.setattr(ChevalleyAlgebra, "b_theta", refuse)
+    monkeypatch.setattr(SolvableModel, "an_inner", refuse)
+    orbit = OrbitSubalgebra(model, 1)
+    assert is_totally_geodesic(orbit)
+    with pytest.raises(AssertionError):
+        model.an_inner(alg.unit(0), alg.unit(0))

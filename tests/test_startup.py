@@ -97,6 +97,12 @@ COMMAND_PATHS = {
 }
 
 
+def test_api_dump_loads_no_linalg():
+    # building and dumping an algebra needs no matrix solve or rank
+    loaded = _layers_loaded_by(COMMAND_PATHS["api-dump"])
+    assert "chevalley" in loaded and "linalg" not in loaded, loaded
+
+
 @pytest.mark.parametrize("path", sorted(COMMAND_PATHS))
 def test_command_paths_import_no_unused_stdlib_module(path):
     # -S: no site module, so nothing is loaded before the package is
