@@ -3,7 +3,10 @@
 Multiplicity data ships in a versioned JSON file rather than in code; the
 loader recomputes dim = rank + sum of root multiplicities for every entry and
 rejects the file on any mismatch, so a transcription error cannot survive the
-load.  Entries are immutable after loading.
+load.  It reads the number of roots per length class in closed form
+(``rootsys.length_class_counts``), so loading builds no root system: an
+entry's system is generated when a command first asks for it.  Entries are
+immutable after loading.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DimensionMismatch, NotARoot, ParseError, UnknownSpace
-from .rootsys import Record, Root, RootSystem, RootSystemType, root_system
+from .rootsys import Record, Root, RootSystem, RootSystemType, length_class_counts, root_system
 
 _DATA_ENV = "C1_ATLAS_CATALOG"
 
@@ -94,11 +97,11 @@ class SpaceEntry(Record):
         )
 
     def validate(self):
-        rs = self.root_system()
+        """Check the entry against the closed-form class counts of its type; no root system is built."""
         table = dict(self.mult)
         if any(m < 1 for m in table.values()):
             raise ParseError(f"{self.name}: every multiplicity must be at least 1")
-        sizes = rs.length_class_sizes()
+        sizes = length_class_counts(self.rtype.family, self.rank)
         if set(table) != set(sizes):
             raise ParseError(
                 f"{self.name}: multiplicity classes {sorted(map(str, table))} do not "
@@ -114,7 +117,7 @@ class SpaceEntry(Record):
         if self.complexified_flag:
             if any(m != 2 for m in table.values()):
                 raise ParseError(f"{self.name}: complexified entries need all multiplicities 2")
-            if rs.non_reduced:
+            if self.rtype.family == "BC":
                 raise ParseError(f"{self.name}: complexified entries need a reduced system")
 
     def killing_length_sq(self, lam: Root) -> Fraction:

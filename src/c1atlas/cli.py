@@ -179,21 +179,34 @@ def _cmd_shape(args) -> int:
     polys = [[str(c) for c in op.charpoly()] for op in ops]
     tg = all(op.is_zero for op in ops)
     labels = algebra.labels
-    payload = {
-        "space": space.name,
-        "j": args.j,
-        "w": "zero",
-        "totally_geodesic": tg,
-        "tangent_basis": [list(map(str, labels[k])) for k in orbit.h_keys],
-        "operators": [
-            {
-                "xi": [list(map(str, labels[k])) + [str(v)] for k, v in op.xi_key],
-                "matrix": [[str(x) for x in row] for row in op.matrix],
-                "charpoly": poly,
-            }
-            for op, poly in zip(ops, polys)
-        ],
-    }
+    n = len(orbit.h_keys)
+
+    def rows(op):
+        # the operator's rows as strings; an entry its sparse columns omit is 0
+        out = [["0"] * n for _ in range(n)]
+        for c, column in enumerate(op.columns):
+            for r, v in column:
+                out[r][c] = str(v)
+        return out
+
+    if args.format == "json":
+        payload = {
+            "space": space.name,
+            "j": args.j,
+            "w": "zero",
+            "totally_geodesic": tg,
+            "tangent_basis": [list(map(str, labels[k])) for k in orbit.h_keys],
+            "operators": [
+                {
+                    "xi": [list(map(str, labels[k])) + [str(v)] for k, v in op.xi_key],
+                    "matrix": rows(op),
+                    "charpoly": poly,
+                }
+                for op, poly in zip(ops, polys)
+            ],
+        }
+        _emit(args, payload, "")
+        return 0
     lines = [f"{space.name}, j = {args.j}, w = 0"]
     lines.append(f"tangent basis: {', '.join('*'.join(map(str, labels[k])) for k in orbit.h_keys)}")
     for op, poly in zip(ops, polys):
@@ -202,13 +215,12 @@ def _cmd_shape(args) -> int:
         if op.is_zero:
             lines.append("  0")
         else:
-            for row in op.matrix:
-                lines.append("  [" + ", ".join(str(x) for x in row) + "]")
+            lines.extend("  [" + ", ".join(row) + "]" for row in rows(op))
         lines.append("  charpoly: " + ", ".join(poly))
     lines.append(
         "singular orbit is totally geodesic" if tg else "singular orbit is NOT totally geodesic"
     )
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, None, "\n".join(lines))
     return 0
 
 

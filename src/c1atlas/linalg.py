@@ -3,9 +3,11 @@
 Matrices are lists of row lists (read-only inputs may be tuples of tuples).
 Storage is dense; the sizes that occur in this package stay below ~60 x 60,
 where fraction-exact Gaussian elimination is instantaneous and never rounds.
-The two kernels on the shape-operator path skip zeros: ``mat_vec`` multiplies
-only the nonzero entries of the vector, and ``charpoly`` (Hessenberg
-reduction, O(n^3)) skips zero pivots and eliminations.
+The kernels skip zeros: ``mat_vec`` multiplies only the nonzero entries of
+the vector, ``charpoly`` (Hessenberg reduction, O(n^3)) skips zero pivots and
+eliminations, and ``block_charpoly`` takes a matrix by sparse columns and
+runs ``charpoly`` only on the strongly connected blocks of its nonzero
+pattern that are larger than one entry.
 """
 
 from __future__ import annotations
@@ -15,14 +17,6 @@ from fractions import Fraction
 
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def mat_vec(a, v):
@@ -154,6 +148,74 @@ def charpoly(a):
     return polys[n][::-1]
 
 
-def is_symmetric(a) -> bool:
-    n = len(a)
-    return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
+def block_charpoly(columns):
+    """Monic characteristic polynomial of the matrix whose column c is the sparse map columns[c].
+
+    Each columns[c] maps a row index to a nonzero entry.  Ordered by the
+    strongly connected components of the graph with an edge c -> r for each
+    entry (r, c), the matrix is block upper triangular under a permutation,
+    so its polynomial is the product of those of the diagonal blocks:
+    x - a_cc for a one-vertex block and ``charpoly`` for a larger one.
+    Returns [1, c1, ..., cn] as ``charpoly`` does.
+    """
+    poly = [Fraction(1)]
+    for block in _strong_components(columns):
+        if len(block) > 1:
+            poly = _poly_mul(poly, charpoly([[columns[c].get(r, 0) for c in block] for r in block]))
+        else:
+            diagonal = columns[block[0]].get(block[0])
+            if diagonal:
+                poly = _poly_mul(poly, [Fraction(1), -Fraction(diagonal)])
+            else:
+                poly = poly + [Fraction(0)]  # times x
+    return poly
+
+
+def _poly_mul(p, q):
+    """Product of two polynomials given by coefficients from the top power down."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _strong_components(columns):
+    """The strongly connected components of the graph with an edge c -> r for
+    every key r of columns[c], as lists of vertices (Tarjan, SIAM J. Comput.
+    1, 1972), with an explicit stack in place of recursion."""
+    index, low, on_stack, stack, components = {}, {}, set(), [], []
+    for root in range(len(columns)):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(columns[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(columns[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components

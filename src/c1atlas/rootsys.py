@@ -376,8 +376,7 @@ class RootSystem:
 
     def length_class_sizes(self) -> dict:
         """Number of positive roots of each squared length, keyed by the exact length."""
-        sizes = Counter(self._root_len6[c] for c in self._posset)
-        return {Fraction(n, 6): k for n, k in sizes.items()}
+        return length_class_counts(self.rtype.family, self.rank)
 
     # -- membership ---------------------------------------------------------
     @property
@@ -589,6 +588,32 @@ class ParabolicGrading(Record):
         return self.levels.get(nu, ())
 
 
+def length_class_counts(family: str, rank: int) -> dict:
+    """Number of positive roots of each squared length of a type, in closed form.
+
+    Keyed by the exact squared length, long roots at 2 as in ``RootSystem``
+    (Bourbaki, Ch. VI, Plates I-IX; BC_n is B_n plus the n doubled short
+    roots 2e_i).  A class with no roots is left out: BC1 has none of squared
+    length 2.  No root system is built.  The type is validated first, so an
+    unknown family or a bad rank raises InvalidRank.
+    """
+    n = RootSystemType(family, rank).rank
+    pairs = n * (n - 1)  # the roots e_i +- e_j with i < j
+    six_fold = {
+        "A": {12: n * (n + 1) // 2},
+        "B": {6: n, 12: pairs},
+        "C": {6: pairs, 12: n},
+        "D": {12: pairs},
+        "E6": {12: 36},
+        "E7": {12: 63},
+        "E8": {12: 120},
+        "F4": {6: 12, 12: 12},
+        "G2": {4: 3, 12: 3},
+        "BC": {6: n, 12: pairs, 24: n},
+    }[family]
+    return {Fraction(n6, 6): k for n6, k in six_fold.items() if k}
+
+
 _CACHE: dict = {}
 
 
@@ -605,7 +630,7 @@ def _type_with_counts(rank: int, counts: tuple) -> RootSystemType:
     """RootSystem.subsystem_type from its counts, memoised on (rank, counts)."""
     for family in FAMILIES:
         try:
-            sizes = root_system(family, rank).length_class_sizes()
+            sizes = length_class_counts(family, rank)
         except InvalidRank:
             continue
         if tuple(sizes[k] for k in sorted(sizes)) == counts:

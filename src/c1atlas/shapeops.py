@@ -15,9 +15,12 @@ tuples picked by root, and labels are read only for messages and output.
 Both sides of that check are sparse maps read off sparse rows: the bracket
 rows, twice b_theta, and four times the AN Gram, which are all integral.  So
 a column and its check run on ints whenever xi is integral (a basis vector,
-say), and only the nonzero matrix entries become Fractions.  Nothing is
-approximated: totally-geodesic verdicts are exact zero tests and the
-constant-principal-curvature check compares characteristic polynomials
+say), and only the nonzero matrix entries become Fractions.  An operator is
+kept as those sparse columns end to end: its self-adjointness is read off
+them and the Gram rows, and its characteristic polynomial is x^n when it is
+zero, so ``linalg`` is only loaded for a nonzero operator.
+Nothing is approximated: totally-geodesic verdicts are exact zero tests and
+the constant-principal-curvature check compares characteristic polynomials
 literally.
 """
 
@@ -26,11 +29,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FormulaMismatch, IdentityViolation, NotClosed, SpectrumMismatch
-from .linalg import charpoly, is_symmetric, mat_mul
 from .rootsys import Record, Root
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _as_int(v):
@@ -128,23 +131,30 @@ class ShapeOperatorMatrix(Record):
     """Exact matrix of one shape operator over the tangent basis of an orbit.
 
     ``xi_key`` holds the sorted (basis index, coefficient) terms of xi and
-    ``basis`` the tangent basis indices of the rows and columns.
+    ``basis`` the tangent basis indices of the rows and columns.  The matrix
+    is stored by sparse columns: ``columns[c]`` holds the sorted (row,
+    Fraction) pairs of the nonzero entries of column c, and every entry it
+    omits is zero.
     """
 
-    __slots__ = ("xi_key", "basis", "matrix")
+    __slots__ = ("xi_key", "basis", "columns")
 
     @property
     def is_zero(self) -> bool:
-        # the zero entries of a computed operator are all the one _ZERO, which
-        # tuple equality matches by identity; any other entry is compared
-        zero = (_ZERO,) * len(self.basis)
-        return all(tuple(row) == zero for row in self.matrix)
+        return not any(self.columns)
 
-    def charpoly(self):
-        return charpoly(self.matrix)
+    def charpoly(self) -> list:
+        """Coefficients [1, c1, ..., cn] of the monic characteristic polynomial, exactly.
 
-    def column(self, j):
-        return [self.matrix[i][j] for i in range(len(self.basis))]
+        A zero operator gives x^n without arithmetic; any other is handed to
+        ``linalg.block_charpoly`` as its sparse columns, which multiplies the
+        polynomials of the diagonal blocks of its nonzero pattern.
+        """
+        if self.is_zero:
+            return [_ONE] + [_ZERO] * len(self.basis)
+        from .linalg import block_charpoly
+
+        return block_charpoly([dict(column) for column in self.columns])
 
 
 class OrbitSubalgebra:
@@ -184,34 +194,42 @@ class OrbitSubalgebra:
         h_roots += [lam for lam in higher if lam not in dropped]
         self.h_roots = tuple(sorted(h_roots))
         self.v_roots = tuple(sorted(lam for lam in level_one if selection[lam] == "zero"))
-        self._assert_closed()
+        self._assert_closed(dropped)
 
         alg = model.algebra
         self.h_keys = tuple(range(rs.rank)) + alg.root_indices(self.h_roots)
         self._h_position = {k: c for c, k in enumerate(self.h_keys)}
         self.v_keys = alg.root_indices(self.v_roots)
-        self.gram = self._an_gram()
 
-    def _assert_closed(self):
-        rs = self.model.algebra.rs
-        roots = set(self.h_roots)
+    def _assert_closed(self, dropped):
+        """NotClosed unless every root sum of two roots of h is a root of h.
+
+        Every positive root lies in h, in the normal space or among the
+        dropped roots, and a + b lies at the level of a plus that of b.  So
+        for each a, only the roots b of h whose level takes a + b to the level
+        of a missing root are tried, on coefficient tuples.  The first a in
+        root order with a hit is reported with its least b, as a scan over
+        all ordered pairs would.
+        """
+        j = self.j - 1
+        missing = {lam.coeffs for lam in (*self.v_roots, *dropped)}
+        missing_levels = {coeffs[j] for coeffs in missing}
+        by_level = {}
+        for b in self.h_roots:
+            by_level.setdefault(b.coeffs[j], []).append(b)
         for a in self.h_roots:
-            for b in self.h_roots:
-                s = a.shifted(b)
-                if rs.contains(s) and Root(s) not in roots:
-                    raise NotClosed(
-                        f"[g_{a}, g_{b}] leaves the candidate tangent algebra (hits {Root(s)})"
-                    )
-
-    def _an_gram(self):
-        """The AN Gram on ``h_keys``: the Cartan block of b_theta on the flat part, half its diagonal on n."""
-        position = self._h_position
-        n = len(position)
-        gram = [[_ZERO] * n for _ in range(n)]
-        for k, c in position.items():
-            for kz, g in self.model._gram4_rows[k]:
-                gram[position[kz]][c] = Fraction(g, 4)
-        return gram
+            level = a.coeffs[j]
+            hits = [
+                b
+                for target in missing_levels
+                for b in by_level.get(target - level, ())
+                if a.shifted(b) in missing
+            ]
+            if hits:
+                b = min(hits)
+                raise NotClosed(
+                    f"[g_{a}, g_{b}] leaves the candidate tangent algebra (hits {Root(a.shifted(b))})"
+                )
 
     def tangent_terms(self, terms: dict) -> dict:
         """b_theta-orthogonal projection onto h of a sparse term dict, kept sparse.
@@ -222,11 +240,6 @@ class OrbitSubalgebra:
         """
         position = self._h_position
         return {k: v for k, v in terms.items() if k in position}
-
-    def tangent_project(self, elem: AlgebraElement) -> list:
-        """The projection onto h of an element, as coordinates on ``h_keys``."""
-        terms = self.tangent_terms(elem.terms)
-        return [terms.get(k, _ZERO) for k in self.h_keys]
 
     def normal_basis(self):
         return [self.model.algebra.unit(k) for k in self.v_keys]
@@ -266,10 +279,9 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
     bracket = alg.bracket_terms
     xt = _integral(xi.terms)
     minus_theta_xi = {k: -v for k, v in alg.theta_terms(xt).items()}
-    n = len(h_keys)
-    rows = [[_ZERO] * n for _ in range(n)]
+    columns = []
     images = model.koszul_image([alg.unit(k) for k in h_keys], xi)
-    for c, (k, image) in enumerate(zip(h_keys, images)):
+    for k, image in zip(h_keys, images):
         x = {k: 1}
         twice_column = orbit.tangent_terms(bracket(minus_theta_xi, x, bracket(xt, x)))
         residual = {kz: v for kz, v in image.items() if kz in position}
@@ -280,11 +292,10 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
             raise FormulaMismatch(
                 "bracket formula and Koszul derivative disagree on a tangent vector"
             )
-        for kc, v in twice_column.items():
-            if v:
-                rows[position[kc]][c] = Fraction(v, 2)
+        column = ((position[kc], Fraction(v, 2)) for kc, v in twice_column.items() if v)
+        columns.append(tuple(sorted(column)))
     xi_key = tuple(sorted(xi.terms.items()))
-    return ShapeOperatorMatrix(xi_key=xi_key, basis=h_keys, matrix=tuple(map(tuple, rows)))
+    return ShapeOperatorMatrix(xi_key=xi_key, basis=h_keys, columns=tuple(columns))
 
 
 def is_totally_geodesic(orbit: OrbitSubalgebra) -> bool:
@@ -306,28 +317,41 @@ def check_shape_identities(orbit: OrbitSubalgebra) -> None:
     level_zero = set(alg.root_indices(orbit.grading.sigma_phi_pos))
     top = alg.root_indices([orbit.top_level_one_root])
     half = Fraction(1, 2)
+    h_keys = orbit.h_keys
     for vk in orbit.v_keys:
         xi = alg.unit(vk)
         op = shape_operator(orbit, xi)
-        for c, key in enumerate(orbit.h_keys):
-            col = op.column(c)
-            if key < rank and any(v != 0 for v in col):
+        for key, column in zip(h_keys, op.columns):
+            if key < rank and column:
                 raise IdentityViolation(f"A_xi does not kill the flat part at {alg.labels[key]}")
             if key in level_zero:
-                plain = orbit.tangent_project(half * alg.bracket(xi, alg.unit(key)))
-                if plain != col:
+                plain = orbit.tangent_terms((half * alg.bracket(xi, alg.unit(key))).terms)
+                if plain != {h_keys[r]: v for r, v in column}:
                     raise IdentityViolation(
                         f"level-zero shortcut fails at xi={alg.labels[vk]}, X={alg.labels[key]}"
                     )
-                if vk in top and any(v != 0 for v in col):
+                if vk in top and column:
                     raise IdentityViolation(
                         f"top-root normal direction acts on level zero at X={alg.labels[key]}"
                     )
 
 
 def check_self_adjoint(orbit: OrbitSubalgebra, op: ShapeOperatorMatrix) -> bool:
-    """A_xi must be symmetric for the AN Gram matrix of the orbit."""
-    return is_symmetric(mat_mul(orbit.gram, op.matrix))
+    """A_xi must be symmetric for the AN Gram matrix G of the orbit: G A = (G A)^T.
+
+    G A is summed sparsely from the columns of A and the int rows of 4 G
+    (which stay inside h), and each of its entries is compared with its
+    mirror; an entry the sum never reached is zero.
+    """
+    h_keys, position = orbit.h_keys, orbit._h_position
+    gram4 = orbit.model._gram4_rows
+    product = {}
+    for c, column in enumerate(op.columns):
+        for r, v in column:
+            for kz, g in gram4[h_keys[r]]:
+                entry = (position[kz], c)
+                product[entry] = product.get(entry, 0) + g * v
+    return all(product.get((c, r), 0) == v for (r, c), v in product.items())
 
 
 def cpc_charpoly_constancy(orbit: OrbitSubalgebra, samples) -> list:

@@ -5,8 +5,9 @@ C1AtlasError on failure, so the checks still fire under ``python -O``;
 `run_verify` executes them in order and reports one record per check.
 The exhaustive F4 Jacobi sweep (22 100 basis triples, summed on the int
 bracket rows in about 0.02 s) only runs with full=True: on a 2-vCPU x86-64
-box with CPython 3.11, a cold `c1atlas verify --full` takes about 0.28 s,
-against 0.27 s for `c1atlas verify`.
+box with CPython 3.11, a cold `c1atlas verify --full` takes about
+0.19-0.25 s, against 0.15-0.21 s for `c1atlas verify`, depending on the
+load of the box.
 """
 
 from __future__ import annotations
@@ -113,13 +114,13 @@ def _check_theta_isometry():
     for scalars in (RATIONAL, GAUSSIAN):
         alg = build_algebra(root_system("G2", 2), scalars)
         basis = [alg.unit(k) for k in range(alg.dim)]
+        # the messages render elements, so they are built only on a failure
         for x in basis:
-            _require(alg.theta(alg.theta(x)) == x, f"theta is not an involution on {x}")
+            if alg.theta(alg.theta(x)) != x:
+                raise CheckFailed(f"theta is not an involution on {x}")
             for y in basis:
-                _require(
-                    alg.killing(alg.theta(x), alg.theta(y)) == alg.killing(x, y),
-                    f"theta is not a Killing isometry on {x}, {y}",
-                )
+                if alg.killing(alg.theta(x), alg.theta(y)) != alg.killing(x, y):
+                    raise CheckFailed(f"theta is not a Killing isometry on {x}, {y}")
 
 
 def _check_shape_consistency():

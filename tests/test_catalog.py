@@ -18,6 +18,7 @@ from c1atlas.catalog import (
 )
 from c1atlas.errors import DimensionMismatch, InvalidIndex, NotARoot, ParseError, UnknownSpace
 from c1atlas.linalg import solve
+from c1atlas import rootsys
 from c1atlas.rootsys import Root, RootSystemType
 
 
@@ -48,6 +49,33 @@ def test_wrong_class_keys_rejected():
     bad = {"name": "bogus", "family": "B", "rank": 2, "mults": {"2": 1}, "dim": 4}
     with pytest.raises(ParseError):
         load_catalog([bad])
+
+
+@pytest.mark.parametrize(
+    "entry,error,message",
+    [
+        ({"family": "BC", "rank": 2, "mults": {"1": 2, "2": 2, "4": 2}, "dim": 14, "complexified": True},
+         ParseError, "reduced system"),
+        ({"family": "A", "rank": 2, "mults": {"2": 1}, "dim": 5, "complexified": True}, ParseError, "all multiplicities 2"),
+        ({"family": "A", "rank": 2, "mults": {"2": 0}, "dim": 2}, ParseError, "at least 1"),
+        # BC1 has no roots of squared length 2, so that class is foreign to it
+        ({"family": "BC", "rank": 1, "mults": {"1": 2, "2": 1, "4": 1}, "dim": 4}, ParseError, "do not match"),
+        ({"family": "C", "rank": 17, "mults": {"1": 1, "2": 1}, "dim": 17 + 17 * 16}, DimensionMismatch, "dim"),
+    ],
+    ids=["complexified-bc", "complexified-mult", "mult-zero", "bc1-class-keys", "c17-dim"],
+)
+def test_validation_rejects_without_building_a_root_system(entry, error, message):
+    before = set(rootsys._CACHE)
+    with pytest.raises(error, match=message):
+        load_catalog([{"name": "bogus", **entry}])
+    assert set(rootsys._CACHE) == before
+
+
+def test_validation_accepts_a_type_it_never_builds():
+    before = set(rootsys._CACHE)
+    entry = {"name": "x", "family": "C", "rank": 17, "mults": {"1": 1, "2": 1}, "dim": 17 + 17 * 16 + 17}
+    (space,) = load_catalog([entry])
+    assert space.dim == 17 * 18 and set(rootsys._CACHE) == before
 
 
 def test_split_flag_contradiction_rejected():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c1atlas.linalg import (
+    _strong_components,
+    block_charpoly,
     charpoly,
     det,
     identity,
     inverse,
-    is_symmetric,
-    mat_mul,
     mat_vec,
     rank,
     solve,
 )
+
+
+def mat_mul(a, b):
+    """Reference dense product; the package multiplies sparse columns and rows instead."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def is_symmetric(a) -> bool:
+    return all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i + 1, len(a)))
+
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 # three entries in four are zero, so the charpoly kernel meets row swaps,
@@ -92,6 +103,37 @@ def test_charpoly_of_sparse_matrices_evaluates_to_det(rows):
     coeffs = charpoly(rows)
     assert all(type(c) is Fraction for c in coeffs)
     _evaluates_to_det(rows, coeffs)
+    assert block_charpoly(_columns(rows)) == coeffs
+
+
+def _columns(rows):
+    """The sparse columns {row: entry} of a square matrix."""
+    n = len(rows)
+    return [{r: rows[r][c] for r in range(n) if rows[r][c]} for c in range(n)]
+
+
+def test_block_charpoly_matches_charpoly_on_random_patterns():
+    # one entry in four is nonzero, so the patterns have strongly connected
+    # blocks of every size, with and without a diagonal entry
+    rng = random.Random(16)
+    sizes = set()
+    for _ in range(300):
+        n = rng.randrange(10)
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.25 else Fraction(0) for _ in range(n)]
+            for _ in range(n)
+        ]
+        coeffs = block_charpoly(_columns(rows))
+        assert coeffs == charpoly(rows), rows
+        assert all(type(c) is Fraction for c in coeffs)
+        sizes.update(len(block) for block in _strong_components(_columns(rows)))
+    assert {1, 2, 3, 4} <= sizes
+
+
+def test_strong_components_partition_the_vertices_by_mutual_reachability():
+    # 0 -> 1 -> 2 -> 0 is a cycle, 3 -> 4 -> 3 another, 2 -> 3 joins them one way, 5 is alone
+    columns = [{1: 1}, {2: 1}, {0: 1, 3: 1}, {4: 1}, {3: 1}, {}]
+    assert sorted(sorted(block) for block in _strong_components(columns)) == [[0, 1, 2], [3, 4], [5]]
 
 
 def test_charpoly_fixed_cases():

@@ -36,7 +36,7 @@ FACTORIES = {
     ActionFamily: lambda: ActionFamily("SOLVABLE", {"j": [1]}, "simple-root"),
     ActionCatalog: lambda: ActionCatalog(("X",), (ActionFamily("HOROSPHERICAL", {}, "flat"),)),
     ShapeOperatorMatrix: lambda: ShapeOperatorMatrix(
-        ((3, Fraction(1)),), (0, 1), ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))
+        ((3, Fraction(1)),), (0, 1), (((1, Fraction(1, 2)),), ((0, Fraction(1, 2)),))
     ),
 }
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import operator
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,15 @@ from fractions import Fraction
 
 from c1atlas import rootsys
 from c1atlas.errors import IdentityViolation, InvalidIndex, InvalidRank, NotARoot, ProportionalRoots
-from c1atlas.rootsys import FAMILIES, MAX_RANK, Root, RootSystem, RootSystemType, root_system
+from c1atlas.rootsys import (
+    FAMILIES,
+    MAX_RANK,
+    Root,
+    RootSystem,
+    RootSystemType,
+    length_class_counts,
+    root_system,
+)
 
 from coord_models import positive_coefficient_vectors
 
@@ -552,6 +561,27 @@ def test_generator_against_closed_forms_and_reflections(family):
         assert gram == [list(row) for row in rs.gram]
         unit = {c for c in present if sum(a * sum(map(operator.mul, c, row)) for a, row in zip(c, gram) if a) == 1}
         assert doubles == {tuple(2 * n for n in c) for c in unit}, rank
+
+
+def test_length_class_counts_match_the_generated_roots():
+    # the closed forms the catalog validates with, against a count of the
+    # generated roots of every valid type up to MAX_RANK
+    checked = 0
+    for family, ranks in ALL_TYPES.items():
+        for rank in ranks:
+            rs = root_system(family, rank)
+            counted = dict(Counter(rs.length_sq(lam) for lam in rs.positives))
+            assert length_class_counts(family, rank) == counted, (family, rank)
+            assert rs.length_class_sizes() == counted
+            assert all(type(length) is Fraction for length in counted)
+            checked += 1
+    assert checked == 99
+
+
+@pytest.mark.parametrize("family,rank", [("B", 1), ("C", 2), ("D", 3), ("E6", 7), ("A", 0), ("A", MAX_RANK + 1), ("X", 2)])
+def test_length_class_counts_validate_the_type(family, rank):
+    with pytest.raises(InvalidRank):
+        length_class_counts(family, rank)
 
 
 @pytest.mark.parametrize(

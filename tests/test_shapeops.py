@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from fractions import Fraction
@@ -9,11 +11,13 @@ from hypothesis import strategies as st
 
 from c1atlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from c1atlas.errors import FormulaMismatch, NotClosed, SpectrumMismatch
+from c1atlas import linalg
 from c1atlas.linalg import mat_vec
 from c1atlas.rootsys import Root, root_system
-from c1atlas.scalars import GAUSSIAN
+from c1atlas.scalars import GAUSSIAN, RATIONAL
 from c1atlas.shapeops import (
     OrbitSubalgebra,
+    ShapeOperatorMatrix,
     SolvableModel,
     check_self_adjoint,
     check_shape_identities,
@@ -21,6 +25,16 @@ from c1atlas.shapeops import (
     is_totally_geodesic,
     shape_operator,
 )
+
+
+def _dense(op):
+    """The rows of an operator, read off its sparse columns."""
+    n = len(op.basis)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for c, column in enumerate(op.columns):
+        for r, v in column:
+            rows[r][c] = v
+    return tuple(map(tuple, rows))
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +94,7 @@ def test_g2_long_root_w_zero_totally_geodesic(g2_model):
     assert is_totally_geodesic(orbit)
     for xi in orbit.normal_basis():
         op = shape_operator(orbit, xi)
-        assert sum(op.matrix[i][i] for i in range(len(op.basis))) == 0
+        assert sum(_dense(op)[i][i] for i in range(len(op.basis))) == 0
 
 
 def test_g2_short_root_w_zero_not_totally_geodesic(g2_model):
@@ -88,9 +102,9 @@ def test_g2_short_root_w_zero_not_totally_geodesic(g2_model):
     assert not is_totally_geodesic(orbit)
     alg = g2_model.algebra
     op = shape_operator(orbit, alg.e(Root((0, 1))))
-    col = op.column(orbit.h_keys.index(alg.index[("e", Root((1, 3)))]))
-    assert any(v != 0 for v in col)  # image lands in the level-two root space
-    assert col[orbit.h_keys.index(alg.index[("e", Root((1, 2)))])] != 0
+    col = dict(op.columns[orbit.h_keys.index(alg.index[("e", Root((1, 3)))])])
+    assert col  # image lands in the level-two root space
+    assert col.get(orbit.h_keys.index(alg.index[("e", Root((1, 2)))]), 0) != 0
 
 
 @pytest.mark.parametrize("ring", ["rational", "gaussian"])
@@ -150,8 +164,7 @@ def test_gaussian_g2_dichotomy(g2_gaussian_model):
     assert not is_totally_geodesic(orbit)
     alg = g2_gaussian_model.algebra
     op = shape_operator(orbit, alg.e(Root((0, 1))))
-    col = op.column(orbit.h_keys.index(alg.index[("e", Root((1, 3)))]))
-    assert any(v != 0 for v in col)
+    assert op.columns[orbit.h_keys.index(alg.index[("e", Root((1, 3)))])]
 
 
 def test_shape_identities_hold(g2_model, g2_gaussian_model):
@@ -178,12 +191,8 @@ def test_split_a2_orbits_totally_geodesic(a2_split):
 def test_scale_covariance(g2_model):
     orbit = OrbitSubalgebra(g2_model, 2)
     xi = g2_model.algebra.e(Root((0, 1)))
-    a, b = shape_operator(orbit, xi), shape_operator(orbit, 3 * xi)
-    assert all(
-        b.matrix[i][j] == 3 * a.matrix[i][j]
-        for i in range(len(a.basis))
-        for j in range(len(a.basis))
-    )
+    a, b = _dense(shape_operator(orbit, xi)), _dense(shape_operator(orbit, 3 * xi))
+    assert all(b[i][j] == 3 * a[i][j] for i in range(len(a)) for j in range(len(a)))
 
 
 def test_cpc_charpoly_pair(g2_model):
@@ -336,10 +345,15 @@ def test_sparse_shape_operators_match_the_dense_path(family, rank, j, ring):
     for xi in normals + [mixed]:
         gram, matrix = _dense_shape_operator(orbit, xi)
         op = shape_operator(orbit, xi)
-        assert op.matrix == matrix and op.basis == orbit.h_keys
-        assert all(type(v) is Fraction for row in op.matrix for v in row)
+        assert _dense(op) == matrix and op.basis == orbit.h_keys
+        # the columns hold the nonzero entries only, as Fractions, by row
+        for column in op.columns:
+            assert [r for r, _ in column] == sorted({r for r, _ in column})
+            assert all(type(v) is Fraction and v != 0 for _, v in column)
         assert op.is_zero == all(v == 0 for row in matrix for v in row)
-    assert orbit.gram == gram
+    # the int Gram rows the check reads are 4 x the dense Gram on h
+    rows = {k: dict(row) for k, row in orbit.model._gram4_rows.items()}
+    assert [[Fraction(rows[k].get(kz, 0), 4) for k in orbit.h_keys] for kz in orbit.h_keys] == gram
 
 
 def test_shape_operators_call_no_b_theta_or_an_inner(monkeypatch):
@@ -356,3 +370,121 @@ def test_shape_operators_call_no_b_theta_or_an_inner(monkeypatch):
     assert is_totally_geodesic(orbit)
     with pytest.raises(AssertionError):
         model.an_inner(alg.unit(0), alg.unit(0))
+
+
+def test_block_charpoly_matches_the_dense_charpoly_on_the_shape_domain(catalog):
+    # every operator `c1atlas shape` prints on the split and complexified
+    # spaces of rank >= 2 up to F4; the dense linalg.charpoly is the reference
+    spaces = [
+        space
+        for space in catalog
+        if (space.split_flag or space.complexified_flag)
+        and space.rank >= 2
+        and space.rtype.family not in ("E6", "E7", "E8")
+        and space.name != "F4(C)/F4"
+    ]
+    pairs = operators = nonzero = 0
+    for space in spaces:
+        alg = build_algebra(space.root_system(), RATIONAL if space.split_flag else GAUSSIAN)
+        model = SolvableModel(alg)
+        for j in range(1, space.rank + 1):
+            orbit = OrbitSubalgebra(model, j)
+            pairs += 1
+            for xi in orbit.normal_basis():
+                op = shape_operator(orbit, xi)
+                poly = op.charpoly()
+                assert poly == linalg.charpoly(_dense(op)), (space.name, j)
+                assert all(type(c) is Fraction for c in poly)
+                operators += 1
+                nonzero += not op.is_zero
+    assert (pairs, operators, nonzero) == (63, 471, 24)
+
+
+def test_zero_operators_get_x_to_the_n_without_linalg(monkeypatch, g2_model):
+    def refuse(*args):
+        raise AssertionError("linalg.charpoly ran")
+
+    monkeypatch.setattr(linalg, "charpoly", refuse)
+    orbit = OrbitSubalgebra(g2_model, 1)
+    for xi in orbit.normal_basis():
+        op = shape_operator(orbit, xi)
+        assert op.is_zero and op.charpoly() == [1] + [0] * len(orbit.h_keys)
+    bent = shape_operator(OrbitSubalgebra(g2_model, 2), g2_model.algebra.e(Root((0, 1))))
+    with pytest.raises(AssertionError, match="linalg.charpoly ran"):
+        bent.charpoly()
+
+
+def _self_adjoint_dense(gram, rows):
+    """Reference: G A is symmetric, by the dense product."""
+    n = len(rows)
+    ga = [[sum(gram[i][t] * rows[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return all(ga[i][j] == ga[j][i] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("family,rank,j", [("G2", 2, 2), ("B", 3, 2), ("F4", 4, 1)])
+def test_sparse_self_adjoint_check_matches_the_dense_product(family, rank, j):
+    orbit = OrbitSubalgebra(SolvableModel(build_algebra(root_system(family, rank))), j)
+    rng = random.Random(f"{family}{j}")
+    n = len(orbit.h_keys)
+    outcomes = set()
+    for xi in orbit.normal_basis()[:3]:
+        gram, _ = _dense_shape_operator(orbit, xi)
+        op = shape_operator(orbit, xi)
+        for trial in range(6):
+            columns = [dict(column) for column in op.columns]
+            # one entry, or one entry and its mirror, added at random
+            r, c = rng.randrange(n), rng.randrange(n)
+            for a, b in [(r, c), (c, r)][: trial % 3]:
+                columns[b][a] = columns[b].get(a, 0) + Fraction(rng.randint(1, 3))
+            bent = ShapeOperatorMatrix(op.xi_key, op.basis, tuple(tuple(sorted(col.items())) for col in columns))
+            expected = _self_adjoint_dense(gram, _dense(bent))
+            assert check_self_adjoint(orbit, bent) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def _first_escape(rs, h_roots):
+    """Reference: the first ordered pair of roots of h, in root order, whose sum is a root outside h."""
+    roots = set(h_roots)
+    for a in h_roots:
+        for b in h_roots:
+            s = a.shifted(b)
+            if rs.contains(s) and Root(s) not in roots:
+                return f"[g_{a}, g_{b}] leaves the candidate tangent algebra (hits {Root(s)})"
+    return None
+
+
+@pytest.mark.parametrize("family,rank", [("G2", 2), ("A", 3), ("B", 3), ("C", 3)])
+def test_closure_check_matches_the_all_pairs_scan(family, rank):
+    alg = build_algebra(root_system(family, rank))
+    model = SolvableModel(alg)
+    rng = random.Random(f"{family}{rank}")
+    outcomes = set()
+    for j in range(1, rank + 1):
+        grading = alg.rs.maximal_grading(j)
+        level_one = grading.level(1)
+        higher = [lam for nu in sorted(grading.levels) if nu >= 2 for lam in grading.level(nu)]
+        for _ in range(40):
+            selection = {lam: rng.choice(("full", "zero")) for lam in level_one}
+            dropped = {lam for lam in higher if rng.random() < 0.3}
+            h_roots = sorted(
+                list(grading.sigma_phi_pos)
+                + [lam for lam in level_one if selection[lam] == "full"]
+                + [lam for lam in higher if lam not in dropped]
+            )
+            expected = _first_escape(alg.rs, h_roots)
+            outcomes.add(expected is None)
+            if expected is None:
+                assert OrbitSubalgebra(model, j, selection=selection, dropped=dropped).h_roots == tuple(h_roots)
+            else:
+                with pytest.raises(NotClosed) as info:
+                    OrbitSubalgebra(model, j, selection=selection, dropped=dropped)
+                assert str(info.value) == expected
+    assert outcomes == {True, False}
+
+
+def test_dropping_a_reachable_root_is_not_closed(g2_model):
+    # with all of level one in h, the top root 2a1+3a2 = a1 + (a1+3a2) is reached
+    level_one = OrbitSubalgebra(g2_model, 1).grading.level(1)
+    with pytest.raises(NotClosed, match=r"\[g_a1, g_a1\+3a2\] leaves .* \(hits 2a1\+3a2\)"):
+        OrbitSubalgebra(g2_model, 1, selection={lam: "full" for lam in level_one}, dropped={Root((2, 3))})

@@ -83,6 +83,23 @@ def test_mid_weight_commands_load_only_their_layers(command):
     assert layer in loaded and not set(unused) & loaded, loaded
 
 
+def test_shape_with_zero_operators_loads_no_linalg():
+    # every operator of SL(3,R)/SO(3) at j=1 is zero, so each charpoly is x^n
+    # with no arithmetic; G2^2/SO(4) at j=2 has nonzero operators and may load it
+    loaded = _layers_loaded_by('assert c1atlas.cli.main(["shape", "--space", "SL(3,R)/SO(3)", "--j", "1"]) == 0')
+    assert "shapeops" in loaded and "linalg" not in loaded, loaded
+
+
+def test_catalog_load_builds_no_root_system():
+    # validation reads the closed-form class counts, so no system is generated
+    out = _fresh(
+        "import c1atlas.cli\n"
+        "c1atlas.cli.default_catalog()\n"
+        "print(sorted(c1atlas.rootsys._CACHE))\n"
+    )
+    assert out.strip() == "[]"
+
+
 # Standard-library modules no command needs: `dataclasses` pulls in `inspect`
 # (and with it `ast`, `dis` and `tokenize`), and `typing` is only ever wanted
 # for annotations, which are strings here.
