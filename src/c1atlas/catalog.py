@@ -7,12 +7,18 @@ load.  It reads the number of roots per length class in closed form
 (``rootsys.length_class_counts``), so loading builds no root system: an
 entry's system is generated when a command first asks for it.  Entries are
 immutable after loading.
+
+Every malformed file is a ParseError, including bytes that are not UTF-8,
+JSON nested too deeply, a length key other than n, n/d (d > 0) or a decimal,
+and a name or alias that occurs twice (``find_space`` answers either).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+from collections import Counter
 from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
@@ -130,10 +136,9 @@ class SpaceEntry(Record):
         the sum over length classes of m * length * count, and on roots the
         dual of B is the normalised form divided by kappa.
         """
-        rs = self.root_system()
-        sizes = rs.length_class_sizes()
+        sizes = length_class_counts(self.rtype.family, self.rank)
         trace = 2 * sum(m * length * sizes[length] for length, m in self.mult)
-        return self.rank * rs.length_sq(lam) / trace
+        return self.rank * self.root_system().length_sq(lam) / trace
 
     def __str__(self):
         return self.name
@@ -201,6 +206,16 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+# Fraction alone would also take an exponent ("1e9999999") and a zero denominator
+_LENGTH_KEY = re.compile(r"[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?")
+
+
+def _json_length(key, name: str) -> Fraction:
+    if not _LENGTH_KEY.fullmatch(key):
+        raise ParseError(f"{name}: root length {key!r} is not n, n/d with d > 0, or a decimal")
+    return Fraction(key)
+
+
 def _json_flag(obj, key: str) -> bool:
     value = obj.get(key, False)
     if not isinstance(value, bool):
@@ -223,7 +238,7 @@ def _entry_from_json(obj) -> SpaceEntry:
             rtype=RootSystemType(obj["family"], _json_int(obj["rank"], f"{name}: rank")),
             mult=tuple(
                 sorted(
-                    (Fraction(key), _json_int(value, f"{name}: multiplicity {key}"))
+                    (_json_length(key, name), _json_int(value, f"{name}: multiplicity {key}"))
                     for key, value in mults.items()
                 )
             ),
@@ -250,7 +265,8 @@ def read_json(source, error_prefix: str):
         return source
     try:
         return json.load(source)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # syntax errors, bytes that are not UTF-8 and over-long ints are ValueErrors
         raise ParseError(f"{error_prefix}: {exc}") from exc
 
 
@@ -264,9 +280,10 @@ def load_catalog(source) -> list:
     if not isinstance(data, list):
         raise ParseError("catalog must be a list of space objects")
     entries = [_entry_from_json(obj) for obj in data]
-    names = [e.name for e in entries]
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate space names in catalog")
+    counts = Counter(label for e in entries for label in (e.name, *e.aliases))
+    repeated = sorted(label for label, k in counts.items() if k > 1)
+    if repeated:
+        raise ParseError(f"duplicate space names or aliases in catalog: {', '.join(repeated)}")
     return entries
 
 

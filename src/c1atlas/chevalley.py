@@ -461,10 +461,6 @@ class ChevalleyAlgebra:
         return count
 
     # -- the real basis -------------------------------------------------------
-    def real_vector(self, label) -> AlgebraElement:
-        """The real basis vector named by `label`."""
-        return self.element({label: 1})
-
     def root_indices(self, roots) -> tuple:
         """Basis indices of the root spaces of `roots`, root by root: e_lam, then i*e_lam over Q(i).
 

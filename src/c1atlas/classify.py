@@ -50,9 +50,6 @@ class ModuliDescriptor(Record):
             self.data["interval_dims"] or self.data["right_angle_dims"]
         )
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "formula": self.formula, "data": self.data}
-
 
 def moduli(rank_one: RankOneType) -> ModuliDescriptor:
     """The moduli descriptor for a rank-one space; RH spaces have none."""
@@ -84,13 +81,6 @@ class ActionFamily(Record):
     ``provenance`` the construction-origin tag."""
 
     __slots__ = ("kind", "parameters", "provenance")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameters": self.parameters,
-            "provenance": self.provenance,
-        }
 
 
 class ActionCatalog(Record):

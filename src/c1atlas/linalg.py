@@ -1,13 +1,12 @@
 """Small exact linear-algebra kernel over Fraction matrices.
 
-Matrices are lists of row lists (read-only inputs may be tuples of tuples).
-Storage is dense; the sizes that occur in this package stay below ~60 x 60,
-where fraction-exact Gaussian elimination is instantaneous and never rounds.
-The kernels skip zeros: ``mat_vec`` multiplies only the nonzero entries of
-the vector, ``charpoly`` (Hessenberg reduction, O(n^3)) skips zero pivots and
-eliminations, and ``block_charpoly`` takes a matrix by sparse columns and
-runs ``charpoly`` only on the strongly connected blocks of its nonzero
-pattern that are larger than one entry.
+Matrices are dense lists of row lists (read-only inputs may be tuples of
+tuples) of exact Fractions.  The package calls ``solve`` (the Cartan dual of
+a root), ``rank`` (string injectivity) and ``block_charpoly``, which takes a
+shape operator by sparse columns and runs the Hessenberg ``charpoly`` only on
+the strongly connected blocks of its nonzero pattern larger than one entry.
+``mat_vec`` and ``inverse`` have no caller in the package: the benchmark's
+tracer wraps them by name, and tests call them.
 """
 
 from __future__ import annotations
@@ -61,16 +60,6 @@ def rank(a) -> int:
     return _eliminate(a)[1]
 
 
-def det(a) -> Fraction:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    echelon, rk, d = _eliminate(a)
-    return d if rk == n else Fraction(0)
-
-
 def solve(a, b):
     """Solve a x = b for square invertible `a`; raises ValueError if singular."""
     n = len(a)
@@ -101,7 +90,7 @@ def charpoly(a):
     the leading blocks of H then follow one from another by Hessenberg's
     recurrence, whose inner sum stops at the first zero subdiagonal entry
     (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
-    An all-zero matrix costs O(n^2) comparisons.  `a` is not modified.
+    `a` is not modified.
     """
     n = len(a)
     h = [list(map(Fraction, row)) for row in a]

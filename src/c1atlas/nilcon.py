@@ -118,15 +118,6 @@ class NCVerdict(Record):
     __slots__ = ("space", "j", "status", "witness", "note")
     _defaults = {"witness": {}, "note": ""}
 
-    def to_json(self) -> dict:
-        return {
-            "space": self.space,
-            "j": self.j,
-            "status": self.status,
-            "witness": self.witness,
-            "note": self.note,
-        }
-
 
 def _coeffs(lam: Root):
     return list(lam.coeffs)

@@ -95,6 +95,10 @@ class Record:
     def __reduce__(self):
         return type(self), self._values()
 
+    def to_json(self) -> dict:
+        """The fields by name, in field order; the values are stored as they are."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
 
 class RootSystemType(Record):
     """A family letter plus a rank, e.g. ('BC', 2)."""
@@ -120,8 +124,6 @@ class RootSystemType(Record):
             raise InvalidRank("D_r needs r >= 4")
         elif self.family == "BC" and r < 1:
             raise InvalidRank("BC_r needs r >= 1")
-        elif r < 1:
-            raise InvalidRank("rank must be positive")
 
     def __str__(self):
         if self.family in FIXED_RANK:
@@ -374,10 +376,6 @@ class RootSystem:
         """Cartan integer 2 (lam, mu) / (mu, mu)."""
         return self._pairing_coeffs(self._vector(lam), self._vector(mu))
 
-    def length_class_sizes(self) -> dict:
-        """Number of positive roots of each squared length, keyed by the exact length."""
-        return length_class_counts(self.rtype.family, self.rank)
-
     # -- membership ---------------------------------------------------------
     @property
     def rank(self) -> int:
@@ -402,19 +400,17 @@ class RootSystem:
         return coeffs in self._allset
 
     # -- strings --------------------------------------------------------------
-    def _proportional(self, lam: Root, beta: Root) -> bool:
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if lam.coeffs[i] * beta.coeffs[j] != lam.coeffs[j] * beta.coeffs[i]:
-                    return False
-        return True
+    def _check_string_ends(self, lam: Root, beta: Root) -> None:
+        """NotARoot unless lam and beta are roots; ProportionalRoots if they are proportional."""
+        if not (self.contains(lam) and self.contains(beta)):
+            raise NotARoot("string endpoints must be roots")
+        a, b = lam.coeffs, beta.coeffs
+        if all(a[i] * b[j] == a[j] * b[i] for i in range(self.rank) for j in range(i + 1, self.rank)):
+            raise ProportionalRoots(f"{lam} and {beta} are proportional")
 
     def root_string(self, lam: Root, beta: Root):
         """The upward beta-string [lam, lam+beta, ..., lam+q*beta] inside the system."""
-        if not (self.contains(lam) and self.contains(beta)):
-            raise NotARoot("string endpoints must be roots")
-        if self._proportional(lam, beta):
-            raise ProportionalRoots(f"{lam} and {beta} are proportional")
+        self._check_string_ends(lam, beta)
         out = [lam]
         k = 1
         while lam.shifted(beta, k) in self._allset:
@@ -424,10 +420,7 @@ class RootSystem:
 
     def string_down_count(self, lam: Root, beta: Root) -> int:
         """Largest p with lam - p*beta still a root (the classical string depth)."""
-        if not (self.contains(lam) and self.contains(beta)):
-            raise NotARoot("string endpoints must be roots")
-        if self._proportional(lam, beta):
-            raise ProportionalRoots(f"{lam} and {beta} are proportional")
+        self._check_string_ends(lam, beta)
         p = 0
         while lam.shifted(beta, -(p + 1)) in self._allset:
             p += 1

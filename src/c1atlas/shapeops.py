@@ -111,20 +111,11 @@ class SolvableModel:
             out.append(image)
         return out
 
-    def koszul_covectors(self, xs, y, zs) -> list:
-        """[[<nabla_x y, z>_AN for z in zs] for x in xs] for left-invariant fields on AN, exactly.
-
-        Each row pairs the Koszul image of x with the vectors zs.
-        """
-        self._check_in_an(zs)
-        return [
-            [Fraction(sum(image.get(k, 0) * v for k, v in z.terms.items()), 8) for z in zs]
-            for image in self.koszul_image(xs, y)
-        ]
-
     def levi_civita(self, x, y, z) -> Fraction:
-        """<nabla_x y, z>_AN for left-invariant fields on AN, exactly."""
-        return self.koszul_covectors((x,), y, (z,))[0][0]
+        """<nabla_x y, z>_AN for left-invariant fields on AN, exactly: x's Koszul image paired with z."""
+        self._check_in_an((z,))
+        image = self.koszul_image((x,), y)[0]
+        return Fraction(sum(image.get(k, 0) * v for k, v in z.terms.items()), 8)
 
 
 class ShapeOperatorMatrix(Record):

@@ -13,13 +13,14 @@ load of the box.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 from . import nilcon
 from .catalog import default_catalog, find_space
 from .chevalley import build_algebra
 from .classify import classify, derive_type_e_spaces
 from .errors import CheckFailed, ProportionalRoots
-from .rootsys import root_system
+from .rootsys import length_class_counts, root_system
 from .scalars import GAUSSIAN, RATIONAL
 from .shapeops import (
     OrbitSubalgebra,
@@ -30,19 +31,6 @@ from .shapeops import (
     shape_operator,
 )
 
-_COUNTS = {
-    ("A", 4): 10,
-    ("B", 4): 16,
-    ("C", 4): 16,
-    ("D", 4): 12,
-    ("BC", 3): 12,
-    ("F4", 4): 24,
-    ("G2", 2): 6,
-    ("E6", 6): 36,
-    ("E7", 7): 63,
-    ("E8", 8): 120,
-}
-
 
 def _require(condition, message):
     if not condition:
@@ -50,9 +38,14 @@ def _require(condition, message):
 
 
 def _check_root_counts():
-    for (fam, rank), expected in _COUNTS.items():
+    for fam, rank in [
+        ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("BC", 3), ("F4", 4), ("G2", 2), ("E6", 6), ("E7", 7), ("E8", 8)
+    ]:
         rs = root_system(fam, rank)
-        _require(len(rs.positives) == expected, f"{fam}{rank}: {len(rs.positives)}")
+        # generated roots per six-fold squared length, against the closed form
+        counted = Counter(rs._root_len6[lam.coeffs] for lam in rs.positives)
+        expected = {int(6 * length): k for length, k in length_class_counts(fam, rank).items()}
+        _require(counted == expected, f"{rs.rtype}: {dict(counted)} roots by six-fold length, not {expected}")
 
 
 def _check_grading_partitions():

@@ -98,6 +98,15 @@ def test_load_catalog_from_stream_and_duplicates():
 _GOOD = {"name": "x", "family": "A", "rank": 1, "mults": {"2": 1}, "dim": 2}
 
 
+def test_length_keys_are_integers_fractions_or_decimals():
+    b2 = {"name": "x", "family": "B", "rank": 2, "dim": 6}
+    for mults in ({"1": 1, "2": 1}, {"1.0": 1, "4/2": 1}, {"01": 1, "2/01": 1}):
+        assert load_catalog([{**b2, "mults": mults}])[0].mult == ((1, 1), (2, 1))
+    for key in ("2 ", "+2", "-2", "2/0", "2/-1", ".5", "2e0", "\u0662"):
+        with pytest.raises(ParseError, match="is not n, n/d with d > 0, or a decimal"):
+            load_catalog([{**b2, "mults": {"1": 1, key: 1}}])
+
+
 @pytest.mark.parametrize(
     "change",
     [

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c1atlas
-from c1atlas import nilcon
+from c1atlas import nilcon, verify
 from c1atlas.catalog import default_catalog, find_space
 from c1atlas.classify import classify
 from c1atlas.cli import main, render_hasse
-from c1atlas.errors import C1AtlasError
+from c1atlas.errors import C1AtlasError, CheckFailed
 from c1atlas.rootsys import FAMILIES, FIXED_RANK, RootSystem, root_system
 from c1atlas.verify import CHECKS, run_verify
 
@@ -286,6 +287,59 @@ def test_unreadable_data_path_is_a_data_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("catalog", "--catalog"), ("classify", "--space", "RH^2", "--tg-table")],
+    ids=["catalog", "tg-table"],
+)
+@pytest.mark.parametrize(
+    "content",
+    [b'{"spaces": [\xff]}', b"[" * 100_000, b"[" + b"1" * 5000 + b"]"],
+    ids=["not-utf8", "deep-nesting", "int-past-the-digit-limit"],
+)
+def test_undecodable_json_is_a_data_error(tmp_path, capsys, argv, content):
+    path = tmp_path / "data.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["1/0", "1e999999", "1e9999999"], ids=["zero-denominator", "exponent", "huge-exponent"])
+def test_length_key_that_is_not_a_plain_number_is_a_data_error(tmp_path, capsys, key):
+    # Fraction would take an exponent: "1e9999999" builds a ten-million-digit int
+    path = tmp_path / "cat.json"
+    entry = {"name": "bad", "family": "A", "rank": 1, "mults": {key: 1}, "dim": 2}
+    path.write_text(json.dumps({"schema_version": 1, "spaces": [entry]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "catalog", "--catalog", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: bad: root length {key!r} is not n, n/d with d > 0, or a decimal\n"
+
+
+_SL3 = {"name": "SL(3,R)/SO(3)", "family": "A", "rank": 2, "mults": {"2": 1}, "dim": 5}
+_SU21 = {"name": "SU(2,1)/S(U(2)U(1))", "family": "BC", "rank": 1, "mults": {"1": 2, "4": 1}, "dim": 4}
+
+
+@pytest.mark.parametrize(
+    "entries, repeated",
+    [
+        # find_space would answer SU(2,1)/S(U(2)U(1)) with the SL(3,R)/SO(3) entry
+        ([{**_SL3, "aliases": [_SU21["name"]]}, _SU21], _SU21["name"]),
+        ([{**_SL3, "aliases": [_SL3["name"]]}, _SU21], _SL3["name"]),
+        ([{**_SL3, "aliases": ["Gr"]}, {**_SU21, "aliases": ["Gr"]}], "Gr"),
+    ],
+    ids=["alias-is-another-name", "alias-is-its-own-name", "alias-of-two-entries"],
+)
+def test_repeated_name_or_alias_is_a_data_error(tmp_path, capsys, entries, repeated):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"schema_version": 1, "spaces": entries}))
+    code, out, err = run(capsys, "analyze", "--space", _SU21["name"], "--j", "1", "--catalog", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: duplicate space names or aliases in catalog: {repeated}\n"
+
+
 _MULT_ZERO = {"name": "bad", "family": "A", "rank": 1, "mults": {"2": 0}, "dim": 1}
 _SPLIT_STRING = {"name": "bad", "family": "A", "rank": 2, "mults": {"2": 1}, "dim": 5, "split": "no"}
 # "SL" must not load as the two aliases "S" and "L"
@@ -437,6 +491,19 @@ def test_verify_reports_an_unexpected_error_in_a_string_check(monkeypatch):
     records = run_verify()
     failed = [(r["name"], r["error_type"], r["message"]) for r in records if r["status"] == "FAIL"]
     assert failed == [("root strings reach length 4 only in G2", "RuntimeError", "string lookup broke")]
+
+
+def test_root_count_check_compares_the_generated_classes_with_the_closed_form(monkeypatch):
+    closed_form = verify.length_class_counts
+
+    def off_by_one_on_e7(family, rank):
+        counts = closed_form(family, rank)
+        return {length: k + 1 for length, k in counts.items()} if family == "E7" else counts
+
+    verify._check_root_counts()
+    monkeypatch.setattr(verify, "length_class_counts", off_by_one_on_e7)
+    with pytest.raises(CheckFailed, match="^E7: "):
+        verify._check_root_counts()
 
 
 def test_verify_checks_fire_under_python_O(tmp_path):

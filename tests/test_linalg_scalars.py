@@ -12,13 +12,14 @@ from c1atlas.linalg import (
     _strong_components,
     block_charpoly,
     charpoly,
-    det,
     identity,
     inverse,
     mat_vec,
     rank,
     solve,
 )
+
+from dense_refs import det
 
 
 def mat_mul(a, b):

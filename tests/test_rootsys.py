@@ -572,7 +572,6 @@ def test_length_class_counts_match_the_generated_roots():
             rs = root_system(family, rank)
             counted = dict(Counter(rs.length_sq(lam) for lam in rs.positives))
             assert length_class_counts(family, rank) == counted, (family, rank)
-            assert rs.length_class_sizes() == counted
             assert all(type(length) is Fraction for length in counted)
             checked += 1
     assert checked == 99
