@@ -53,6 +53,7 @@ _EXPORTS = {
         "cpc_charpoly_constancy",
         "is_totally_geodesic",
         "shape_operator",
+        "space_model",
     ),
     "nilcon": (
         "NCVerdict",

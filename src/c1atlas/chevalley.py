@@ -29,7 +29,9 @@ theta(i e_lam) = i e_-lam (the split involution composed with complex
 conjugation).  ``killing`` is the trace form of the real algebra, which for
 g(C) is twice the real part of the complex one.  The positive definite form
 b_theta(x, y) = -B(x, theta y) has as Gram matrix one Cartan block on each of
-the h and ih parts plus a diagonal on the root vectors.
+the h and ih parts plus a half-integral diagonal on the root vectors.  This
+module owns the int rows of 2 b_theta, ``_b2_rows``, which ``shapeops`` reads
+as they are; the Killing rows stay Fractions.
 
 Algebras are immutable after construction; brackets and Gram lookups are pure.
 """
@@ -143,9 +145,7 @@ class ChevalleyAlgebra:
         simples = rs.simples
         simple_pairings = [tuple(rs.pairing(lam, a) for a in simples) for lam in self.roots]
         self._table = self._bracket_table(simple_pairings)
-        self._cartan_gram, self._killing_rows, self._b_theta_rows = self._forms(
-            positives, simple_pairings
-        )
+        self._cartan_block, self._killing_rows, self._b2_rows = self._forms(positives, simple_pairings)
 
     # -- structure constants -----------------------------------------------
     def _root_constants(self, split) -> None:
@@ -357,7 +357,7 @@ class ChevalleyAlgebra:
 
     # -- invariant forms ---------------------------------------------------------
     def _forms(self, positives, simple_pairings):
-        """The Cartan block of B, and sparse rows of B and of b_theta(x, y) = -B(x, theta y).
+        """The int Cartan block of b_theta, sparse Fraction rows of B, and int rows of 2 b_theta.
 
         ad(x) ad(y) shifts the root grading by the sum of the weights of x and
         y, so the only nonzero Gram entries of the Killing form B are Cartan x
@@ -380,23 +380,22 @@ class ChevalleyAlgebra:
             [factor * sum(vals[i] * vals[j] for vals in simple_pairings) for j in range(r)]
             for i in range(r)
         ]
-        cartan = [[Fraction(v) for v in row] for row in block]
-        root_gram = []
+        root_b2 = []  # 2 b_theta(e_lam, e_lam) = B(h_lam, h_lam)
         for lam in positives:
             c = self.coroot_coefficients(lam)
-            root_gram.append(Fraction(sum(c[i] * block[i][j] * c[j] for i in range(r) for j in range(r)), 2))
-        killing, b_theta = [], []
+            root_b2.append(sum(c[i] * block[i][j] * c[j] for i in range(r) for j in range(r)))
+        killing, b2 = [], []
         for c in self._copies:
             sign = -1 if c else 1
-            for cartan_row in cartan:
-                row = tuple((c + j, v) for j, v in enumerate(cartan_row) if v)
-                b_theta.append(row)
-                killing.append(tuple((k, sign * v) for k, v in row))
+            for block_row in block:
+                row = tuple((c + j, v) for j, v in enumerate(block_row) if v)
+                b2.append(tuple((k, 2 * v) for k, v in row))
+                killing.append(tuple((k, Fraction(sign * v)) for k, v in row))
             for a in range(2 * n_pos):
-                value = root_gram[a % n_pos]
-                b_theta.append(((c + r + a, value),))
-                killing.append(((c + r + (a + n_pos) % (2 * n_pos), sign * value),))
-        return cartan, killing, b_theta
+                value = root_b2[a % n_pos]
+                b2.append(((c + r + a, value),))
+                killing.append(((c + r + (a + n_pos) % (2 * n_pos), Fraction(sign * value, 2)),))
+        return block, killing, b2
 
     def killing(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
         """Killing form of the real algebra."""
@@ -404,7 +403,7 @@ class ChevalleyAlgebra:
 
     def b_theta(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
         """The positive definite inner product -B(x, theta y) on the real algebra."""
-        return _form(self._b_theta_rows, x, y)
+        return _form(self._b2_rows, x, y) / 2
 
     def cartan_dual(self, lam: Root) -> AlgebraElement:
         """The vector H in the Cartan part with b_theta(H, .) = lam(.) there."""
@@ -412,7 +411,7 @@ class ChevalleyAlgebra:
 
         rs = self.rs
         rhs = [Fraction(rs.pairing(lam, a)) for a in rs.simples]
-        return AlgebraElement(self, dict(enumerate(solve(self._cartan_gram, rhs))))
+        return AlgebraElement(self, dict(enumerate(solve(self._cartan_block, rhs))))
 
     # -- verification helpers -------------------------------------------------
     def check_jacobi_exhaustive(self) -> int:

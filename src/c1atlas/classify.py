@@ -353,9 +353,8 @@ def _nilpotent_families(factors):
                 ActionFamily("NILPOTENT", params, provenance="short-root nilpotent construction")
             )
         if space.rank >= 2:
-            for verdict in (nilcon.analyze(space, j) for j in range(1, space.rank + 1)):
-                if verdict.status == nilcon.SURVIVES_W_ZERO_G2:
-                    sweep_survivors.add((f, verdict.j))
+            verdicts = [nilcon.analyze(space, j) for j in range(1, space.rank + 1)]
+            sweep_survivors.update((f, v.j) for v in nilcon.survivors(verdicts))
     if sweep_survivors != g2_factors:
         raise IdentityViolation(
             "catalog-driven G2 families and elimination-sweep survivors disagree: "

@@ -158,27 +158,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_shape(args) -> int:
-    from .chevalley import build_algebra
-    from .scalars import GAUSSIAN, RATIONAL
-    from .shapeops import OrbitSubalgebra, SolvableModel, shape_operator
+    from .shapeops import OrbitSubalgebra, shape_operator, space_model
 
     catalog = _load_selected_catalog(args)
     space = find_space(catalog, args.space)
-    if space.split_flag:
-        scalars = RATIONAL
-    elif space.complexified_flag:
-        scalars = GAUSSIAN
-    else:
-        raise C1AtlasError(
-            f"{space.name} is neither split nor complexified; no exact model here"
-        )
-    rs = space.root_system()
-    algebra = build_algebra(rs, scalars)
-    orbit = OrbitSubalgebra(SolvableModel(algebra), args.j)
+    model = space_model(space)
+    orbit = OrbitSubalgebra(model, args.j)
     ops = [shape_operator(orbit, xi) for xi in orbit.normal_basis()]
     polys = [[str(c) for c in op.charpoly()] for op in ops]
     tg = all(op.is_zero for op in ops)
-    labels = algebra.labels
+    labels = model.algebra.labels
     n = len(orbit.h_keys)
 
     def rows(op):

@@ -47,10 +47,6 @@ class Snake(Record):
                 raise ValueError("snake heights must be 1, 2, ... in order")
 
     @property
-    def length(self) -> int:
-        return len(self.roots)
-
-    @property
     def top(self) -> Root:
         return self.roots[-1]
 

@@ -163,10 +163,6 @@ class Root(Record):
     def height(self) -> int:
         return sum(self.coeffs)
 
-    @property
-    def is_positive(self) -> bool:
-        return self.height > 0
-
     def coefficient(self, i: int) -> int:
         """Coefficient n_i of the simple root a_i (1-based)."""
         return self.coeffs[i - 1]
@@ -457,7 +453,6 @@ class RootSystem:
             else:
                 levels.setdefault(nu, []).append(lam)
         return ParabolicGrading(
-            base=self,
             phi=phi,
             levels={nu: tuple(sorted(rs)) for nu, rs in levels.items()},
             sigma_phi_pos=tuple(sorted(sigma)),
@@ -563,13 +558,12 @@ class RootSystem:
 class ParabolicGrading(Record):
     """Level decomposition of the positive roots off a simple subset phi.
 
-    ``base`` is the RootSystem and ``phi`` a frozenset of simple indices.
-    ``levels[nu]`` holds the positive roots whose coefficient sum over the
-    complement of phi equals nu; ``sigma_phi_pos`` is the level-zero subsystem's
-    positive part.
+    ``phi`` is a frozenset of simple indices.  ``levels[nu]`` holds the
+    positive roots whose coefficient sum over the complement of phi equals
+    nu; ``sigma_phi_pos`` is the level-zero subsystem's positive part.
     """
 
-    __slots__ = ("base", "phi", "levels", "sigma_phi_pos")
+    __slots__ = ("phi", "levels", "sigma_phi_pos")
 
     def level(self, nu: int) -> tuple:
         """The roots of level nu: level 0 is ``sigma_phi_pos``, and a negative

@@ -13,12 +13,14 @@ keyed by the algebra's basis indices: a + n, h and the normal space are index
 tuples picked by root, and labels are read only for messages and output.
 
 Both sides of that check are sparse maps read off sparse rows: the bracket
-rows, twice b_theta, and four times the AN Gram, which are all integral.  So
-a column and its check run on ints whenever xi is integral (a basis vector,
-say), and only the nonzero matrix entries become Fractions.  An operator is
-kept as those sparse columns end to end: its self-adjointness is read off
-them and the Gram rows, and its characteristic polynomial is x^n when it is
-zero, so ``linalg`` is only loaded for a nonzero operator.
+rows, twice b_theta (whose int rows ``chevalley`` owns), and four times the
+AN Gram, which are all integral.  So a column and its check run on ints
+whenever xi is integral (a basis vector, say), and only the nonzero matrix
+entries become Fractions.  An operator is kept as those sparse columns end
+to end: its self-adjointness is read off them and the Gram rows, and its
+characteristic polynomial is x^n when it is zero, so ``linalg`` is only
+loaded for a nonzero operator.  ``space_model`` builds the model of a catalog
+space, over the scalar ring its entry calls for.
 Nothing is approximated: totally-geodesic verdicts are exact zero tests and
 the constant-principal-curvature check compares characteristic polynomials
 literally.
@@ -28,22 +30,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FormulaMismatch, IdentityViolation, NotClosed, SpectrumMismatch
+from .errors import C1AtlasError, FormulaMismatch, IdentityViolation, NotClosed, SpectrumMismatch
 from .rootsys import Record, Root
-from .chevalley import AlgebraElement, ChevalleyAlgebra
+from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
+from .scalars import GAUSSIAN, RATIONAL
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _as_int(v):
-    """v as an int if it is integral, else v itself."""
-    return v.numerator if v.denominator == 1 else v
-
-
 def _integral(terms: dict) -> dict:
     """The same terms with each integral coefficient as an int, so that products stay ints."""
-    return {k: _as_int(v) for k, v in terms.items()}
+    return {k: v.numerator if v.denominator == 1 else v for k, v in terms.items()}
 
 
 class SolvableModel:
@@ -58,16 +56,12 @@ class SolvableModel:
         rs = algebra.rs
         self.an_keys = tuple(range(rs.rank)) + algebra.root_indices(sorted(rs.positives))
         self._an_set = frozenset(self.an_keys)
-        # b_theta is a Cartan block plus a root diagonal of half-integers, and
-        # a + n is a union of its blocks; so on a + n, 2 b_theta and 4 times
-        # the AN Gram (the block doubled, the diagonal kept) have int rows
-        b_theta = algebra._b_theta_rows
-        self._b2_rows = {
-            k: tuple((kz, _as_int(2 * g)) for kz, g in b_theta[k]) for k in self.an_keys
-        }
+        # a + n is a union of b_theta blocks: the int rows of 2 b_theta restrict
+        # to it, and so do those of 4 x the AN Gram (Cartan block doubled)
+        b2 = algebra._b2_rows
+        self._b2_rows = {k: b2[k] for k in self.an_keys}
         self._gram4_rows = {
-            k: tuple((kz, 2 * g if k < rs.rank else g) for kz, g in self._b2_rows[k])
-            for k in self.an_keys
+            k: tuple((kz, 2 * g if k < rs.rank else g) for kz, g in b2[k]) for k in self.an_keys
         }
 
     def _check_in_an(self, vectors):
@@ -116,6 +110,20 @@ class SolvableModel:
         self._check_in_an((z,))
         image = self.koszul_image((x,), y)[0]
         return Fraction(sum(image.get(k, 0) * v for k, v in z.terms.items()), 8)
+
+
+def space_model(space) -> SolvableModel:
+    """The exact model of a catalog space: over Q if it is split, over Q(i) if complexified.
+
+    Any other space has no exact model here: C1AtlasError.
+    """
+    if space.split_flag:
+        scalars = RATIONAL
+    elif space.complexified_flag:
+        scalars = GAUSSIAN
+    else:
+        raise C1AtlasError(f"{space.name} is neither split nor complexified; no exact model here")
+    return SolvableModel(build_algebra(space.root_system(), scalars))
 
 
 class ShapeOperatorMatrix(Record):
@@ -174,7 +182,6 @@ class OrbitSubalgebra:
                 raise ValueError("selection must cover exactly the level-one roots")
             if not set(selection.values()) <= {"full", "zero"}:
                 raise ValueError('selection values must be "full" or "zero"')
-        self.selection = selection
         higher = [lam for nu in sorted(grading.levels) if nu >= 2 for lam in grading.level(nu)]
         dropped = frozenset(dropped)
         if not dropped <= set(higher):
@@ -238,15 +245,6 @@ class OrbitSubalgebra:
     def contains_normal(self, xi: AlgebraElement) -> bool:
         return all(k in self.v_keys for k in xi.terms)
 
-    @property
-    def top_level_one_root(self) -> Root:
-        heights = {}
-        for lam in self.grading.level(1):
-            heights.setdefault(lam.height, []).append(lam)
-        if any(len(v) > 1 for v in heights.values()):
-            raise ValueError("level one is not a height chain; no top root")
-        return max(self.grading.level(1))
-
 
 def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorMatrix:
     """The exact shape operator of the orbit in normal direction xi.
@@ -301,12 +299,17 @@ def check_shape_identities(orbit: OrbitSubalgebra) -> None:
     (b) for X in a level-zero root space the theta term drops out;
     (c) normal directions in the top level-one root space kill level zero.
 
-    Raises IdentityViolation on the first failure.
+    Raises IdentityViolation on the first failure; ValueError if level one is no height chain.
     """
+    from .nilcon import snake_check  # imported here: shape and api requests load no nilcon
+
     alg = orbit.model.algebra
     rank = alg.rs.rank
+    snake = snake_check(alg.rs, orbit.j)
+    if isinstance(snake, tuple):
+        raise ValueError("level one is not a height chain; no top root")
     level_zero = set(alg.root_indices(orbit.grading.sigma_phi_pos))
-    top = alg.root_indices([orbit.top_level_one_root])
+    top = alg.root_indices([snake.top])
     half = Fraction(1, 2)
     h_keys = orbit.h_keys
     for vk in orbit.v_keys:

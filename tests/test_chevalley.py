@@ -569,6 +569,30 @@ def test_killing_cartan_block_is_the_sum_over_roots(family, rank, scalars):
             assert alg.killing(alg.h(i + 1), alg.h(j + 1)) == scale * expected
 
 
+# every reduced type up to rank 8
+REDUCED_TYPES = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(3, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
+)
+
+
+@pytest.mark.parametrize("scalars", [RATIONAL, GAUSSIAN])
+def test_b_theta_is_kept_as_int_rows_of_twice_itself(scalars):
+    # the root diagonal of b_theta is half-integral, so the algebra keeps the
+    # int rows of 2 b_theta, and b_theta of two basis vectors halves an entry
+    for family, rank in REDUCED_TYPES:
+        alg = build_algebra(root_system(family, rank), scalars)
+        assert len(alg._b2_rows) == alg.dim
+        for k, row in enumerate(alg._b2_rows):
+            for kz, g in row:
+                assert type(g) is int, (family, rank, k, kz)
+                value = alg.b_theta(alg.unit(k), alg.unit(kz))
+                assert type(value) is Fraction and value == Fraction(g, 2)
+
+
 # Recorded structure constants and Killing Gram data, one entry per (type,
 # ring): every reduced type the catalog uses over Q, the smaller ones over Q(i).
 GOLDEN_PATH = Path(__file__).parent / "data" / "chevalley_golden.json"

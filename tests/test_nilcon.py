@@ -21,10 +21,8 @@ from c1atlas.nilcon import (
     survivors,
     verify_witness,
 )
-from c1atlas.chevalley import build_algebra
 from c1atlas.rootsys import Root, root_system
-from c1atlas.scalars import GAUSSIAN, RATIONAL
-from c1atlas.shapeops import OrbitSubalgebra, SolvableModel, is_totally_geodesic
+from c1atlas.shapeops import OrbitSubalgebra, is_totally_geodesic, space_model
 
 
 def test_corner_check():
@@ -61,7 +59,7 @@ def test_snake_d5_and_e6_fork_pairs():
 def test_snake_b5_j5_full_chain():
     snake = snake_check(root_system("B", 5), 5)
     assert isinstance(snake, Snake)
-    assert snake.length == 5
+    assert len(snake.roots) == 5
     assert [r.coeffs for r in snake.roots] == [
         (0, 0, 0, 0, 1),
         (0, 0, 0, 1, 1),
@@ -74,12 +72,12 @@ def test_snake_b5_j5_full_chain():
 
 def test_snake_b5_j1_reaches_height_nine():
     snake = snake_check(root_system("B", 5), 1)
-    assert isinstance(snake, Snake) and snake.length == 9
+    assert isinstance(snake, Snake) and len(snake.roots) == 9
 
 
 def test_snake_c5_j1_is_a_chain():
     snake = snake_check(root_system("C", 5), 1)
-    assert isinstance(snake, Snake) and snake.length == 8
+    assert isinstance(snake, Snake) and len(snake.roots) == 8
 
 
 def test_ce_reduction_full_chain_passes():
@@ -226,7 +224,7 @@ def test_snake_verdicts_match_the_computed_geometry(catalog):
         if space.rank < 2 or not (space.split_flag or space.complexified_flag):
             continue
         rs = space.root_system()
-        model = SolvableModel(build_algebra(rs, RATIONAL if space.split_flag else GAUSSIAN))
+        model = space_model(space)
         for j in range(1, space.rank + 1):
             if not isinstance(snake_check(rs, j), Snake):
                 continue

@@ -285,7 +285,7 @@ def test_level_one_is_the_phi_string(family, rank):
     for j in range(1, rank + 1):
         phi = frozenset(range(1, rank + 1)) - {j}
         from_string = {
-            lam for lam in rs.phi_string(rs.simple(j), phi) if lam.is_positive
+            lam for lam in rs.phi_string(rs.simple(j), phi) if lam.height > 0
         }
         assert set(rs.maximal_grading(j).level(1)) == from_string
 

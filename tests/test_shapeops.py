@@ -9,8 +9,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c1atlas.catalog import find_space
 from c1atlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
-from c1atlas.errors import FormulaMismatch, NotClosed, SpectrumMismatch
+from c1atlas.errors import C1AtlasError, FormulaMismatch, NotClosed, SpectrumMismatch
 from c1atlas import linalg
 from c1atlas.linalg import mat_vec
 from c1atlas.rootsys import Root, root_system
@@ -24,6 +25,7 @@ from c1atlas.shapeops import (
     cpc_charpoly_constancy,
     is_totally_geodesic,
     shape_operator,
+    space_model,
 )
 
 
@@ -384,8 +386,7 @@ def test_block_charpoly_matches_the_dense_charpoly_on_the_shape_domain(catalog):
     ]
     pairs = operators = nonzero = 0
     for space in spaces:
-        alg = build_algebra(space.root_system(), RATIONAL if space.split_flag else GAUSSIAN)
-        model = SolvableModel(alg)
+        model = space_model(space)
         for j in range(1, space.rank + 1):
             orbit = OrbitSubalgebra(model, j)
             pairs += 1
@@ -487,3 +488,22 @@ def test_dropping_a_reachable_root_is_not_closed(g2_model):
     level_one = OrbitSubalgebra(g2_model, 1).grading.level(1)
     with pytest.raises(NotClosed, match=r"\[g_a1, g_a1\+3a2\] leaves .* \(hits 2a1\+3a2\)"):
         OrbitSubalgebra(g2_model, 1, selection={lam: "full" for lam in level_one}, dropped={Root((2, 3))})
+
+
+def test_space_model_picks_the_ring_of_the_entry(catalog):
+    for name, scalars in (("SL(3,R)/SO(3)", RATIONAL), ("SO(5,C)/SO(5)", GAUSSIAN)):
+        space = find_space(catalog, name)
+        model = space_model(space)
+        assert isinstance(model, SolvableModel)
+        assert (model.algebra.scalars, model.algebra.rs.rtype) == (scalars, space.rtype)
+    with pytest.raises(C1AtlasError, match="neither split nor complexified; no exact model here"):
+        space_model(find_space(catalog, "SU(2,4)/S(U(2)U(4))"))
+
+
+def test_shape_identities_need_a_height_chain():
+    # A3 at j = 2: level one holds a1 + a2 and a2 + a3, two roots of height 2
+    orbit = OrbitSubalgebra(SolvableModel(build_algebra(root_system("A", 3))), 2)
+    heights = sorted(lam.height for lam in orbit.grading.level(1))
+    assert heights == [1, 2, 2, 3]
+    with pytest.raises(ValueError, match="level one is not a height chain; no top root"):
+        check_shape_identities(orbit)

@@ -47,3 +47,47 @@ def test_basis_labels_stay_in_chevalley(path):
         assert lines, "chevalley.py should spell the basis labels"
     else:
         assert not lines, f"{path.name} spells a basis label at lines {lines}"
+
+
+# defined, named nowhere in the package and not exported, for a reason
+UNREFERENCED_ALLOWED = {
+    ("linalg", "mat_vec"): "the benchmark's tracer wraps it by name",
+    ("linalg", "inverse"): "the benchmark's tracer wraps it by name",
+    ("shapeops", "SolvableModel.levi_civita"): "the tests' reference for the Koszul formula",
+}
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, name) of every function and class under `node`, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child.name
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_definition_is_used_exported_or_allowed():
+    # code nothing uses is deleted: each function or class is named somewhere
+    # in the package (a Name, an Attribute or an import), exported, or listed
+    # above; dunder methods are called by the language
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SOURCES}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(alias.name.rpartition(".")[2] for alias in node.names)
+    named.update(name for names in c1atlas._EXPORTS.values() for name in names)
+    unused = [
+        (module, qualified)
+        for module, tree in trees.items()
+        for qualified, name in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in named
+        and (module, qualified) not in UNREFERENCED_ALLOWED
+    ]
+    assert not unused, f"defined but never named: {unused}"
