@@ -126,8 +126,8 @@ class ChevalleyAlgebra:
             raise ValueError(f"unknown scalar ring {scalars!r}")
         self.rs = rs
         self.scalars = scalars
-        positives = sorted(rs.positives)
-        self.roots = tuple(positives + [-p for p in positives])
+        positives = rs.positives  # already in root order
+        self.roots = positives + tuple(-p for p in positives)
         r, n_pos = rs.rank, len(positives)
         split = [("h", i) for i in range(1, r + 1)] + [("e", lam) for lam in self.roots]
         prefixes = ("", "i") if scalars == GAUSSIAN else ("",)
@@ -144,8 +144,8 @@ class ChevalleyAlgebra:
         # <lam, a_i-dual> for every root (in the order of self.roots) and simple a_i
         simples = rs.simples
         simple_pairings = [tuple(rs.pairing(lam, a) for a in simples) for lam in self.roots]
-        self._table = self._bracket_table(simple_pairings)
-        self._cartan_block, self._killing_rows, self._b2_rows = self._forms(positives, simple_pairings)
+        self._table, coroots = self._bracket_table(simple_pairings)
+        self._cartan_block, self._killing_rows, self._b2_rows = self._forms(coroots, simple_pairings)
 
     # -- structure constants -----------------------------------------------
     def _root_constants(self, split) -> None:
@@ -258,7 +258,7 @@ class ChevalleyAlgebra:
         return tuple(out)
 
     def _bracket_table(self, simple_pairings):
-        """Brackets of all ordered pairs of basis vectors as rows of sparse terms.
+        """Brackets of all ordered pairs of basis vectors as rows of sparse terms, and the coroots.
 
         ``table[ka][kb]`` holds the nonzero (k, coefficient) terms of
         [basis ka, basis kb]; a pair with a zero bracket is absent.  The
@@ -278,12 +278,12 @@ class ChevalleyAlgebra:
             for a, vals in enumerate(simple_pairings):
                 if vals[i]:
                     put(i, r + a, ((r + a, vals[i]),))
-        for a, lam in enumerate(self.roots[: n // 2]):
+        coroots = [self.coroot_coefficients(lam) for lam in self.roots[: n // 2]]
+        for a, coro in enumerate(coroots):
             # [e_lam, e_-lam] = h_lam, the coroot of the positive root lam
-            coro = self.coroot_coefficients(lam)
             put(r + a, r + a + n // 2, tuple((i, c) for i, c in enumerate(coro) if c))
         if self.scalars == RATIONAL:
-            return split
+            return split, coroots
         # [i^a x, i^b y] = i^(a+b) [x, y]: one factor i moves the bracket to
         # the i-copies, two give the sign of i^2 = -1
         d = self.split_dim
@@ -294,7 +294,7 @@ class ChevalleyAlgebra:
                 row[kb + d] = i_terms
                 table[ka + d][kb] = i_terms
                 table[ka + d][kb + d] = tuple((k, -v) for k, v in terms)
-        return table
+        return table, coroots
 
     # -- public element API ---------------------------------------------------
     def zero(self) -> AlgebraElement:
@@ -356,7 +356,7 @@ class ChevalleyAlgebra:
         return AlgebraElement(self, self.theta_terms(x.terms))
 
     # -- invariant forms ---------------------------------------------------------
-    def _forms(self, positives, simple_pairings):
+    def _forms(self, coroots, simple_pairings):
         """The int Cartan block of b_theta, sparse Fraction rows of B, and int rows of 2 b_theta.
 
         ad(x) ad(y) shifts the root grading by the sum of the weights of x and
@@ -374,16 +374,14 @@ class ChevalleyAlgebra:
         b_theta is the Cartan block on each of h and ih, and B(e_lam, e_-lam)
         on the diagonal at e_lam and at ie_lam.
         """
-        r, n_pos = self.rs.rank, len(positives)
+        r, n_pos = self.rs.rank, len(coroots)
         factor = 2 if self.scalars == GAUSSIAN else 1
         block = [
             [factor * sum(vals[i] * vals[j] for vals in simple_pairings) for j in range(r)]
             for i in range(r)
         ]
-        root_b2 = []  # 2 b_theta(e_lam, e_lam) = B(h_lam, h_lam)
-        for lam in positives:
-            c = self.coroot_coefficients(lam)
-            root_b2.append(sum(c[i] * block[i][j] * c[j] for i in range(r) for j in range(r)))
+        # 2 b_theta(e_lam, e_lam) = B(h_lam, h_lam) for each positive lam, in root order
+        root_b2 = [sum(c[i] * block[i][j] * c[j] for i in range(r) for j in range(r)) for c in coroots]
         killing, b2 = [], []
         for c in self._copies:
             sign = -1 if c else 1

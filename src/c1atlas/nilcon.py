@@ -31,6 +31,10 @@ ELIMINATED_MULTIPLICITY = "ELIMINATED_MULTIPLICITY"
 ELIMINATED_SHAPE_THEOREM = "ELIMINATED_SHAPE_THEOREM"
 W_ZERO_TOTALLY_GEODESIC = "W_ZERO_TOTALLY_GEODESIC"
 SURVIVES_W_ZERO_G2 = "SURVIVES_W_ZERO_G2"
+# the statuses past a snake: each says whether the w = 0 singular orbit bends
+SNAKE_STATUSES = frozenset(
+    (ELIMINATED_MULTIPLICITY, ELIMINATED_SHAPE_THEOREM, W_ZERO_TOTALLY_GEODESIC, SURVIVES_W_ZERO_G2)
+)
 
 
 class Snake(Record):
@@ -260,6 +264,23 @@ def verify_witness(space: SpaceEntry, verdict: NCVerdict) -> bool:
     if verdict.status == RANK_ONE_KNOWN:
         return rs.rank == 1
     return False
+
+
+def check_w_zero_geometry(space: SpaceEntry, verdict: NCVerdict) -> None:
+    """IdentityViolation unless the w = 0 orbit is totally geodesic exactly where a snake verdict says.
+
+    Every status in SNAKE_STATUSES but SURVIVES_W_ZERO_G2 says it is, or would
+    be.  The orbit is computed in ``space_model(space)``: C1AtlasError unless
+    the space is split or complexified, and ValueError for a verdict of
+    another space or without a snake.
+    """
+    from .shapeops import OrbitSubalgebra, is_totally_geodesic, space_model  # analyze loads no shapeops
+
+    if verdict.space != space.name or verdict.status not in SNAKE_STATUSES:
+        raise ValueError(f"no w = 0 orbit to check for {verdict.space}, j={verdict.j}: {verdict.status}")
+    geodesic = is_totally_geodesic(OrbitSubalgebra(space_model(space), verdict.j))
+    if geodesic == (verdict.status == SURVIVES_W_ZERO_G2):
+        raise IdentityViolation(f"{space.name}, j={verdict.j}: {verdict.status}, but geodesic={geodesic}")
 
 
 def verdict_table(verdicts) -> str:

@@ -13,14 +13,16 @@ keyed by the algebra's basis indices: a + n, h and the normal space are index
 tuples picked by root, and labels are read only for messages and output.
 
 Both sides of that check are sparse maps read off sparse rows: the bracket
-rows, twice b_theta (whose int rows ``chevalley`` owns), and four times the
-AN Gram, which are all integral.  So a column and its check run on ints
-whenever xi is integral (a basis vector, say), and only the nonzero matrix
-entries become Fractions.  An operator is kept as those sparse columns end
-to end: its self-adjointness is read off them and the Gram rows, and its
-characteristic polynomial is x^n when it is zero, so ``linalg`` is only
-loaded for a nonzero operator.  ``space_model`` builds the model of a catalog
-space, over the scalar ring its entry calls for.
+rows, twice b_theta (whose int rows ``chevalley`` owns and this module reads
+in place), and four times the AN Gram, which are all integral.  So a column
+and its check run on ints whenever xi is integral (a basis vector, say), and
+only the nonzero matrix entries become Fractions.  Elements are only taken,
+and checked, at the public entry points; past them no element is built.  An
+operator is kept as those sparse columns end to end: its self-adjointness is
+read off them and the Gram rows, and its characteristic polynomial is x^n when
+it is zero, so ``linalg`` is only loaded for a nonzero operator.
+``space_model`` builds the model of a catalog space, over the scalar ring its
+entry calls for.
 Nothing is approximated: totally-geodesic verdicts are exact zero tests and
 the constant-principal-curvature check compares characteristic polynomials
 literally.
@@ -39,11 +41,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _integral(terms: dict) -> dict:
-    """The same terms with each integral coefficient as an int, so that products stay ints."""
-    return {k: v.numerator if v.denominator == 1 else v for k, v in terms.items()}
-
-
 class SolvableModel:
     """The metric solvable group attached to a split or complexified algebra.
 
@@ -54,12 +51,11 @@ class SolvableModel:
     def __init__(self, algebra: ChevalleyAlgebra):
         self.algebra = algebra
         rs = algebra.rs
-        self.an_keys = tuple(range(rs.rank)) + algebra.root_indices(sorted(rs.positives))
+        self.an_keys = tuple(range(rs.rank)) + algebra.root_indices(rs.positives)
         self._an_set = frozenset(self.an_keys)
-        # a + n is a union of b_theta blocks: the int rows of 2 b_theta restrict
-        # to it, and so do those of 4 x the AN Gram (Cartan block doubled)
+        # a + n is a union of b_theta blocks: the int rows of 2 b_theta on it
+        # stay in it, and so do those of 4 x the AN Gram (Cartan block doubled)
         b2 = algebra._b2_rows
-        self._b2_rows = {k: b2[k] for k in self.an_keys}
         self._gram4_rows = {
             k: tuple((kz, 2 * g if k < rs.rank else g) for kz, g in b2[k]) for k in self.an_keys
         }
@@ -77,38 +73,34 @@ class SolvableModel:
         total = sum(c * g * yt[kz] for k, c in x.terms.items() for kz, g in rows[k] if kz in yt)
         return Fraction(total, 4)
 
-    def koszul_image(self, xs, y) -> list:
+    def koszul_image(self, xs, y: dict) -> list:
         """[{k: 8 <nabla_x y, e_k>_AN} for x in xs]: each Koszul covector as a sparse map on a + n.
 
+        xs and y are term dicts of vectors in a + n; the caller checks that.
         The Koszul formula gives 4 <nabla_x y, z>_AN = b_theta(c, z) with
         c = [x, y] + [theta x, y] - [x, theta y], so the map is c times the
-        int rows of 2 b_theta, kept on a + n.  Integral x and y give int
-        values; an index whose terms cancelled holds a 0.  Membership of every
-        vector in a + n is checked once for the batch.
+        algebra's int rows of 2 b_theta, read on a + n.  Int x and y give int
+        values; an index whose terms cancelled holds a 0.
         """
-        self._check_in_an((*xs, y))
         alg = self.algebra
         bracket, theta = alg.bracket_terms, alg.theta_terms
-        rows = self._b2_rows
-        yt = _integral(y.terms)
-        minus_theta_y = {k: -v for k, v in theta(yt).items()}
+        rows, an = alg._b2_rows, self._an_set
+        minus_theta_y = {k: -v for k, v in theta(y).items()}
         out = []
-        for x in xs:
-            xt = _integral(x.terms)
-            c = bracket(xt, minus_theta_y, bracket(theta(xt), yt, bracket(xt, yt)))
+        for xt in xs:
+            c = bracket(xt, minus_theta_y, bracket(theta(xt), y, bracket(xt, y)))
             image = {}
             for k, v in c.items():
-                row = rows.get(k)
-                if row and v:
-                    for kz, g in row:
+                if v and k in an:
+                    for kz, g in rows[k]:
                         image[kz] = image.get(kz, 0) + v * g
             out.append(image)
         return out
 
     def levi_civita(self, x, y, z) -> Fraction:
         """<nabla_x y, z>_AN for left-invariant fields on AN, exactly: x's Koszul image paired with z."""
-        self._check_in_an((z,))
-        image = self.koszul_image((x,), y)[0]
+        self._check_in_an((x, y, z))
+        image = self.koszul_image((x.terms,), y.terms)[0]
         return Fraction(sum(image.get(k, 0) * v for k, v in z.terms.items()), 8)
 
 
@@ -266,12 +258,12 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
     position = orbit._h_position
     gram4 = model._gram4_rows
     bracket = alg.bracket_terms
-    xt = _integral(xi.terms)
+    # integral coefficients as ints, so that the bracket and Gram products stay ints
+    xt = {k: v.numerator if v.denominator == 1 else v for k, v in xi.terms.items()}
     minus_theta_xi = {k: -v for k, v in alg.theta_terms(xt).items()}
     columns = []
-    images = model.koszul_image([alg.unit(k) for k in h_keys], xi)
-    for k, image in zip(h_keys, images):
-        x = {k: 1}
+    units = [{k: 1} for k in h_keys]
+    for x, image in zip(units, model.koszul_image(units, xt)):
         twice_column = orbit.tangent_terms(bracket(minus_theta_xi, x, bracket(xt, x)))
         residual = {kz: v for kz, v in image.items() if kz in position}
         for kc, v in twice_column.items():
@@ -310,16 +302,15 @@ def check_shape_identities(orbit: OrbitSubalgebra) -> None:
         raise ValueError("level one is not a height chain; no top root")
     level_zero = set(alg.root_indices(orbit.grading.sigma_phi_pos))
     top = alg.root_indices([snake.top])
-    half = Fraction(1, 2)
     h_keys = orbit.h_keys
     for vk in orbit.v_keys:
-        xi = alg.unit(vk)
-        op = shape_operator(orbit, xi)
+        op = shape_operator(orbit, alg.unit(vk))
         for key, column in zip(h_keys, op.columns):
             if key < rank and column:
                 raise IdentityViolation(f"A_xi does not kill the flat part at {alg.labels[key]}")
             if key in level_zero:
-                plain = orbit.tangent_terms((half * alg.bracket(xi, alg.unit(key))).terms)
+                bracket = alg.bracket_terms({vk: 1}, {key: 1})
+                plain = orbit.tangent_terms({k: Fraction(v, 2) for k, v in bracket.items()})
                 if plain != {h_keys[r]: v for r, v in column}:
                     raise IdentityViolation(
                         f"level-zero shortcut fails at xi={alg.labels[vk]}, X={alg.labels[key]}"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from c1atlas.chevalley import (
     AlgebraElement,
+    ChevalleyAlgebra,
     build_algebra,
     check_string_injectivity,
     check_theta_bracket_identity,
@@ -391,6 +392,23 @@ def test_structure_constant_dump_roundtrip(g2_split):
     assert abs(by_pair[((0, 1), (1, 2))]) == 3
     for (lam, mu), n in by_pair.items():
         assert by_pair[(mu, lam)] == -n
+
+
+@pytest.mark.parametrize("scalars", [RATIONAL, GAUSSIAN])
+@pytest.mark.parametrize("family, rank", [("G2", 2), ("F4", 4), ("E6", 6)])
+def test_a_build_computes_each_coroot_once(monkeypatch, family, rank, scalars):
+    # the bracket table and the forms share one pass over the positive roots
+    rs = root_system(family, rank)
+    calls = []
+    coroot_coefficients = ChevalleyAlgebra.coroot_coefficients
+
+    def counted(self, lam):
+        calls.append(lam)
+        return coroot_coefficients(self, lam)
+
+    monkeypatch.setattr(ChevalleyAlgebra, "coroot_coefficients", counted)
+    build_algebra(rs, scalars)
+    assert calls == list(rs.positives)
 
 
 def test_coroot_coefficients_are_integral(g2_split):

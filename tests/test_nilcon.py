@@ -12,17 +12,19 @@ from c1atlas.nilcon import (
     RANK_ONE_KNOWN,
     SURVIVES_W_ZERO_G2,
     W_ZERO_TOTALLY_GEODESIC,
+    NCVerdict,
     Snake,
     analyze,
     analyze_all,
     ce_reduction_check,
+    check_w_zero_geometry,
     multiplicity_check,
     snake_check,
     survivors,
     verify_witness,
 )
+from c1atlas.errors import C1AtlasError, IdentityViolation
 from c1atlas.rootsys import Root, root_system
-from c1atlas.shapeops import OrbitSubalgebra, is_totally_geodesic, space_model
 
 
 def test_corner_check():
@@ -224,12 +226,40 @@ def test_snake_verdicts_match_the_computed_geometry(catalog):
         if space.rank < 2 or not (space.split_flag or space.complexified_flag):
             continue
         rs = space.root_system()
-        model = space_model(space)
         for j in range(1, space.rank + 1):
             if not isinstance(snake_check(rs, j), Snake):
                 continue
-            status = analyze(space, j).status
-            seen[status] = seen.get(status, 0) + 1
-            tg = is_totally_geodesic(OrbitSubalgebra(model, j))
-            assert tg == (status != SURVIVES_W_ZERO_G2), (space.name, j, status)
+            verdict = analyze(space, j)
+            seen[verdict.status] = seen.get(verdict.status, 0) + 1
+            check_w_zero_geometry(space, verdict)
     assert seen == {ELIMINATED_MULTIPLICITY: 22, W_ZERO_TOTALLY_GEODESIC: 2, SURVIVES_W_ZERO_G2: 2}
+
+
+@pytest.mark.parametrize(
+    "name, j, flipped",
+    [
+        ("G2^2/SO(4)", 2, W_ZERO_TOTALLY_GEODESIC),  # the survivor's orbit bends
+        ("G2(C)/G2", 2, ELIMINATED_MULTIPLICITY),
+        ("G2^2/SO(4)", 1, SURVIVES_W_ZERO_G2),  # the long-root orbit does not
+        ("SL(4,R)/SO(4)", 1, SURVIVES_W_ZERO_G2),
+    ],
+)
+def test_w_zero_geometry_rejects_a_flipped_verdict(catalog, name, j, flipped):
+    space = find_space(catalog, name)
+    verdict = analyze(space, j)
+    check_w_zero_geometry(space, verdict)
+    wrong = NCVerdict(verdict.space, j, flipped, witness=verdict.witness, note=verdict.note)
+    with pytest.raises(IdentityViolation, match=flipped):
+        check_w_zero_geometry(space, wrong)
+
+
+def test_w_zero_geometry_needs_a_snake_verdict_and_an_exact_model(catalog):
+    g2 = find_space(catalog, "G2^2/SO(4)")
+    with pytest.raises(ValueError):  # a verdict of another space
+        check_w_zero_geometry(find_space(catalog, "G2(C)/G2"), analyze(g2, 2))
+    corner = next(v for v in analyze_all(catalog) if v.status == ELIMINATED_CORNER)
+    with pytest.raises(ValueError):  # no snake, so no w = 0 orbit
+        check_w_zero_geometry(find_space(catalog, corner.space), corner)
+    shape_theorem = next(v for v in analyze_all(catalog) if v.status == ELIMINATED_SHAPE_THEOREM)
+    with pytest.raises(C1AtlasError, match="neither split nor complexified"):
+        check_w_zero_geometry(find_space(catalog, shape_theorem.space), shape_theorem)

@@ -373,6 +373,41 @@ def test_shape_operators_call_no_b_theta_or_an_inner(monkeypatch):
         model.an_inner(alg.unit(0), alg.unit(0))
 
 
+@pytest.mark.parametrize(
+    "family, rank, j, scalars",
+    [("G2", 2, 2, RATIONAL), ("G2", 2, 2, GAUSSIAN), ("G2", 2, 1, GAUSSIAN), ("E6", 6, 1, GAUSSIAN)],
+)
+def test_shape_operators_build_no_element_past_xi(monkeypatch, family, rank, j, scalars):
+    # past the element it is given, an operator and its Koszul check run on
+    # basis indices and term dicts alone
+    orbit = OrbitSubalgebra(SolvableModel(build_algebra(root_system(family, rank), scalars)), j)
+    normals = orbit.normal_basis()
+    expected = [shape_operator(orbit, xi) for xi in normals]
+
+    def refuse(*args):
+        raise AssertionError("an AlgebraElement was built")
+
+    monkeypatch.setattr(AlgebraElement, "__init__", refuse)
+    assert [shape_operator(orbit, xi) for xi in normals] == expected
+    with pytest.raises(AssertionError, match="AlgebraElement"):
+        orbit.model.algebra.unit(0)
+
+
+@pytest.mark.parametrize("ring", ["rational", "gaussian"])
+def test_koszul_images_read_the_algebras_2b_theta_rows(monkeypatch, g2_split, g2_gaussian, ring):
+    # the model keeps no copy of the rows of 2 b_theta: doubling the algebra's
+    # rows after the model is built doubles every Koszul covector, which the
+    # Gram check (on 4 x the AN Gram, built with the model) then catches
+    alg = g2_split if ring == "rational" else g2_gaussian
+    orbit = OrbitSubalgebra(SolvableModel(alg), 2)
+    xi = alg.e(Root((0, 1)))
+    shape_operator(orbit, xi)
+    doubled = [tuple((kz, 2 * g) for kz, g in row) for row in alg._b2_rows]
+    monkeypatch.setattr(alg, "_b2_rows", doubled)
+    with pytest.raises(FormulaMismatch):
+        shape_operator(orbit, xi)
+
+
 def test_block_charpoly_matches_the_dense_charpoly_on_the_shape_domain(catalog):
     # every operator `c1atlas shape` prints on the split and complexified
     # spaces of rank >= 2 up to F4; the dense linalg.charpoly is the reference
