@@ -33,7 +33,8 @@ the h and ih parts plus a half-integral diagonal on the root vectors.  This
 module owns the int rows of 2 b_theta, ``_b2_rows``, which ``shapeops`` reads
 as they are; the Killing rows stay Fractions.
 
-Algebras are immutable after construction; brackets and Gram lookups are pure.
+Algebras are immutable after construction, equal bracket-table entries are one
+shared tuple, and brackets and Gram lookups are pure.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class ChevalleyAlgebra:
         self._cartan_block, self._killing_rows, self._b2_rows = self._forms(coroots, simple_pairings)
 
     # -- structure constants -----------------------------------------------
-    def _root_constants(self, split) -> None:
+    def _root_constants(self, split, share) -> None:
         """Write [e_lam, e_mu] = N(lam, mu) e_(lam+mu) into the rows `split` wherever lam + mu is a root.
 
         Root position a (in ``roots``) is basis index rank + a.  The positive
@@ -162,7 +163,7 @@ class ChevalleyAlgebra:
         ratio is an exact divmod of the six-fold squared lengths of the roots
         it involves, negatives included, whose remainder raises
         IdentityViolation.  The constants of earlier triples are read back
-        from `split`.
+        from `split`, and every entry goes through `share`.
         """
         r = self.rs.rank
         coeffs = [lam.coeffs for lam in self.roots]
@@ -184,8 +185,8 @@ class ChevalleyAlgebra:
             return split[r + a][r + b][0][1]
 
         def put(a, b, s, value):
-            split[r + a][r + b] = ((r + s, value),)
-            split[r + b][r + a] = ((r + s, -value),)
+            split[r + a][r + b] = share(((r + s, value),))
+            split[r + b][r + a] = share(((r + s, -value),))
 
         def emit(x, e, g, value):
             """The six sign variants of the positive triple x + e = g with N(x, e) = value."""
@@ -263,16 +264,22 @@ class ChevalleyAlgebra:
         ``table[ka][kb]`` holds the nonzero (k, coefficient) terms of
         [basis ka, basis kb]; a pair with a zero bracket is absent.  The
         coefficients are ints, so a bracket of Fraction elements stays exact.
+        Equal entries are one tuple: E8 has 752 distinct ones among 15,504.
         """
         r = self.rs.rank
         n = len(self.roots)
         split = [{} for _ in range(self.split_dim)]
+        shared = {}  # the first instance of each entry value, for this build only
+
+        def share(terms):
+            return shared.setdefault(terms, terms)
+
         # first, so that its length-ratio guards run before the coroot guard
-        self._root_constants(split)
+        self._root_constants(split, share)
 
         def put(ka, kb, terms):
-            split[ka][kb] = terms
-            split[kb][ka] = tuple((k, -v) for k, v in terms)
+            split[ka][kb] = share(terms)
+            split[kb][ka] = share(tuple((k, -v) for k, v in terms))
 
         for i in range(r):
             for a, vals in enumerate(simple_pairings):
@@ -290,10 +297,10 @@ class ChevalleyAlgebra:
         table = split + [{} for _ in split]
         for ka, row in enumerate(split):
             for kb, terms in list(row.items()):
-                i_terms = tuple((k + d, v) for k, v in terms)
+                i_terms = share(tuple((k + d, v) for k, v in terms))
                 row[kb + d] = i_terms
                 table[ka + d][kb] = i_terms
-                table[ka + d][kb + d] = tuple((k, -v) for k, v in terms)
+                table[ka + d][kb + d] = share(tuple((k, -v) for k, v in terms))
         return table, coroots
 
     # -- public element API ---------------------------------------------------
@@ -533,18 +540,20 @@ def dump_structure_constants(algebra: ChevalleyAlgebra) -> list:
 
     Rows follow ``algebra.roots`` in lam, then in mu.  They are read from the
     bracket table's rows of root vectors, keeping the entries that land on a
-    root vector (the (e_lam, e_-lam) entries land in the Cartan).
+    root vector (the (e_lam, e_-lam) entries land in the Cartan).  Each root
+    has one coefficient list, shared by every row that names it, so the rows
+    are read-only.
     """
     r = algebra.rs.rank
-    roots = algebra.roots
+    coeffs = [list(lam.coeffs) for lam in algebra.roots]
     out = []
-    for a, lam in enumerate(roots):
+    for a, lam in enumerate(coeffs):
         row = algebra._table[r + a]
         entries = sorted(
-            (kb - r, int(terms[0][1]))
+            (kb - r, terms[0][1])
             for kb, terms in row.items()
             if r <= kb < algebra.split_dim and terms[0][0] >= r
         )
         for b, n in entries:
-            out.append({"lam": list(lam.coeffs), "mu": list(roots[b].coeffs), "n": n})
+            out.append({"lam": lam, "mu": coeffs[b], "n": n})
     return out

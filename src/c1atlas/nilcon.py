@@ -119,10 +119,6 @@ class NCVerdict(Record):
     _defaults = {"witness": {}, "note": ""}
 
 
-def _coeffs(lam: Root):
-    return list(lam.coeffs)
-
-
 def short_g2_root(space: SpaceEntry) -> int | None:
     """Index of the short simple root of a G2-type space; None for other types."""
     if space.rtype.family != "G2":
@@ -162,7 +158,7 @@ def analyze(space: SpaceEntry, j: int) -> NCVerdict:
             name,
             j,
             ELIMINATED_HEIGHT_COLLISION,
-            witness={"pair": [_coeffs(first), _coeffs(second)], "height": first.height},
+            witness={"pair": [list(first.coeffs), list(second.coeffs)], "height": first.height},
             note="two level-one roots of equal height",
         )
 
@@ -180,7 +176,7 @@ def analyze(space: SpaceEntry, j: int) -> NCVerdict:
                 name,
                 j,
                 SURVIVES_W_ZERO_G2,
-                witness={"snake": [_coeffs(r) for r in snake.roots], "w": "zero"},
+                witness={"snake": [list(r.coeffs) for r in snake.roots], "w": "zero"},
                 note="trivial subspace at the short G2 root; non-totally-geodesic singular orbit",
             )
         if space.rtype.family == "G2":
@@ -188,7 +184,7 @@ def analyze(space: SpaceEntry, j: int) -> NCVerdict:
                 name,
                 j,
                 W_ZERO_TOTALLY_GEODESIC,
-                witness={"index": violator, "snake": [_coeffs(r) for r in snake.roots]},
+                witness={"index": violator, "snake": [list(r.coeffs) for r in snake.roots]},
                 note="only the trivial subspace remains; its singular orbit, when the "
                 "action exists, is totally geodesic",
             )
@@ -210,7 +206,7 @@ def analyze(space: SpaceEntry, j: int) -> NCVerdict:
             name,
             j,
             ELIMINATED_SHAPE_THEOREM,
-            witness={"snake": [_coeffs(r) for r in snake.roots]},
+            witness={"snake": [list(r.coeffs) for r in snake.roots]},
             note="short-end chain with passing multiplicities: the shape-operator "
             "theorem forces a totally geodesic singular orbit",
         )
@@ -266,21 +262,24 @@ def verify_witness(space: SpaceEntry, verdict: NCVerdict) -> bool:
     return False
 
 
-def check_w_zero_geometry(space: SpaceEntry, verdict: NCVerdict) -> None:
-    """IdentityViolation unless the w = 0 orbit is totally geodesic exactly where a snake verdict says.
+def check_w_zero_geometry(space: SpaceEntry, verdicts: list) -> None:
+    """IdentityViolation unless each w = 0 orbit is totally geodesic exactly where its snake verdict says.
 
     Every status in SNAKE_STATUSES but SURVIVES_W_ZERO_G2 says it is, or would
-    be.  The orbit is computed in ``space_model(space)``: C1AtlasError unless
-    the space is split or complexified, and ValueError for a verdict of
-    another space or without a snake.
+    be.  The orbits of all `verdicts` are computed in one ``space_model(space)``:
+    C1AtlasError unless the space is split or complexified, and ValueError,
+    before the build, for a verdict of another space or without a snake.
     """
     from .shapeops import OrbitSubalgebra, is_totally_geodesic, space_model  # analyze loads no shapeops
 
-    if verdict.space != space.name or verdict.status not in SNAKE_STATUSES:
-        raise ValueError(f"no w = 0 orbit to check for {verdict.space}, j={verdict.j}: {verdict.status}")
-    geodesic = is_totally_geodesic(OrbitSubalgebra(space_model(space), verdict.j))
-    if geodesic == (verdict.status == SURVIVES_W_ZERO_G2):
-        raise IdentityViolation(f"{space.name}, j={verdict.j}: {verdict.status}, but geodesic={geodesic}")
+    for verdict in verdicts:
+        if verdict.space != space.name or verdict.status not in SNAKE_STATUSES:
+            raise ValueError(f"no w = 0 orbit to check for {verdict.space}, j={verdict.j}: {verdict.status}")
+    model = space_model(space)
+    for verdict in verdicts:
+        geodesic = is_totally_geodesic(OrbitSubalgebra(model, verdict.j))
+        if geodesic == (verdict.status == SURVIVES_W_ZERO_G2):
+            raise IdentityViolation(f"{space.name}, j={verdict.j}: {verdict.status}, but geodesic={geodesic}")
 
 
 def verdict_table(verdicts) -> str:

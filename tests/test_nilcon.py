@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from c1atlas import nilcon
+from c1atlas import nilcon, shapeops, verify
 from c1atlas.catalog import find_space
 from c1atlas.nilcon import (
     ELIMINATED_CORNER,
@@ -226,12 +226,14 @@ def test_snake_verdicts_match_the_computed_geometry(catalog):
         if space.rank < 2 or not (space.split_flag or space.complexified_flag):
             continue
         rs = space.root_system()
+        verdicts = []
         for j in range(1, space.rank + 1):
             if not isinstance(snake_check(rs, j), Snake):
                 continue
             verdict = analyze(space, j)
             seen[verdict.status] = seen.get(verdict.status, 0) + 1
-            check_w_zero_geometry(space, verdict)
+            verdicts.append(verdict)
+        check_w_zero_geometry(space, verdicts)
     assert seen == {ELIMINATED_MULTIPLICITY: 22, W_ZERO_TOTALLY_GEODESIC: 2, SURVIVES_W_ZERO_G2: 2}
 
 
@@ -247,19 +249,37 @@ def test_snake_verdicts_match_the_computed_geometry(catalog):
 def test_w_zero_geometry_rejects_a_flipped_verdict(catalog, name, j, flipped):
     space = find_space(catalog, name)
     verdict = analyze(space, j)
-    check_w_zero_geometry(space, verdict)
+    check_w_zero_geometry(space, [verdict])
     wrong = NCVerdict(verdict.space, j, flipped, witness=verdict.witness, note=verdict.note)
     with pytest.raises(IdentityViolation, match=flipped):
-        check_w_zero_geometry(space, wrong)
+        check_w_zero_geometry(space, [wrong])
 
 
 def test_w_zero_geometry_needs_a_snake_verdict_and_an_exact_model(catalog):
     g2 = find_space(catalog, "G2^2/SO(4)")
     with pytest.raises(ValueError):  # a verdict of another space
-        check_w_zero_geometry(find_space(catalog, "G2(C)/G2"), analyze(g2, 2))
+        check_w_zero_geometry(find_space(catalog, "G2(C)/G2"), [analyze(g2, 2)])
     corner = next(v for v in analyze_all(catalog) if v.status == ELIMINATED_CORNER)
     with pytest.raises(ValueError):  # no snake, so no w = 0 orbit
-        check_w_zero_geometry(find_space(catalog, corner.space), corner)
+        check_w_zero_geometry(find_space(catalog, corner.space), [corner])
     shape_theorem = next(v for v in analyze_all(catalog) if v.status == ELIMINATED_SHAPE_THEOREM)
     with pytest.raises(C1AtlasError, match="neither split nor complexified"):
-        check_w_zero_geometry(find_space(catalog, shape_theorem.space), shape_theorem)
+        check_w_zero_geometry(find_space(catalog, shape_theorem.space), [shape_theorem])
+
+
+def test_snake_geometry_builds_each_spaces_model_once(catalog, monkeypatch):
+    built = []
+    space_model = shapeops.space_model
+
+    def counted(space):
+        built.append(space.name)
+        return space_model(space)
+
+    monkeypatch.setattr(shapeops, "space_model", counted)
+    verify._check_snake_geometry()  # 26 snake verdicts on 15 spaces
+    assert len(built) == len(set(built)) == 15
+    g2 = find_space(catalog, "G2^2/SO(4)")
+    built.clear()
+    with pytest.raises(ValueError):  # a bad verdict anywhere in the list stops the check before the build
+        check_w_zero_geometry(g2, [analyze(g2, 2), analyze(find_space(catalog, "G2(C)/G2"), 2)])
+    assert built == []
