@@ -11,8 +11,8 @@ Subcommands
   catalog   list catalog entries
   verify    run the invariant battery
 
-Every subcommand accepts --format json|text.  Exit codes: 0 success, 1 data
-errors, 2 usage errors.
+Each subcommand is declared once, in ``COMMANDS``.  Every subcommand accepts
+--format json|text.  Exit codes: 0 success, 1 data errors, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -317,6 +317,62 @@ def render_hasse(rs: RootSystem, j: int, dot: bool = False) -> str:
 
 # -- parser --------------------------------------------------------------------
 
+_FORMAT = ("--format", dict(choices=("text", "json"), default="text"))
+_CATALOG = ("--catalog", dict(help="path to an alternative catalog JSON"))
+_TYPE = (
+    ("--type", dict(required=True, help="family: A B C D E6 E7 E8 F4 G2 BC")),
+    ("--rank", dict(type=int, help="rank (omit for fixed-rank families)")),
+)
+_ALL = ("--all", dict(action="store_true"))
+
+# name -> (help line, handler, arguments in help order)
+COMMANDS = {
+    "roots": ("positive roots of a system", _cmd_roots, (*_TYPE, _FORMAT)),
+    "grading": ("parabolic grading levels at a simple root", _cmd_grading, (
+        *_TYPE,
+        ("--j", dict(type=int, required=True)),
+        ("--level", dict(type=int)),
+        ("--hasse", dict(action="store_true", help="render the level-one diagram")),
+        ("--dot", dict(action="store_true", help="DOT output for --hasse")),
+        _FORMAT,
+    )),
+    "strings": ("root strings and phi-strings", _cmd_strings, (
+        *_TYPE,
+        ("--root", dict(required=True, help="coefficients, e.g. 1,0,1")),
+        ("--beta", dict(help="direction root coefficients")),
+        ("--phi", dict(help="comma-separated simple indices")),
+        _FORMAT,
+    )),
+    "analyze": ("nilpotent-construction elimination verdicts", _cmd_analyze, (
+        ("--space", {}),
+        ("--j", dict(type=int)),
+        _ALL,
+        _FORMAT, _CATALOG,
+    )),
+    "shape": ("shape operators of a model orbit", _cmd_shape, (
+        ("--space", dict(required=True)),
+        ("--j", dict(type=int, required=True)),
+        ("--w", dict(choices=("zero",), default="zero")),
+        _FORMAT, _CATALOG,
+    )),
+    "classify": ("assemble the action catalog of a space", _cmd_classify, (
+        ("--space", dict(action="append", help="catalog name; repeat for products")),
+        _ALL,
+        ("--tg-table", dict(help="path to the totally-geodesic-orbit table")),
+        _FORMAT, _CATALOG,
+    )),
+    "catalog": ("list catalog entries", _cmd_catalog, (
+        ("--family", {}),
+        ("--min-rank", dict(type=int)),
+        _FORMAT, _CATALOG,
+    )),
+    "verify": ("run the invariant battery", _cmd_verify, (
+        ("--full", dict(action="store_true", help="include the exhaustive F4 checks")),
+        _FORMAT,
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="c1atlas",
@@ -324,70 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
         "cohomogeneity-one actions on noncompact symmetric spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, catalog=False):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if catalog:
-            p.add_argument("--catalog", help="path to an alternative catalog JSON")
-
-    def add_type(p):
-        p.add_argument("--type", required=True, help="family: A B C D E6 E7 E8 F4 G2 BC")
-        p.add_argument("--rank", type=int, help="rank (omit for fixed-rank families)")
-
-    p = sub.add_parser("roots", help="positive roots of a system")
-    add_type(p)
-    add_common(p)
-    p.set_defaults(func=_cmd_roots)
-
-    p = sub.add_parser("grading", help="parabolic grading levels at a simple root")
-    add_type(p)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--level", type=int)
-    p.add_argument("--hasse", action="store_true", help="render the level-one diagram")
-    p.add_argument("--dot", action="store_true", help="DOT output for --hasse")
-    add_common(p)
-    p.set_defaults(func=_cmd_grading)
-
-    p = sub.add_parser("strings", help="root strings and phi-strings")
-    add_type(p)
-    p.add_argument("--root", required=True, help="coefficients, e.g. 1,0,1")
-    p.add_argument("--beta", help="direction root coefficients")
-    p.add_argument("--phi", help="comma-separated simple indices")
-    add_common(p)
-    p.set_defaults(func=_cmd_strings)
-
-    p = sub.add_parser("analyze", help="nilpotent-construction elimination verdicts")
-    p.add_argument("--space")
-    p.add_argument("--j", type=int)
-    p.add_argument("--all", action="store_true")
-    add_common(p, catalog=True)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("shape", help="shape operators of a model orbit")
-    p.add_argument("--space", required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--w", choices=("zero",), default="zero")
-    add_common(p, catalog=True)
-    p.set_defaults(func=_cmd_shape)
-
-    p = sub.add_parser("classify", help="assemble the action catalog of a space")
-    p.add_argument("--space", action="append", help="catalog name; repeat for products")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--tg-table", help="path to the totally-geodesic-orbit table")
-    add_common(p, catalog=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("catalog", help="list catalog entries")
-    p.add_argument("--family")
-    p.add_argument("--min-rank", type=int)
-    add_common(p, catalog=True)
-    p.set_defaults(func=_cmd_catalog)
-
-    p = sub.add_parser("verify", help="run the invariant battery")
-    p.add_argument("--full", action="store_true", help="include the exhaustive F4 checks")
-    add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (help_line, _, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -395,7 +391,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code = COMMANDS[args.command][1](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -262,26 +262,6 @@ def verify_witness(space: SpaceEntry, verdict: NCVerdict) -> bool:
     return False
 
 
-def check_w_zero_geometry(space: SpaceEntry, verdicts: list) -> None:
-    """IdentityViolation unless each w = 0 orbit is totally geodesic exactly where its snake verdict says.
-
-    Every status in SNAKE_STATUSES but SURVIVES_W_ZERO_G2 says it is, or would
-    be.  The orbits of all `verdicts` are computed in one ``space_model(space)``:
-    C1AtlasError unless the space is split or complexified, and ValueError,
-    before the build, for a verdict of another space or without a snake.
-    """
-    from .shapeops import OrbitSubalgebra, is_totally_geodesic, space_model  # analyze loads no shapeops
-
-    for verdict in verdicts:
-        if verdict.space != space.name or verdict.status not in SNAKE_STATUSES:
-            raise ValueError(f"no w = 0 orbit to check for {verdict.space}, j={verdict.j}: {verdict.status}")
-    model = space_model(space)
-    for verdict in verdicts:
-        geodesic = is_totally_geodesic(OrbitSubalgebra(model, verdict.j))
-        if geodesic == (verdict.status == SURVIVES_W_ZERO_G2):
-            raise IdentityViolation(f"{space.name}, j={verdict.j}: {verdict.status}, but geodesic={geodesic}")
-
-
 def verdict_table(verdicts) -> str:
     """Aligned, locale-independent text table of a verdict sweep."""
     headers = ("space", "j", "status", "witness")

@@ -262,6 +262,7 @@ class RootSystem:
             cartan[i - 1][j - 1] = overrides.get((i, j), -1)
             cartan[j - 1][i - 1] = overrides.get((j, i), -1)
         self.cartan = tuple(tuple(row) for row in cartan)
+        self._neighbors = tuple(frozenset(j + 1 for j in range(r) if j != i and cartan[i][j]) for i in range(r))
         # six times (a_i, a_j) = cartan[i][j] * 6 (a_j, a_j) / 2
         twice = [[cartan[i][j] * d6[j] for j in range(r)] for i in range(r)]
         if any(twice[i][j] != twice[j][i] for i in range(r) for j in range(i + 1, r)):
@@ -446,7 +447,7 @@ class RootSystem:
         phi = self._simple_subset(phi)
         levels: dict = {}
         sigma = []
-        for lam in self.positives:
+        for lam in self.positives:  # in root order, so each level is too
             nu = sum(lam.coeffs[i - 1] for i in range(1, self.rank + 1) if i not in phi)
             if nu == 0:
                 sigma.append(lam)
@@ -454,8 +455,8 @@ class RootSystem:
                 levels.setdefault(nu, []).append(lam)
         return ParabolicGrading(
             phi=phi,
-            levels={nu: tuple(sorted(rs)) for nu, rs in levels.items()},
-            sigma_phi_pos=tuple(sorted(sigma)),
+            levels={nu: tuple(rs) for nu, rs in levels.items()},
+            sigma_phi_pos=tuple(sigma),
         )
 
     def maximal_grading(self, j: int) -> "ParabolicGrading":
@@ -468,11 +469,7 @@ class RootSystem:
     def dynkin_neighbors(self, i: int) -> frozenset:
         """The nodes joined to node i; InvalidIndex unless 1 <= i <= rank."""
         self._check_index(i)
-        return frozenset(
-            j + 1
-            for j in range(self.rank)
-            if j != i - 1 and self.cartan[i - 1][j] != 0
-        )
+        return self._neighbors[i - 1]
 
     def components(self, nodes: Iterable[int]) -> list:
         """Connected components of the Dynkin subdiagram on nodes.

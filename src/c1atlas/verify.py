@@ -16,11 +16,11 @@ from __future__ import annotations
 import time
 from collections import Counter
 
-from . import nilcon
-from .catalog import default_catalog, find_space
+from . import nilcon, shapeops
+from .catalog import SpaceEntry, default_catalog, find_space
 from .chevalley import build_algebra
 from .classify import classify, derive_type_e_spaces
-from .errors import CheckFailed, ProportionalRoots
+from .errors import CheckFailed, IdentityViolation, ProportionalRoots
 from .rootsys import length_class_counts, root_system
 from .scalars import GAUSSIAN, RATIONAL
 from .shapeops import (
@@ -28,6 +28,7 @@ from .shapeops import (
     SolvableModel,
     check_self_adjoint,
     check_shape_identities,
+    is_totally_geodesic,
     shape_operator,
 )
 
@@ -128,6 +129,24 @@ def _check_shape_consistency():
     check_shape_identities(OrbitSubalgebra(SolvableModel(build_algebra(root_system("G2", 2))), 2))
 
 
+def check_w_zero_geometry(space: SpaceEntry, verdicts: list) -> None:
+    """IdentityViolation unless each w = 0 orbit is totally geodesic exactly where its snake verdict says.
+
+    Every status in SNAKE_STATUSES but SURVIVES_W_ZERO_G2 says it is, or would
+    be.  The orbits of all `verdicts` are computed in one ``space_model(space)``:
+    C1AtlasError unless the space is split or complexified, and ValueError,
+    before the build, for a verdict of another space or without a snake.
+    """
+    for verdict in verdicts:
+        if verdict.space != space.name or verdict.status not in nilcon.SNAKE_STATUSES:
+            raise ValueError(f"no w = 0 orbit to check for {verdict.space}, j={verdict.j}: {verdict.status}")
+    model = shapeops.space_model(space)
+    for verdict in verdicts:
+        geodesic = is_totally_geodesic(OrbitSubalgebra(model, verdict.j))
+        if geodesic == (verdict.status == nilcon.SURVIVES_W_ZERO_G2):
+            raise IdentityViolation(f"{space.name}, j={verdict.j}: {verdict.status}, but geodesic={geodesic}")
+
+
 def _check_snake_geometry():
     checked = Counter()  # snake verdicts of the spaces with a model, G2 over both rings included
     for space in default_catalog():
@@ -136,7 +155,7 @@ def _check_snake_geometry():
         verdicts = [nilcon.analyze(space, j) for j in range(1, space.rank + 1)]
         snakes = [v for v in verdicts if v.status in nilcon.SNAKE_STATUSES]
         if snakes:  # builds the space's model once; none for a space without a snake
-            nilcon.check_w_zero_geometry(space, snakes)
+            check_w_zero_geometry(space, snakes)
             checked.update(v.status for v in snakes)
     expected = {"ELIMINATED_MULTIPLICITY": 22, "W_ZERO_TOTALLY_GEODESIC": 2, "SURVIVES_W_ZERO_G2": 2}
     _require(checked == expected, f"checked snake verdicts {dict(checked)}, not {expected}")

@@ -29,6 +29,11 @@ SHAPE_OUTPUTS = json.loads(
     (Path(__file__).parent / "data" / "shape_outputs.json").read_text(encoding="utf-8")
 )
 
+# stdout, stderr and exit code of `main` for help, usage errors and a few
+# successful requests, recorded with 80 terminal columns under the Python
+# version the file names (argparse's wording differs between versions)
+CLI_SURFACE = json.loads((Path(__file__).parent / "data" / "cli_surface.json").read_text(encoding="utf-8"))
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -615,3 +620,18 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+
+
+@pytest.mark.parametrize("case", CLI_SURFACE["cases"], ids=lambda case: case["id"])
+def test_cli_surface_matches_the_recording(case, monkeypatch):
+    if "%d.%d" % sys.version_info[:2] != CLI_SURFACE["python"]:
+        pytest.skip(f"recorded under Python {CLI_SURFACE['python']}")
+    monkeypatch.setenv("COLUMNS", str(CLI_SURFACE["columns"]))
+    monkeypatch.delenv("C1_ATLAS_CATALOG", raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(case["argv"]))
+        except SystemExit as exc:
+            code = exc.code
+    assert (code, out.getvalue(), err.getvalue()) == (case["code"], case["stdout"], case["stderr"])

@@ -17,7 +17,6 @@ from c1atlas.nilcon import (
     analyze,
     analyze_all,
     ce_reduction_check,
-    check_w_zero_geometry,
     multiplicity_check,
     snake_check,
     survivors,
@@ -25,6 +24,7 @@ from c1atlas.nilcon import (
 )
 from c1atlas.errors import C1AtlasError, IdentityViolation
 from c1atlas.rootsys import Root, root_system
+from c1atlas.verify import check_w_zero_geometry
 
 
 def test_corner_check():

@@ -538,6 +538,23 @@ ALL_TYPES = {
 
 
 @pytest.mark.parametrize("family", sorted(ALL_TYPES))
+def test_gradings_come_out_in_root_order_and_neighbours_match_the_cartan_matrix(family):
+    # every phi up to rank 6, and the maximal gradings up to rank 8
+    for rank in (r for r in ALL_TYPES[family] if r <= 8):
+        rs = root_system(family, rank)
+        for i in range(1, rank + 1):
+            assert rs.dynkin_neighbors(i) == {j + 1 for j in range(rank) if j != i - 1 and rs.cartan[i - 1][j]}
+        if rank <= 6:
+            phis = [{i + 1 for i in range(rank) if mask >> i & 1} for mask in range(1 << rank)]
+        else:
+            phis = [set(range(1, rank + 1)) - {j} for j in range(1, rank + 1)]
+        for phi in phis:
+            grading = rs.grading(phi)
+            for roots in (grading.sigma_phi_pos, *grading.levels.values()):
+                assert list(roots) == sorted(roots), (family, rank, sorted(phi))
+
+
+@pytest.mark.parametrize("family", sorted(ALL_TYPES))
 def test_generator_against_closed_forms_and_reflections(family):
     for rank in ALL_TYPES[family]:
         rs = root_system(family, rank)
