@@ -2,7 +2,7 @@
 classification of cohomogeneity-one actions on symmetric spaces of
 noncompact type.
 
-The package is organised around six layers:
+The package is organised around seven layers:
 
   rootsys    root systems, strings, parabolic gradings, diagram symmetries
   catalog    the table of irreducible spaces with restricted-root data
@@ -10,6 +10,7 @@ The package is organised around six layers:
   shapeops   shape operators of orbits in the solvable model
   nilcon     the nilpotent-construction elimination pipeline
   classify   the per-space catalog of cohomogeneity-one action families
+  verify     the invariant battery, with the root-space identity checks
 
 ``import c1atlas`` loads no layer: each name in ``_EXPORTS`` is imported from its
 submodule on first use, and so is each layer read as ``c1atlas.<layer>``, so a
@@ -40,8 +41,6 @@ _EXPORTS = {
         "AlgebraElement",
         "ChevalleyAlgebra",
         "build_algebra",
-        "check_string_injectivity",
-        "check_theta_bracket_identity",
         "dump_structure_constants",
     ),
     "shapeops": (
@@ -50,7 +49,6 @@ _EXPORTS = {
         "SolvableModel",
         "check_self_adjoint",
         "check_shape_identities",
-        "cpc_charpoly_constancy",
         "is_totally_geodesic",
         "shape_operator",
         "space_model",
@@ -75,6 +73,10 @@ _EXPORTS = {
         "load_tg_table",
         "moduli",
     ),
+    "verify": (
+        "check_string_injectivity",
+        "check_theta_bracket_identity",
+    ),
 }
 
 # exported name -> the submodule that defines it
@@ -98,9 +100,13 @@ def __getattr__(name):
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     source = importlib.import_module(f"{__name__}.{module}")
     # Cache every export of the submodule at once.  The import has just bound
-    # the submodule under its own name, which for `classify` is also an
-    # exported function; this rebinds the name to the function whichever of
-    # the layer's exports is read first (`from c1atlas import *` reads
-    # `ActionCatalog` before `classify`).
-    globals().update((n, getattr(source, n)) for n in _EXPORTS[module])
-    return globals()[name]
+    # each submodule it loaded under its own name, which for `classify` is
+    # also an exported function; this rebinds the name to the function
+    # whichever of the layer's exports is read first (`from c1atlas import *`
+    # reads `ActionCatalog` before `classify`), and after an export of
+    # `verify`, which loads `classify`.
+    cache = globals()
+    cache.update((n, getattr(source, n)) for n in _EXPORTS[module])
+    if "classify" in cache and not callable(cache["classify"]):
+        cache["classify"] = cache["classify"].classify
+    return cache[name]

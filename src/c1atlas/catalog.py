@@ -63,16 +63,29 @@ def rank_one_recognize(m1: int, m2: int) -> RankOneType | None:
     return None
 
 
-class SpaceEntry(Record):
+class _SixFoldMults(Record):
+    """Holds a SpaceEntry's multiplicities keyed by six-fold squared length; the slot is no field."""
+
+    __slots__ = ("_mult6",)
+
+
+class SpaceEntry(_SixFoldMults):
     """One irreducible symmetric space of noncompact type.
 
     ``mult`` maps the squared root length (in the normalisation with long
     roots of squared length 2) to the common multiplicity of that class, as
     a sorted tuple of (Fraction squared length, int multiplicity) pairs.
+    Construction keys the same multiplicities by the int six-fold squared
+    length the root system stores per root, which ``mult_of`` reads.
     """
 
     __slots__ = ("name", "rtype", "mult", "dim", "split_flag", "complexified_flag", "aliases")
     _defaults = {"split_flag": False, "complexified_flag": False, "aliases": ()}
+
+    def _check(self):
+        # a length that is no sixth of an integer is no root's; validate() rejects it
+        six_fold = ((6 * length, m) for length, m in self.mult)
+        object.__setattr__(self, "_mult6", {n.numerator: m for n, m in six_fold if n.denominator == 1})
 
     def root_system(self) -> RootSystem:
         return root_system(self.rtype.family, self.rtype.rank)
@@ -83,10 +96,10 @@ class SpaceEntry(Record):
 
     def mult_of(self, lam: Root) -> int:
         """Multiplicity of a root; NotARoot unless lam is a root of this space."""
-        rs = self.root_system()
-        if not rs.contains(lam):
+        len6 = self.root_system()._root_len6.get(lam.coeffs)
+        if len6 is None:
             raise NotARoot(f"{lam.coeffs} is not a root of {self.name}")
-        return dict(self.mult)[rs.length_sq(lam)]
+        return self._mult6[len6]
 
     def simple_mult(self, i: int) -> int:
         return self.mult_of(self.root_system().simple(i))

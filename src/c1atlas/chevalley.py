@@ -11,9 +11,8 @@ length ratio is an exact divmod of six-fold squared lengths.
 The complexified algebra g(C) is read as a real Lie algebra with the real
 basis h_i, e_lam, i*h_i, i*e_lam.  Because [i^a x, i^b y] = i^(a+b) [x, y],
 its structure constants are the split ones under that i-parity rule, so they
-are rational too.  Both rings therefore use one scalar field: every
-coefficient is a Fraction, and the terms of an element are its real
-coordinates.
+are integers too.  Both rings therefore use one scalar field, Q: the terms of
+an element are its real coordinates, ints or Fractions.
 
 The real basis is numbered 0..dim-1, and every table is keyed by that index:
 element terms, the bracket rows, theta and the Gram rows.  The split basis
@@ -31,23 +30,23 @@ g(C) is twice the real part of the complex one.  The positive definite form
 b_theta(x, y) = -B(x, theta y) has as Gram matrix one Cartan block on each of
 the h and ih parts plus a half-integral diagonal on the root vectors.  This
 module owns the int rows of 2 b_theta, ``_b2_rows``, which ``shapeops`` reads
-as they are; the Killing rows stay Fractions.
+as they are, and beside them the int rows of 2B; ``killing`` and ``b_theta``
+halve a sum over those rows into a Fraction.
 
-Algebras are immutable after construction, equal bracket-table entries are one
-shared tuple, and brackets and Gram lookups are pure.
+Everything a build and a structure-constant dump compute is an int, so this
+module loads no ``fractions`` at import: the functions that return a Fraction
+(the forms, the element constructors, scaling an element) run ``import
+fractions`` when they are called, a lookup that costs a fraction of what a
+``from`` import inside a function does.  Algebras are immutable after
+construction, equal bracket-table entries are one shared tuple, and brackets
+and Gram lookups are pure.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
-from .errors import (
-    IdentityViolation,
-    InjectivityViolation,
-    NonReducedSystem,
-    NotARoot,
-)
+from .errors import IdentityViolation, NonReducedSystem, NotARoot
 from .rootsys import Root, RootSystem
 from .scalars import GAUSSIAN, RATIONAL
 
@@ -71,7 +70,9 @@ class AlgebraElement:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
+        import fractions
+
+        scalar = fractions.Fraction(scalar)
         return AlgebraElement(self.algebra, {k: scalar * v for k, v in self.terms.items()})
 
     def __neg__(self):
@@ -101,20 +102,18 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _half_form(rows, x: AlgebraElement, y: AlgebraElement) -> Fraction:
+    """Half the bilinear form with sparse int Gram rows `rows` on x and y, as a Fraction."""
+    import fractions
 
-
-def _form(rows, x: AlgebraElement, y: AlgebraElement) -> Fraction:
-    """The bilinear form with sparse Gram rows `rows` on x and y."""
     xt = x.terms
-    total = _ZERO
+    total = 0
     for ky, cy in y.terms.items():
         for kx, g in rows[ky]:
             cx = xt.get(kx)
             if cx is not None:
                 total += cx * cy * g
-    return total
+    return fractions.Fraction(total, 2)
 
 
 class ChevalleyAlgebra:
@@ -146,7 +145,7 @@ class ChevalleyAlgebra:
         simples = rs.simples
         simple_pairings = [tuple(rs.pairing(lam, a) for a in simples) for lam in self.roots]
         self._table, coroots = self._bracket_table(simple_pairings)
-        self._cartan_block, self._killing_rows, self._b2_rows = self._forms(coroots, simple_pairings)
+        self._killing2_rows, self._b2_rows = self._forms(coroots, simple_pairings)
 
     # -- structure constants -----------------------------------------------
     def _root_constants(self, split, share) -> None:
@@ -309,16 +308,20 @@ class ChevalleyAlgebra:
 
     def unit(self, k: int) -> AlgebraElement:
         """Basis vector number k."""
-        return AlgebraElement(self, {k: _ONE})
+        import fractions
+
+        return AlgebraElement(self, {k: fractions.Fraction(1)})
 
     def element(self, terms: dict) -> AlgebraElement:
         """The element with coordinates `terms`, keyed by label; every key must lie in ``labels``."""
+        import fractions
+
         out = {}
         for label, value in terms.items():
             k = self.index.get(label)
             if k is None:
                 raise ValueError(f"{label!r} is not a real basis label of this algebra")
-            out[k] = Fraction(value)
+            out[k] = fractions.Fraction(value)
         return AlgebraElement(self, out)
 
     def h(self, i: int) -> AlgebraElement:
@@ -326,7 +329,9 @@ class ChevalleyAlgebra:
 
     def e(self, lam: Root, coefficient=1) -> AlgebraElement:
         """coefficient * e_lam; NotARoot unless lam is a root."""
-        return AlgebraElement(self, {self._root_index(lam): Fraction(coefficient)})
+        import fractions
+
+        return AlgebraElement(self, {self._root_index(lam): fractions.Fraction(coefficient)})
 
     def bracket_terms(self, x: dict, y: dict, out: dict | None = None) -> dict:
         """Add [x, y] into `out` (a new dict by default) and return it.
@@ -364,7 +369,7 @@ class ChevalleyAlgebra:
 
     # -- invariant forms ---------------------------------------------------------
     def _forms(self, coroots, simple_pairings):
-        """The int Cartan block of b_theta, sparse Fraction rows of B, and int rows of 2 b_theta.
+        """Sparse int rows of 2B and of 2 b_theta.
 
         ad(x) ad(y) shifts the root grading by the sum of the weights of x and
         y, so the only nonzero Gram entries of the Killing form B are Cartan x
@@ -389,34 +394,26 @@ class ChevalleyAlgebra:
         ]
         # 2 b_theta(e_lam, e_lam) = B(h_lam, h_lam) for each positive lam, in root order
         root_b2 = [sum(c[i] * block[i][j] * c[j] for i in range(r) for j in range(r)) for c in coroots]
-        killing, b2 = [], []
+        killing2, b2 = [], []
         for c in self._copies:
             sign = -1 if c else 1
             for block_row in block:
-                row = tuple((c + j, v) for j, v in enumerate(block_row) if v)
-                b2.append(tuple((k, 2 * v) for k, v in row))
-                killing.append(tuple((k, Fraction(sign * v)) for k, v in row))
+                row = tuple((c + j, 2 * v) for j, v in enumerate(block_row) if v)
+                b2.append(row)
+                killing2.append(tuple((k, sign * v) for k, v in row))
             for a in range(2 * n_pos):
                 value = root_b2[a % n_pos]
                 b2.append(((c + r + a, value),))
-                killing.append(((c + r + (a + n_pos) % (2 * n_pos), Fraction(sign * value, 2)),))
-        return block, killing, b2
+                killing2.append(((c + r + (a + n_pos) % (2 * n_pos), sign * value),))
+        return killing2, b2
 
     def killing(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
         """Killing form of the real algebra."""
-        return _form(self._killing_rows, x, y)
+        return _half_form(self._killing2_rows, x, y)
 
     def b_theta(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
         """The positive definite inner product -B(x, theta y) on the real algebra."""
-        return _form(self._b2_rows, x, y) / 2
-
-    def cartan_dual(self, lam: Root) -> AlgebraElement:
-        """The vector H in the Cartan part with b_theta(H, .) = lam(.) there."""
-        from .linalg import solve  # imported here: building and dumping an algebra need no linalg
-
-        rs = self.rs
-        rhs = [Fraction(rs.pairing(lam, a)) for a in rs.simples]
-        return AlgebraElement(self, dict(enumerate(solve(self._cartan_block, rhs))))
+        return _half_form(self._b2_rows, x, y)
 
     # -- verification helpers -------------------------------------------------
     def check_jacobi_exhaustive(self) -> int:
@@ -449,21 +446,6 @@ class ChevalleyAlgebra:
                     count += 1
         return count
 
-    def check_constant_magnitudes(self) -> int:
-        """|N(lam, mu)| = p + 1 for every root pair; returns pairs checked."""
-        rs = self.rs
-        count = 0
-        for lam in self.roots:
-            for mu in self.roots:
-                s = lam.shifted(mu)
-                if not rs.contains(s) or all(c == 0 for c in s):
-                    continue
-                p = rs.string_down_count(mu, lam)
-                if abs(self.structure_constant(lam, mu)) != p + 1:
-                    raise IdentityViolation(f"|N({lam},{mu})| != p+1")
-                count += 1
-        return count
-
     # -- the real basis -------------------------------------------------------
     def root_indices(self, roots) -> tuple:
         """Basis indices of the root spaces of `roots`, root by root: e_lam, then i*e_lam over Q(i).
@@ -472,67 +454,9 @@ class ChevalleyAlgebra:
         """
         return tuple(self._root_index(lam) + c for lam in roots for c in self._copies)
 
-    def in_centraliser_of_flat(self, x: AlgebraElement) -> bool:
-        """Whether x lies in the compact centraliser of the flat (the k_0 part): the i*h_i span."""
-        d = self.split_dim
-        return all(d <= k < d + self.rs.rank for k in x.terms)
-
 
 def build_algebra(rs: RootSystem, scalars: str = RATIONAL) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(rs, scalars)
-
-
-def check_theta_bracket_identity(
-    algebra: ChevalleyAlgebra, lam: Root, x: AlgebraElement, y: AlgebraElement = None
-) -> None:
-    """Verify [theta X, X] = b_theta(X, X) * H_lam for X in the root space of lam,
-    and, given Y there b_theta-orthogonal to X, that [theta X, Y] lands in the
-    k_0 part.  Raises IdentityViolation on failure.
-    """
-    space = set(algebra.root_indices([lam]))
-    for elem in (x,) + ((y,) if y is not None else ()):
-        if not elem.terms.keys() <= space:
-            raise ValueError(f"vector has a component off the root space of {lam}")
-    h_lam = algebra.cartan_dual(lam)
-    lhs = algebra.bracket(algebra.theta(x), x)
-    rhs = algebra.b_theta(x, x) * h_lam
-    if lhs != rhs:
-        raise IdentityViolation(f"[theta X, X] != |X|^2 H for X in g_{lam}")
-    if y is not None:
-        if algebra.b_theta(x, y) != 0:
-            raise ValueError("X and Y must be b_theta-orthogonal")
-        mixed = algebra.bracket(algebra.theta(x), y)
-        if not algebra.in_centraliser_of_flat(mixed):
-            raise IdentityViolation(f"[theta X, Y] escapes k_0 for X, Y in g_{lam}")
-
-
-def check_string_injectivity(algebra: ChevalleyAlgebra, alpha: Root, beta: Root, k: int) -> None:
-    """Exact-rank check that ad(X)^k : g_alpha -> g_(alpha+k*beta) is injective
-    for every real basis vector X of g_beta.  Raises InjectivityViolation on failure.
-    """
-    from .linalg import rank as mat_rank
-
-    rs = algebra.rs
-    string = rs.root_string(alpha, beta)
-    if k < 1 or k >= len(string):
-        raise ValueError(f"power {k} outside the string through {alpha}")
-    target = string[k]
-    target_keys = algebra.root_indices([target])
-    source = [algebra.unit(i) for i in algebra.root_indices([alpha])]
-    for x in (algebra.unit(i) for i in algebra.root_indices([beta])):
-        images = []
-        for img in source:
-            for _ in range(k):
-                img = algebra.bracket(x, img)
-            if not img.terms.keys() <= set(target_keys):
-                raise ValueError(f"element is not contained in the root space of {target}")
-            images.append(img.terms)
-        mat = [[img.get(key, 0) for img in images] for key in target_keys]
-        rk = mat_rank(mat)
-        if rk != len(source):
-            raise InjectivityViolation(
-                f"ad(X)^{k} on g_{alpha} has rank {rk} < {len(source)}"
-            )
 
 
 def dump_structure_constants(algebra: ChevalleyAlgebra) -> list:

@@ -51,10 +51,6 @@ class FormulaMismatch(C1AtlasError):
     """Shape operator disagrees with its independent connection-based recomputation."""
 
 
-class SpectrumMismatch(C1AtlasError):
-    """Characteristic polynomials differ between equal-norm normal directions."""
-
-
 class NotClosed(C1AtlasError):
     """Candidate tangent space is not closed under the bracket."""
 

@@ -6,9 +6,11 @@ length 2 (the BC families keep the squared-length ladder 1, 2, 4 for the
 classes e_i, e_i +- e_j, 2e_i).  Every squared length lies in {2/3, 1, 2, 4},
 so six times the Gram matrix is integral: inner products, squared lengths
 and Cartan pairings are computed on Python ints, and the first two are
-returned as exact Fractions.  Positive roots are generated by string closure
-from the Cartan matrix; the BC families are the corresponding B closure with
-the doubled short roots appended.
+returned as exact Fractions.  Only the functions that return a Fraction
+import ``fractions``, when they run: building and dumping a Chevalley
+algebra computes on ints alone and never loads it.  Positive roots are
+generated by string closure from the Cartan matrix; the BC families are the
+corresponding B closure with the doubled short roots appended.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -20,7 +22,6 @@ import functools
 import operator
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 
 from .errors import IdentityViolation, InvalidIndex, InvalidRank, NotARoot, ProportionalRoots
 
@@ -271,7 +272,6 @@ class RootSystem:
         if any(rem for row in gram6 for _, rem in row):
             raise IdentityViolation(f"six times the Gram matrix of {rtype} is not integral")
         self._gram6 = tuple(tuple(g for g, _ in row) for row in gram6)
-        self.gram = tuple(tuple(Fraction(g, 6) for g in row) for row in self._gram6)
         self.non_reduced = rtype.family == "BC"
 
         # Six times the squared length of every root; a non-root vector's is
@@ -356,10 +356,14 @@ class RootSystem:
         return lam.coeffs
 
     def inner(self, lam: Root, mu: Root) -> Fraction:
-        return Fraction(self._inner6(self._vector(lam), self._vector(mu)), 6)
+        import fractions
+
+        return fractions.Fraction(self._inner6(self._vector(lam), self._vector(mu)), 6)
 
     def length_sq(self, lam: Root) -> Fraction:
-        return Fraction(self._length6(self._vector(lam)), 6)
+        import fractions
+
+        return fractions.Fraction(self._length6(self._vector(lam)), 6)
 
     def _pairing_coeffs(self, lam_coeffs, mu_coeffs) -> int:
         val, rem = divmod(2 * self._inner6(lam_coeffs, mu_coeffs), self._length6(mu_coeffs))
@@ -581,6 +585,8 @@ def length_class_counts(family: str, rank: int) -> dict:
     length 2.  No root system is built.  The type is validated first, so an
     unknown family or a bad rank raises InvalidRank.
     """
+    import fractions
+
     n = RootSystemType(family, rank).rank
     pairs = n * (n - 1)  # the roots e_i +- e_j with i < j
     six_fold = {
@@ -595,7 +601,7 @@ def length_class_counts(family: str, rank: int) -> dict:
         "G2": {4: 3, 12: 3},
         "BC": {6: n, 12: pairs, 24: n},
     }[family]
-    return {Fraction(n6, 6): k for n6, k in six_fold.items() if k}
+    return {fractions.Fraction(n6, 6): k for n6, k in six_fold.items() if k}
 
 
 _CACHE: dict = {}

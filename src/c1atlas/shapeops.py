@@ -24,15 +24,14 @@ it is zero, so ``linalg`` is only loaded for a nonzero operator.
 ``space_model`` builds the model of a catalog space, over the scalar ring its
 entry calls for.
 Nothing is approximated: totally-geodesic verdicts are exact zero tests and
-the constant-principal-curvature check compares characteristic polynomials
-literally.
+characteristic polynomials are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import C1AtlasError, FormulaMismatch, IdentityViolation, NotClosed, SpectrumMismatch
+from .errors import C1AtlasError, FormulaMismatch, IdentityViolation, NotClosed
 from .rootsys import Record, Root
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from .scalars import GAUSSIAN, RATIONAL
@@ -60,19 +59,6 @@ class SolvableModel:
             k: tuple((kz, 2 * g if k < rs.rank else g) for kz, g in b2[k]) for k in self.an_keys
         }
 
-    def _check_in_an(self, vectors):
-        for v in vectors:
-            for k in v.terms:
-                if k not in self._an_set:
-                    raise ValueError(f"component {self.algebra.labels[k]} lies outside a + n")
-
-    def an_inner(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
-        """<x, y>_AN = b_theta on the flat part plus half b_theta on n, read off the Gram rows."""
-        self._check_in_an((x, y))
-        rows, yt = self._gram4_rows, y.terms
-        total = sum(c * g * yt[kz] for k, c in x.terms.items() for kz, g in rows[k] if kz in yt)
-        return Fraction(total, 4)
-
     def koszul_image(self, xs, y: dict) -> list:
         """[{k: 8 <nabla_x y, e_k>_AN} for x in xs]: each Koszul covector as a sparse map on a + n.
 
@@ -96,12 +82,6 @@ class SolvableModel:
                         image[kz] = image.get(kz, 0) + v * g
             out.append(image)
         return out
-
-    def levi_civita(self, x, y, z) -> Fraction:
-        """<nabla_x y, z>_AN for left-invariant fields on AN, exactly: x's Koszul image paired with z."""
-        self._check_in_an((x, y, z))
-        image = self.koszul_image((x.terms,), y.terms)[0]
-        return Fraction(sum(image.get(k, 0) * v for k, v in z.terms.items()), 8)
 
 
 def space_model(space) -> SolvableModel:
@@ -337,24 +317,3 @@ def check_self_adjoint(orbit: OrbitSubalgebra, op: ShapeOperatorMatrix) -> bool:
                 entry = (position[kz], c)
                 product[entry] = product.get(entry, 0) + g * v
     return all(product.get((c, r), 0) == v for (r, c), v in product.items())
-
-
-def cpc_charpoly_constancy(orbit: OrbitSubalgebra, samples) -> list:
-    """Characteristic polynomials of A_xi across equal-norm normal samples.
-
-    Exact equality is required; a mismatch raises SpectrumMismatch.  Returns
-    the common coefficient list.
-    """
-    if not samples:
-        raise ValueError("need at least one normal sample")
-    model = orbit.model
-    norms = {model.an_inner(xi, xi) for xi in samples}
-    if len(norms) != 1:
-        raise ValueError(f"samples have different norm-squares {sorted(norms)}")
-    polys = [shape_operator(orbit, xi).charpoly() for xi in samples]
-    for p in polys[1:]:
-        if p != polys[0]:
-            raise SpectrumMismatch(
-                "characteristic polynomials differ between equal-norm normal directions"
-            )
-    return polys[0]

@@ -154,26 +154,45 @@ def _coefficients(root, simples):
     return tuple(int(c) for c in coeffs)
 
 
+def _model(family: str, rank: int):
+    """(roots, simples) of the coordinate model; E6 and E7 share the E8 model."""
+    if family == "A":
+        return _a_roots(rank)
+    if family == "B":
+        return _b_roots(rank)
+    if family == "C":
+        return _c_roots(rank)
+    if family == "D":
+        return _d_roots(rank)
+    if family == "BC":
+        return _bc_roots(rank)
+    if family == "F4":
+        return _f4_roots()
+    if family == "G2":
+        return _g2_roots()
+    if family in ("E6", "E7", "E8"):
+        return _e8_roots()
+    raise ValueError(family)
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def simple_gram(family: str, rank: int):
+    """Gram matrix of the simple roots, long roots at squared length 2 (BC: the ladder 1, 2, 4).
+
+    E6 and E7 take the leading block of the E8 Gram matrix, whose first six
+    and seven simple roots span them.
+    """
+    roots, simples = _model(family, rank)
+    scale = 1 if family == "BC" else Fraction(2) / max(_dot(x, x) for x in roots)
+    return [[scale * _dot(x, y) for y in simples[:rank]] for x in simples[:rank]]
+
+
 def positive_coefficient_vectors(family: str, rank: int):
     """The positive roots of the coordinate model, in simple-root coordinates."""
-    if family == "A":
-        roots, simples = _a_roots(rank)
-    elif family == "B":
-        roots, simples = _b_roots(rank)
-    elif family == "C":
-        roots, simples = _c_roots(rank)
-    elif family == "D":
-        roots, simples = _d_roots(rank)
-    elif family == "BC":
-        roots, simples = _bc_roots(rank)
-    elif family == "F4":
-        roots, simples = _f4_roots()
-    elif family == "G2":
-        roots, simples = _g2_roots()
-    elif family in ("E6", "E7", "E8"):
-        roots, simples = _e8_roots()
-    else:
-        raise ValueError(family)
+    roots, simples = _model(family, rank)
     out = set()
     for root in roots:
         coeffs = _coefficients(root, simples)

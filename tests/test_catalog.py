@@ -300,6 +300,23 @@ def test_mult_of_rejects_non_roots(catalog, coeffs):
         g2.mult_of(Root(coeffs))
 
 
+def test_mult_of_reads_the_multiplicity_of_the_roots_length_class(catalog, monkeypatch):
+    # against the Fraction-keyed table, over every root of every entry; the
+    # lookup itself computes no Fraction length
+    expected = {}
+    for entry in catalog:
+        rs = entry.root_system()
+        table = dict(entry.mult)
+        for lam in rs.positives:
+            expected[entry.name, lam] = expected[entry.name, -lam] = table[rs.length_sq(lam)]
+
+    def refuse(*args):
+        raise AssertionError("mult_of computed a Fraction length")
+
+    monkeypatch.setattr(rootsys.RootSystem, "length_sq", refuse)
+    assert {(name, lam): find_space(catalog, name).mult_of(lam) for name, lam in expected} == expected
+
+
 def test_killing_scale_is_consistent(catalog):
     # within one space the Killing lengths are proportional to the normalised ones
     sp = find_space(catalog, "SO(3,4)/SO(3)SO(4)")

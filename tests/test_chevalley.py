@@ -12,18 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c1atlas.chevalley import (
-    AlgebraElement,
-    ChevalleyAlgebra,
-    build_algebra,
-    check_string_injectivity,
-    check_theta_bracket_identity,
-    dump_structure_constants,
-)
+from c1atlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra, dump_structure_constants
 from c1atlas.errors import IdentityViolation, InjectivityViolation, NonReducedSystem, NotARoot
 from c1atlas.rootsys import Root, RootSystem, RootSystemType, root_system
 from c1atlas.scalars import GAUSSIAN, RATIONAL
+from c1atlas.verify import (
+    check_constant_magnitudes,
+    check_root_space_identities,
+    check_string_injectivity,
+    check_theta_bracket_identity,
+    in_centraliser_of_flat,
+)
 
+from coord_models import simple_gram
 from dense_refs import det
 
 
@@ -192,7 +193,7 @@ def test_root_constants_per_triple_match_the_all_pairs_scan(family, rank):
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G2", 2)])
 def test_constant_magnitudes(family, rank):
     alg = build_algebra(root_system(family, rank))
-    assert alg.check_constant_magnitudes() > 0
+    assert check_constant_magnitudes(alg) > 0
 
 
 def test_g2_short_string_constant(g2_split):
@@ -288,6 +289,25 @@ def test_b_theta_orthogonality_and_positivity(g2_split, g2_gaussian):
         assert cartan[0][0] > 0 and det(cartan) > 0  # positive definite flat block
 
 
+@pytest.mark.parametrize("scalars", [RATIONAL, GAUSSIAN])
+def test_killing_and_b_theta_return_fractions(scalars):
+    # each form halves a sum over its int rows: a Fraction on int and on
+    # Fraction coordinates alike, never the float of int / 2
+    alg = build_algebra(root_system("G2", 2), scalars)
+    a2 = alg.root_indices([alg.rs.simple(2)])[0]
+    minus_a2 = alg.root_indices([-alg.rs.simple(2)])[0]
+    ints = [AlgebraElement(alg, {}), AlgebraElement(alg, {0: 1}), AlgebraElement(alg, {a2: 1, minus_a2: 3})]
+    ints.append(AlgebraElement(alg, {k: 1 for k in range(alg.dim)}))
+    for x in ints:
+        for y in ints:
+            fractions = [AlgebraElement(alg, {k: Fraction(v, 3) for k, v in z.terms.items()}) for z in (x, y)]
+            for form in (alg.killing, alg.b_theta):
+                value, scaled = form(x, y), form(*fractions)
+                assert type(value) is Fraction and type(scaled) is Fraction
+                assert scaled == value / 9
+    assert alg.killing(ints[1], ints[1]) != 0 and alg.b_theta(ints[2], ints[2]) != 0
+
+
 def test_b_theta_positive_on_random_gaussian_vectors(g2_gaussian):
     # (1 + 2i) h_1 + (1/3 - i) e_a2 + 5i e_-(a1+2a2) in real coordinates
     alg = g2_gaussian
@@ -326,7 +346,7 @@ def test_theta_bracket_identity_gaussian_k0_part(g2_gaussian):
     # the mixed bracket itself is a purely imaginary Cartan vector
     mixed = g2_gaussian.bracket(g2_gaussian.theta(x), y)
     assert not mixed.is_zero
-    assert g2_gaussian.in_centraliser_of_flat(mixed)
+    assert in_centraliser_of_flat(g2_gaussian, mixed)
 
 
 def test_real_basis_round_trip(g2_split, g2_gaussian):
@@ -350,8 +370,8 @@ def test_real_basis_round_trip(g2_split, g2_gaussian):
     # (2 - 3i) h_1 + 1/2 e_a1 in real coordinates
     x = g2_gaussian.element({("h", 1): 2, ("ih", 1): -3, ("e", a1): Fraction(1, 2)})
     assert x.terms == {0: 2, 14: -3, 3: Fraction(1, 2)}
-    assert not g2_gaussian.in_centraliser_of_flat(x)
-    assert g2_gaussian.in_centraliser_of_flat(g2_gaussian.element({("ih", 2): 1}))
+    assert not in_centraliser_of_flat(g2_gaussian, x)
+    assert in_centraliser_of_flat(g2_gaussian, g2_gaussian.element({("ih", 2): 1}))
 
 
 def test_theta_bracket_identity_detects_orthogonality_misuse(g2_gaussian):
@@ -448,6 +468,16 @@ def test_coroot_coefficients_are_integral(g2_split):
         coro = g2_split.coroot_coefficients(lam)
         assert all(isinstance(c, int) for c in coro)
     assert g2_split.coroot_coefficients(Root((1, 3))) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "family, rank, scalars",
+    [(f, r, RATIONAL) for f, r in (("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8))]
+    + [("F4", 4, GAUSSIAN), ("E6", 6, GAUSSIAN)],
+)
+def test_root_space_identities_beyond_g2(family, rank, scalars):
+    # `verify` runs them on G2 over both rings; every root space of the larger types here
+    check_root_space_identities(build_algebra(root_system(family, rank), scalars))
 
 
 def test_theta_bracket_identity_every_root():
@@ -604,11 +634,11 @@ def test_realified_bracket_follows_the_i_rule(realified):
 )
 def test_killing_cartan_block_is_the_sum_over_roots(family, rank, scalars):
     # B(h_i, h_j) = sum over roots of <lam, a_i-dual> <lam, a_j-dual>, each
-    # pairing taken from the Fraction Gram matrix; the real trace form of the
-    # realified g(C) counts every root twice
+    # pairing taken from the Gram matrix of the coordinate model; the real
+    # trace form of the realified g(C) counts every root twice
     alg = build_algebra(root_system(family, rank), scalars)
     scale = 2 if scalars == GAUSSIAN else 1
-    g = alg.rs.gram
+    g = simple_gram(family, rank)
     pairings = [
         [2 * sum(n * g[k][i] for k, n in enumerate(lam.coeffs)) / g[i][i] for i in range(rank)]
         for lam in alg.roots

@@ -19,7 +19,7 @@ from c1atlas.rootsys import (
     root_system,
 )
 
-from coord_models import positive_coefficient_vectors
+from coord_models import positive_coefficient_vectors, simple_gram
 
 COUNT_CASES = [
     ("A", 1, 1),
@@ -470,10 +470,11 @@ KERNEL_TYPES = (
 
 @pytest.mark.parametrize("family,rank", KERNEL_TYPES)
 def test_integer_pairings_match_the_fraction_gram(family, rank):
-    # reference: the Fraction Gram matrix, one covector G.lam per root
+    # reference: the Fraction Gram matrix of the coordinate model, one covector G.lam per root
     rs = root_system(family, rank)
     roots = list(rs.positives) + [-lam for lam in rs.positives]
-    covectors = [[sum(n * g for n, g in zip(lam.coeffs, col)) for col in zip(*rs.gram)] for lam in roots]
+    gram = simple_gram(family, rank)
+    covectors = [[sum(n * g for n, g in zip(lam.coeffs, col)) for col in zip(*gram)] for lam in roots]
     inner = [[sum(g * n for g, n in zip(gl, mu.coeffs) if n) for mu in roots] for gl in covectors]
     lengths = [inner[a][a] for a in range(len(roots))]
     assert [rs.length_sq(lam) for lam in roots] == lengths
@@ -574,8 +575,9 @@ def test_generator_against_closed_forms_and_reflections(family):
             assert not doubles
             continue
         # the BC Gram matrix is integral: squared lengths 1, 2, 4
-        gram = [[int(g) for g in row] for row in rs.gram]
-        assert gram == [list(row) for row in rs.gram]
+        model_gram = simple_gram(family, rank)
+        gram = [[int(g) for g in row] for row in model_gram]
+        assert gram == model_gram
         unit = {c for c in present if sum(a * sum(map(operator.mul, c, row)) for a, row in zip(c, gram) if a) == 1}
         assert doubles == {tuple(2 * n for n in c) for c in unit}, rank
 
@@ -620,10 +622,10 @@ def test_gram_guards_reject_bad_six_fold_lengths(monkeypatch, family, rank, leng
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("BC", 2), ("C", 3), ("F4", 4), ("G2", 2)])
 def test_gram_is_six_fold_gram_over_six(family, rank):
+    # the coordinate model's Gram matrix is the six-fold one over six
     rs = root_system(family, rank)
-    for i, row in enumerate(rs.gram):
-        assert row == tuple(Fraction(g, 6) for g in rs._gram6[i])
-        assert all(type(g) is Fraction for g in row)
+    for i, row in enumerate(simple_gram(family, rank)):
+        assert row == [Fraction(g, 6) for g in rs._gram6[i]]
         # the diagonal is the squared length, the off-diagonal (a_i, a_j) = cartan[i][j] |a_j|^2 / 2
         for j, g in enumerate(row):
             assert g == rs.cartan[i][j] * rs.length_sq(rs.simple(j + 1)) / 2

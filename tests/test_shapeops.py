@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from c1atlas.catalog import find_space
 from c1atlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
-from c1atlas.errors import C1AtlasError, FormulaMismatch, NotClosed, SpectrumMismatch
+from c1atlas.errors import C1AtlasError, FormulaMismatch, NotClosed
 from c1atlas import linalg
 from c1atlas.linalg import mat_vec
 from c1atlas.rootsys import Root, root_system
@@ -22,11 +22,12 @@ from c1atlas.shapeops import (
     SolvableModel,
     check_self_adjoint,
     check_shape_identities,
-    cpc_charpoly_constancy,
     is_totally_geodesic,
     shape_operator,
     space_model,
 )
+
+from dense_refs import SpectrumMismatch, an_inner, cpc_charpoly_constancy, levi_civita
 
 
 def _dense(op):
@@ -53,21 +54,21 @@ def test_an_inner_flat_vs_nilpotent(g2_model):
     alg = g2_model.algebra
     h = alg.h(1) + 2 * alg.h(2)
     e = alg.e(Root((1, 1)))
-    assert g2_model.an_inner(h, h) == alg.b_theta(h, h)
-    assert g2_model.an_inner(e, e) == Fraction(1, 2) * alg.b_theta(e, e)
-    assert g2_model.an_inner(h, e) == 0
+    assert an_inner(g2_model, h, h) == alg.b_theta(h, h)
+    assert an_inner(g2_model, e, e) == Fraction(1, 2) * alg.b_theta(e, e)
+    assert an_inner(g2_model, h, e) == 0
 
 
 def test_an_inner_rejects_vectors_off_an(g2_model):
     alg = g2_model.algebra
     with pytest.raises(ValueError):
-        g2_model.an_inner(alg.e(-alg.rs.simple(1)), alg.h(1))
+        an_inner(g2_model, alg.e(-alg.rs.simple(1)), alg.h(1))
 
 
 def test_levi_civita_vanishes_on_the_flat(g2_model):
     alg = g2_model.algebra
     h = 3 * alg.h(1) + alg.h(2)
-    assert g2_model.levi_civita(h, h, h) == 0
+    assert levi_civita(g2_model, h, h, h) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,10 +80,9 @@ def test_levi_civita_torsion_free_and_metric(coeffs):
     x = alg.element({k: c for k, c in zip(labels[:8], coeffs[:3]) if c})
     y = alg.element({k: c for k, c in zip(labels[3:], coeffs[3:6]) if c})
     z = alg.element({k: c for k, c in zip(labels[1:], coeffs[6:9]) if c})
-    lc = model.levi_civita
     bracket_xy = alg.bracket(x, y)
-    assert lc(x, y, z) - lc(y, x, z) == model.an_inner(bracket_xy, z)
-    assert lc(x, y, z) + lc(x, z, y) == 0
+    assert levi_civita(model, x, y, z) - levi_civita(model, y, x, z) == an_inner(model, bracket_xy, z)
+    assert levi_civita(model, x, y, z) + levi_civita(model, x, z, y) == 0
 
 
 def test_shape_operator_of_zero_direction(g2_model):
@@ -149,14 +149,18 @@ def test_koszul_covector_matches_the_metric_koszul_formula(g2_split, g2_gaussian
     # 2 <nabla_x y, z> = <[x, y], z> - <[y, z], x> + <[z, x], y> for left-invariant fields
     alg = g2_split if ring == "rational" else g2_gaussian
     model = SolvableModel(alg)
-    ip, b = model.an_inner, alg.bracket
+    b = alg.bracket
+
+    def ip(x, y):
+        return an_inner(model, x, y)
+
     vecs = [alg.unit(k) for k in model.an_keys]
     for y in vecs[1::2]:
         expected = [
             [Fraction(1, 2) * (ip(b(x, y), z) - ip(b(y, z), x) + ip(b(z, x), y)) for z in vecs]
             for x in vecs[::3]
         ]
-        assert [[model.levi_civita(x, y, z) for z in vecs] for x in vecs[::3]] == expected
+        assert [[levi_civita(model, x, y, z) for z in vecs] for x in vecs[::3]] == expected
 
 
 def test_gaussian_g2_dichotomy(g2_gaussian_model):
@@ -201,7 +205,7 @@ def test_cpc_charpoly_pair(g2_model):
     alg = g2_model.algebra
     xi1 = alg.e(Root((0, 1)))
     xi2 = alg.element({("e", Root((0, 1))): Fraction(3, 5), ("e", Root((1, 1))): Fraction(4, 5)})
-    assert g2_model.an_inner(xi1, xi1) == g2_model.an_inner(xi2, xi2)
+    assert an_inner(g2_model, xi1, xi1) == an_inner(g2_model, xi2, xi2)
     poly = cpc_charpoly_constancy(orbit, [xi1, xi2])
     # x^4 (x^2 - 3/4): one curved 2-plane with principal curvatures +-sqrt(3)/2
     assert poly == [1, 0, Fraction(-3, 4), 0, 0, 0, 0]
@@ -357,7 +361,7 @@ def test_sparse_shape_operators_match_the_dense_path(family, rank, j, ring):
     assert [[Fraction(rows[k].get(kz, 0), 4) for k in orbit.h_keys] for kz in orbit.h_keys] == gram
 
 
-def test_shape_operators_call_no_b_theta_or_an_inner(monkeypatch):
+def test_shape_operators_call_no_b_theta(monkeypatch):
     # the Gram, the Koszul covectors and the Gram check all read sparse int rows
     alg = build_algebra(root_system("E6", 6), GAUSSIAN)
     model = SolvableModel(alg)
@@ -366,11 +370,10 @@ def test_shape_operators_call_no_b_theta_or_an_inner(monkeypatch):
         raise AssertionError("a dense form evaluation ran")
 
     monkeypatch.setattr(ChevalleyAlgebra, "b_theta", refuse)
-    monkeypatch.setattr(SolvableModel, "an_inner", refuse)
     orbit = OrbitSubalgebra(model, 1)
     assert is_totally_geodesic(orbit)
     with pytest.raises(AssertionError):
-        model.an_inner(alg.unit(0), alg.unit(0))
+        alg.b_theta(alg.unit(0), alg.unit(0))
 
 
 @pytest.mark.parametrize(

@@ -53,7 +53,6 @@ def test_basis_labels_stay_in_chevalley(path):
 UNREFERENCED_ALLOWED = {
     ("linalg", "mat_vec"): "the benchmark's tracer wraps it by name",
     ("linalg", "inverse"): "the benchmark's tracer wraps it by name",
-    ("shapeops", "SolvableModel.levi_civita"): "the tests' reference for the Koszul formula",
     ("chevalley", "ChevalleyAlgebra.zero"): "an element constructor the tests build with",
     ("chevalley", "ChevalleyAlgebra.h"): "an element constructor the tests build with",
     ("chevalley", "ChevalleyAlgebra.e"): "an element constructor the tests build with",
@@ -81,9 +80,10 @@ def test_every_definition_is_used_exported_or_allowed():
     # in the package, exported, or listed above; dunder methods are called by
     # the language.  A method or property counts as named only by an
     # attribute (x.name); any other definition also by a bare name or an
-    # import.  Still missed: a definition only the tests read (such as
-    # RootSystem.gram), and a dead method whose name an attribute of another
-    # class also carries.
+    # import.  Still missed: an instance attribute only the tests read (only
+    # functions and classes count as definitions here, so a table set in
+    # __init__ escapes the rule), and a dead method whose name an attribute of
+    # another class also carries.
     trees = _trees()
     attributes, names = set(), set()
     for tree in trees.values():
@@ -113,6 +113,7 @@ PRIVATE_READS_ALLOWED = {
     ("chevalley", "rootsys", "_gram6"): "the coroot coefficients divide by six-fold simple-root lengths",
     ("chevalley", "rootsys", "_length6"): "the coroot coefficients divide by the six-fold root length",
     ("verify", "rootsys", "_root_len6"): "root counts by length class, against the closed form",
+    ("catalog", "rootsys", "_root_len6"): "a space's multiplicities are keyed by six-fold squared root length",
     ("shapeops", "chevalley", "_b2_rows"): "chevalley owns the int rows of 2 b_theta; shapeops reads them in place",
 }
 

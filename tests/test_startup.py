@@ -42,9 +42,10 @@ LIGHT_CALLS = {
 
 
 def _modules_loaded_by(call: str, *flags: str) -> set:
+    # a call reads `c1atlas.cli` or imports what it needs itself
     out = _fresh(
         "import io, json, sys, contextlib\n"
-        "import c1atlas.cli\n"
+        "import c1atlas\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {call}\n"
         "print(json.dumps(sorted(sys.modules)))\n",
@@ -100,17 +101,26 @@ def test_catalog_load_builds_no_root_system():
     assert out.strip() == "[]"
 
 
-# Standard-library modules no command needs: `dataclasses` pulls in `inspect`
-# (and with it `ast`, `dis` and `tokenize`), and `typing` is only ever wanted
-# for annotations, which are strings here.
-UNUSED_STDLIB = ("dataclasses", "inspect", "typing")
-
 COMMAND_PATHS = {
     **LIGHT_CALLS,
     **{command: f"assert c1atlas.cli.main({argv!r}) == 0" for command, (argv, _, _) in MID_CALLS.items()},
     "verify": 'assert c1atlas.cli.main(["verify"]) == 0',
     "api-dump": "from c1atlas import chevalley, rootsys; "
     "chevalley.dump_structure_constants(chevalley.build_algebra(rootsys.root_system('A', 3)))",
+}
+
+# Standard-library modules no command needs: `dataclasses` pulls in `inspect`
+# (and with it `ast`, `dis` and `tokenize`), and `typing` is only ever wanted
+# for annotations, which are strings here.
+NO_COMMAND_NEEDS = ("dataclasses", "inspect", "typing")
+
+# path -> the standard-library modules it must not load.  Building and
+# dumping an algebra computes on ints alone, so it loads no `fractions`, nor
+# the `decimal` that `fractions` imports; the CLI paths load both through the
+# catalog's Fraction lengths.
+UNUSED_STDLIB = {
+    **{path: NO_COMMAND_NEEDS for path in COMMAND_PATHS},
+    "api-dump": NO_COMMAND_NEEDS + ("fractions", "decimal"),
 }
 
 
@@ -124,8 +134,9 @@ def test_api_dump_loads_no_linalg():
 def test_command_paths_import_no_unused_stdlib_module(path):
     # -S: no site module, so nothing is loaded before the package is
     loaded = _modules_loaded_by(COMMAND_PATHS[path], "-S")
-    assert "c1atlas.cli" in loaded
-    assert not set(UNUSED_STDLIB) & loaded, sorted(set(UNUSED_STDLIB) & loaded)
+    assert "c1atlas.rootsys" in loaded
+    unused = set(UNUSED_STDLIB[path])
+    assert not unused & loaded, sorted(unused & loaded)
 
 
 def test_bare_import_loads_no_layer():
@@ -140,6 +151,9 @@ FIRST_READS = {
     "from-import": "from c1atlas import classify as g\nf = c1atlas.classify\n",
     "star-import": "from c1atlas import *\nf = classify\ng = c1atlas.classify\n",
     "other-export-first": "c1atlas.ActionCatalog\nf = c1atlas.classify\nfrom c1atlas import classify as g\n",
+    # verify loads the classify layer, which binds that submodule on the package
+    "verify-export-first": "c1atlas.check_theta_bracket_identity\nf = c1atlas.classify\n"
+    "from c1atlas import classify as g\n",
 }
 
 
