@@ -194,14 +194,13 @@ def boundary_component(space: SpaceEntry, phi: Iterable[int]) -> BoundaryCompone
         sub_pos = [
             lam for lam in grading.sigma_phi_pos if lam.support <= set(nodes)
         ]
-        mult = {}
-        for lam in sub_pos:
-            mult[rs.length_sq(lam)] = space.mult_of(lam)
+        # one multiplicity per six-fold squared length, one Fraction per class
+        mult6 = {rs._root_len6[lam.coeffs]: space.mult_of(lam) for lam in sub_pos}
         factors.append(
             BoundaryFactor(
                 rtype=rtype,
                 nodes=nodes,
-                mult=tuple(sorted(mult.items())),
+                mult=tuple((Fraction(n6, 6), m) for n6, m in sorted(mult6.items())),
                 rank_one=space.rank_one(nodes[0]) if len(nodes) == 1 else None,
             )
         )

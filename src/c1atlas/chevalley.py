@@ -28,10 +28,11 @@ theta(i e_lam) = i e_-lam (the split involution composed with complex
 conjugation).  ``killing`` is the trace form of the real algebra, which for
 g(C) is twice the real part of the complex one.  The positive definite form
 b_theta(x, y) = -B(x, theta y) has as Gram matrix one Cartan block on each of
-the h and ih parts plus a half-integral diagonal on the root vectors.  This
-module owns the int rows of 2 b_theta, ``_b2_rows``, which ``shapeops`` reads
-as they are, and beside them the int rows of 2B; ``killing`` and ``b_theta``
-halve a sum over those rows into a Fraction.
+the h and ih parts plus an integral diagonal on the root vectors.  This
+module owns the int rows of b_theta, ``_b_theta_rows``, which ``shapeops``
+reads as they are, and beside them the int rows of B; ``b_theta_terms``
+evaluates b_theta on term dicts, and ``killing`` and ``b_theta`` return a
+sum over those rows as a Fraction.
 
 Everything a build and a structure-constant dump compute is an int, so this
 module loads no ``fractions`` at import: the functions that return a Fraction
@@ -102,18 +103,15 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
-def _half_form(rows, x: AlgebraElement, y: AlgebraElement) -> Fraction:
-    """Half the bilinear form with sparse int Gram rows `rows` on x and y, as a Fraction."""
-    import fractions
-
-    xt = x.terms
+def _form(rows, x: dict, y: dict):
+    """The bilinear form with sparse int Gram rows `rows` on the term dicts x and y."""
     total = 0
-    for ky, cy in y.terms.items():
+    for ky, cy in y.items():
         for kx, g in rows[ky]:
-            cx = xt.get(kx)
+            cx = x.get(kx)
             if cx is not None:
                 total += cx * cy * g
-    return fractions.Fraction(total, 2)
+    return total
 
 
 class ChevalleyAlgebra:
@@ -145,7 +143,7 @@ class ChevalleyAlgebra:
         simples = rs.simples
         simple_pairings = [tuple(rs.pairing(lam, a) for a in simples) for lam in self.roots]
         self._table, coroots = self._bracket_table(simple_pairings)
-        self._killing2_rows, self._b2_rows = self._forms(coroots, simple_pairings)
+        self._killing_rows, self._b_theta_rows = self._forms(coroots, simple_pairings)
 
     # -- structure constants -----------------------------------------------
     def _root_constants(self, split, share) -> None:
@@ -369,51 +367,60 @@ class ChevalleyAlgebra:
 
     # -- invariant forms ---------------------------------------------------------
     def _forms(self, coroots, simple_pairings):
-        """Sparse int rows of 2B and of 2 b_theta.
+        """Sparse int rows of B and of b_theta.
 
         ad(x) ad(y) shifts the root grading by the sum of the weights of x and
         y, so the only nonzero Gram entries of the Killing form B are Cartan x
         Cartan and the pairs (e_lam, e_-lam).  On the Cartan part the trace is
-        B(h_i, h_j) = sum over roots of lam(h_i) lam(h_j).  Invariance with
-        [e_lam, e_-lam] = h_lam gives B(h_lam, h_lam) = lam(h_lam) B(e_lam,
-        e_-lam), so B(e_lam, e_-lam) = B(h_lam, h_lam) / 2.
+        B(h_i, h_j) = sum over roots of lam(h_i) lam(h_j), twice the sum H over
+        the positive roots.  Invariance with [e_lam, e_-lam] = h_lam gives
+        B(h_lam, h_lam) = lam(h_lam) B(e_lam, e_-lam), so B(e_lam, e_-lam) =
+        B(h_lam, h_lam) / 2 = H(h_lam, h_lam), an int.
 
         The trace form of the realified g(C) is twice the real part of the
-        complex one, so over Q(i) the Cartan block is doubled.  For split
-        basis vectors x, y, B(i^a x, i^b y) = Re(i^(a+b)) B(x, y): B keeps its
-        sign on split pairs, changes it on pairs of i-copies and vanishes on
-        mixed pairs.  theta negates the split basis and fixes the i-copies, so
+        complex one, so over Q(i) every entry is doubled.  For split basis
+        vectors x, y, B(i^a x, i^b y) = Re(i^(a+b)) B(x, y): B keeps its sign
+        on split pairs, changes it on pairs of i-copies and vanishes on mixed
+        pairs.  theta negates the split basis and fixes the i-copies, so
         b_theta is the Cartan block on each of h and ih, and B(e_lam, e_-lam)
         on the diagonal at e_lam and at ie_lam.
         """
         r, n_pos = self.rs.rank, len(coroots)
         factor = 2 if self.scalars == GAUSSIAN else 1
-        block = [
-            [factor * sum(vals[i] * vals[j] for vals in simple_pairings) for j in range(r)]
+        half = [
+            [factor * sum(vals[i] * vals[j] for vals in simple_pairings[:n_pos]) for j in range(r)]
             for i in range(r)
         ]
-        # 2 b_theta(e_lam, e_lam) = B(h_lam, h_lam) for each positive lam, in root order
-        root_b2 = [sum(c[i] * block[i][j] * c[j] for i in range(r) for j in range(r)) for c in coroots]
-        killing2, b2 = [], []
+        # b_theta(e_lam, e_lam) = B(e_lam, e_-lam) for each positive lam, in root order
+        root_values = [sum(c[i] * half[i][j] * c[j] for i in range(r) for j in range(r)) for c in coroots]
+        killing, b_theta = [], []
         for c in self._copies:
             sign = -1 if c else 1
-            for block_row in block:
-                row = tuple((c + j, 2 * v) for j, v in enumerate(block_row) if v)
-                b2.append(row)
-                killing2.append(tuple((k, sign * v) for k, v in row))
+            for half_row in half:
+                row = tuple((c + j, 2 * v) for j, v in enumerate(half_row) if v)
+                b_theta.append(row)
+                killing.append(tuple((k, sign * v) for k, v in row))
             for a in range(2 * n_pos):
-                value = root_b2[a % n_pos]
-                b2.append(((c + r + a, value),))
-                killing2.append(((c + r + (a + n_pos) % (2 * n_pos), sign * value),))
-        return killing2, b2
+                value = root_values[a % n_pos]
+                b_theta.append(((c + r + a, value),))
+                killing.append(((c + r + (a + n_pos) % (2 * n_pos), sign * value),))
+        return killing, b_theta
 
     def killing(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
         """Killing form of the real algebra."""
-        return _half_form(self._killing2_rows, x, y)
+        import fractions
+
+        return fractions.Fraction(_form(self._killing_rows, x.terms, y.terms))
+
+    def b_theta_terms(self, x: dict, y: dict):
+        """b_theta on sparse term dicts: an int on int coefficients."""
+        return _form(self._b_theta_rows, x, y)
 
     def b_theta(self, x: AlgebraElement, y: AlgebraElement) -> Fraction:
         """The positive definite inner product -B(x, theta y) on the real algebra."""
-        return _half_form(self._b2_rows, x, y)
+        import fractions
+
+        return fractions.Fraction(self.b_theta_terms(x.terms, y.terms))
 
     # -- verification helpers -------------------------------------------------
     def check_jacobi_exhaustive(self) -> int:

@@ -1,12 +1,12 @@
 """Small exact linear-algebra kernel over Fraction matrices.
 
 Matrices are dense lists of row lists (read-only inputs may be tuples of
-tuples) of exact Fractions.  The package calls ``solve`` (the Cartan dual of
-a root), ``rank`` (string injectivity) and ``block_charpoly``, which takes a
-shape operator by sparse columns and runs the Hessenberg ``charpoly`` only on
-the strongly connected blocks of its nonzero pattern larger than one entry.
-``mat_vec`` and ``inverse`` have no caller in the package: the benchmark's
-tracer wraps them by name, and tests call them.
+tuples) of exact Fractions.  The package calls ``block_charpoly`` alone,
+which takes a shape operator by sparse columns and runs the Hessenberg
+``charpoly`` only on the strongly connected blocks of its nonzero pattern
+larger than one entry.  ``mat_vec`` and ``inverse`` have no caller in the
+package: the benchmark's tracer wraps them by name, and tests call them.
+The tests' ``rank``, ``solve`` and ``det`` reuse ``_eliminate``.
 """
 
 from __future__ import annotations
@@ -52,22 +52,6 @@ def _eliminate(a, pivot_cols=None):
         if rank == rows:
             break
     return m, rank, det
-
-
-def rank(a) -> int:
-    if not a:
-        return 0
-    return _eliminate(a)[1]
-
-
-def solve(a, b):
-    """Solve a x = b for square invertible `a`; raises ValueError if singular."""
-    n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a)]
-    echelon, rk, _ = _eliminate(aug, pivot_cols=n)
-    if rk < n or any(echelon[i][i] != 1 for i in range(n)):
-        raise ValueError("singular linear system")
-    return [echelon[i][n] for i in range(n)]
 
 
 def inverse(a):

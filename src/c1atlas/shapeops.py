@@ -13,8 +13,8 @@ keyed by the algebra's basis indices: a + n, h and the normal space are index
 tuples picked by root, and labels are read only for messages and output.
 
 Both sides of that check are sparse maps read off sparse rows: the bracket
-rows, twice b_theta (whose int rows ``chevalley`` owns and this module reads
-in place), and four times the AN Gram, which are all integral.  So a column
+rows, b_theta (whose int rows ``chevalley`` owns and this module reads in
+place), and twice the AN Gram, which are all integral.  So a column
 and its check run on ints whenever xi is integral (a basis vector, say), and
 only the nonzero matrix entries become Fractions.  Elements are only taken,
 and checked, at the public entry points; past them no element is built.  An
@@ -52,25 +52,25 @@ class SolvableModel:
         rs = algebra.rs
         self.an_keys = tuple(range(rs.rank)) + algebra.root_indices(rs.positives)
         self._an_set = frozenset(self.an_keys)
-        # a + n is a union of b_theta blocks: the int rows of 2 b_theta on it
-        # stay in it, and so do those of 4 x the AN Gram (Cartan block doubled)
-        b2 = algebra._b2_rows
-        self._gram4_rows = {
-            k: tuple((kz, 2 * g if k < rs.rank else g) for kz, g in b2[k]) for k in self.an_keys
+        # a + n is a union of b_theta blocks: the int rows of b_theta on it
+        # stay in it, and so do those of 2 x the AN Gram (Cartan block doubled)
+        rows = algebra._b_theta_rows
+        self._gram2_rows = {
+            k: tuple((kz, 2 * g if k < rs.rank else g) for kz, g in rows[k]) for k in self.an_keys
         }
 
     def koszul_image(self, xs, y: dict) -> list:
-        """[{k: 8 <nabla_x y, e_k>_AN} for x in xs]: each Koszul covector as a sparse map on a + n.
+        """[{k: 4 <nabla_x y, e_k>_AN} for x in xs]: each Koszul covector as a sparse map on a + n.
 
         xs and y are term dicts of vectors in a + n; the caller checks that.
         The Koszul formula gives 4 <nabla_x y, z>_AN = b_theta(c, z) with
         c = [x, y] + [theta x, y] - [x, theta y], so the map is c times the
-        algebra's int rows of 2 b_theta, read on a + n.  Int x and y give int
+        algebra's int rows of b_theta, read on a + n.  Int x and y give int
         values; an index whose terms cancelled holds a 0.
         """
         alg = self.algebra
         bracket, theta = alg.bracket_terms, alg.theta_terms
-        rows, an = alg._b2_rows, self._an_set
+        rows, an = alg._b_theta_rows, self._an_set
         minus_theta_y = {k: -v for k, v in theta(y).items()}
         out = []
         for xt in xs:
@@ -226,7 +226,7 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
     metric is half of b_theta on n.  Each column is checked: the AN Gram times
     it must equal -(nabla_X xi) over the tangent basis, else FormulaMismatch.
     The Gram is positive definite, so that equation has exactly one solution.
-    The check runs on sparse maps scaled by 8: the rows of 4 x Gram times
+    The check runs on sparse maps scaled by 4: the rows of 2 x Gram times
     twice the column, plus the Koszul image of X, must vanish on h entry by
     entry.
     """
@@ -236,7 +236,7 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
         raise ValueError("xi must lie in the normal space of the orbit")
     h_keys = orbit.h_keys
     position = orbit._h_position
-    gram4 = model._gram4_rows
+    gram2 = model._gram2_rows
     bracket = alg.bracket_terms
     # integral coefficients as ints, so that the bracket and Gram products stay ints
     xt = {k: v.numerator if v.denominator == 1 else v for k, v in xi.terms.items()}
@@ -247,7 +247,7 @@ def shape_operator(orbit: OrbitSubalgebra, xi: AlgebraElement) -> ShapeOperatorM
         twice_column = orbit.tangent_terms(bracket(minus_theta_xi, x, bracket(xt, x)))
         residual = {kz: v for kz, v in image.items() if kz in position}
         for kc, v in twice_column.items():
-            for kz, g in gram4[kc]:
+            for kz, g in gram2[kc]:
                 residual[kz] = residual.get(kz, 0) + g * v
         if any(residual.values()):
             raise FormulaMismatch(
@@ -304,16 +304,16 @@ def check_shape_identities(orbit: OrbitSubalgebra) -> None:
 def check_self_adjoint(orbit: OrbitSubalgebra, op: ShapeOperatorMatrix) -> bool:
     """A_xi must be symmetric for the AN Gram matrix G of the orbit: G A = (G A)^T.
 
-    G A is summed sparsely from the columns of A and the int rows of 4 G
+    G A is summed sparsely from the columns of A and the int rows of 2 G
     (which stay inside h), and each of its entries is compared with its
     mirror; an entry the sum never reached is zero.
     """
     h_keys, position = orbit.h_keys, orbit._h_position
-    gram4 = orbit.model._gram4_rows
+    gram2 = orbit.model._gram2_rows
     product = {}
     for c, column in enumerate(op.columns):
         for r, v in column:
-            for kz, g in gram4[h_keys[r]]:
+            for kz, g in gram2[h_keys[r]]:
                 entry = (position[kz], c)
                 product[entry] = product.get(entry, 0) + g * v
     return all(product.get((c, r), 0) == v for (r, c), v in product.items())

@@ -12,8 +12,9 @@ model per space (15 models), take about 0.03-0.05 s.
 
 The root-space identities (``check_theta_bracket_identity`` on every root
 space and ``check_string_injectivity`` on every root string) run on G2 over
-Q and Q(i), in about 0.014 s in process.  The larger types take 0.06 s (F4)
-to 1.6 s (E8) over Q and about twice that over Q(i), so the tests run them
+Q and Q(i), on int term dicts, in about 0.002 s and 0.003 s in process on
+that box (best of 5).  The larger types take 0.023 s (F4) to 0.48 s (E8)
+over Q, and 0.055 s (E6) to 0.59 s (E8) over Q(i), so the tests run them
 and `verify --full` does not.
 """
 
@@ -27,7 +28,6 @@ from .catalog import SpaceEntry, default_catalog, find_space
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from .classify import classify, derive_type_e_spaces
 from .errors import CheckFailed, IdentityViolation, InjectivityViolation, ProportionalRoots
-from .linalg import rank as mat_rank, solve
 from .rootsys import Root, length_class_counts, root_system
 from .scalars import GAUSSIAN, RATIONAL
 from .shapeops import (
@@ -146,19 +146,30 @@ def _check_theta_isometry():
                     raise CheckFailed(f"b_theta != -B(., theta .) on {x}, {y}")
 
 
-def in_centraliser_of_flat(algebra: ChevalleyAlgebra, x: AlgebraElement) -> bool:
-    """Whether x lies in the compact centraliser of the flat (the k_0 part): the i*h_i span."""
-    d = algebra.split_dim
-    return all(d <= k < d + algebra.rs.rank for k in x.terms)
-
-
-def cartan_dual(algebra: ChevalleyAlgebra, lam: Root) -> AlgebraElement:
-    """The vector H in the Cartan part with b_theta(H, .) = lam(.) there."""
+def _theta_bracket_identity(algebra: ChevalleyAlgebra, lam: Root, x: dict, y: dict = None) -> None:
+    """``check_theta_bracket_identity`` on term dicts; ints in, ints throughout."""
+    space = set(algebra.root_indices([lam]))
+    for terms in (x,) + ((y,) if y is not None else ()):
+        if not terms.keys() <= space:
+            raise ValueError(f"vector has a component off the root space of {lam}")
     rs = algebra.rs
-    cartan = [algebra.unit(i) for i in range(rs.rank)]
-    gram = [[algebra.b_theta(x, y) for y in cartan] for x in cartan]
-    rhs = [rs.pairing(lam, a) for a in rs.simples]
-    return AlgebraElement(algebra, dict(enumerate(solve(gram, rhs))))
+    bracket, b_theta = algebra.bracket_terms, algebra.b_theta_terms
+    theta_x = algebra.theta_terms(x)
+    lhs = bracket(theta_x, x)
+    # in the real Cartan span, and b_theta-paired with each h_i as |X|^2 H_lam
+    # is; b_theta is positive definite there, so this pins lhs down
+    norm = b_theta(x, x)
+    if any(v and k >= rs.rank for k, v in lhs.items()) or any(
+        b_theta({i: 1}, lhs) != norm * rs.pairing(lam, a) for i, a in enumerate(rs.simples)
+    ):
+        raise IdentityViolation(f"[theta X, X] != |X|^2 H for X in g_{lam}")
+    if y is not None:
+        if b_theta(x, y) != 0:
+            raise ValueError("X and Y must be b_theta-orthogonal")
+        # k_0, the centraliser of the flat in k, is the i*h_i span
+        d = algebra.split_dim
+        if any(v and not d <= k < d + rs.rank for k, v in bracket(theta_x, y).items()):
+            raise IdentityViolation(f"[theta X, Y] escapes k_0 for X, Y in g_{lam}")
 
 
 def check_theta_bracket_identity(
@@ -168,26 +179,16 @@ def check_theta_bracket_identity(
     and, given Y there b_theta-orthogonal to X, that [theta X, Y] lands in the
     k_0 part.  Raises IdentityViolation on failure.
     """
-    space = set(algebra.root_indices([lam]))
-    for elem in (x,) + ((y,) if y is not None else ()):
-        if not elem.terms.keys() <= space:
-            raise ValueError(f"vector has a component off the root space of {lam}")
-    h_lam = cartan_dual(algebra, lam)
-    lhs = algebra.bracket(algebra.theta(x), x)
-    rhs = algebra.b_theta(x, x) * h_lam
-    if lhs != rhs:
-        raise IdentityViolation(f"[theta X, X] != |X|^2 H for X in g_{lam}")
-    if y is not None:
-        if algebra.b_theta(x, y) != 0:
-            raise ValueError("X and Y must be b_theta-orthogonal")
-        mixed = algebra.bracket(algebra.theta(x), y)
-        if not in_centraliser_of_flat(algebra, mixed):
-            raise IdentityViolation(f"[theta X, Y] escapes k_0 for X, Y in g_{lam}")
+    _theta_bracket_identity(algebra, lam, x.terms, None if y is None else y.terms)
 
 
 def check_string_injectivity(algebra: ChevalleyAlgebra, alpha: Root, beta: Root, k: int) -> None:
-    """Exact-rank check that ad(X)^k : g_alpha -> g_(alpha+k*beta) is injective
+    """Exact check that ad(X)^k : g_alpha -> g_(alpha+k*beta) is injective
     for every real basis vector X of g_beta.  Raises InjectivityViolation on failure.
+
+    Both root spaces have one real dimension per copy of the split basis, so
+    the matrix of ad(X)^k between them is a 1 x 1 or 2 x 2 int matrix, and
+    it is injective iff its determinant is nonzero.
     """
     rs = algebra.rs
     string = rs.root_string(alpha, beta)
@@ -195,22 +196,25 @@ def check_string_injectivity(algebra: ChevalleyAlgebra, alpha: Root, beta: Root,
         raise ValueError(f"power {k} outside the string through {alpha}")
     target = string[k]
     target_keys = algebra.root_indices([target])
-    # int coordinates, so that the brackets stay on ints
-    source = [AlgebraElement(algebra, {i: 1}) for i in algebra.root_indices([alpha])]
-    for x in (AlgebraElement(algebra, {i: 1}) for i in algebra.root_indices([beta])):
+    bracket = algebra.bracket_terms
+    source = algebra.root_indices([alpha])
+    for x in algebra.root_indices([beta]):
         images = []
-        for img in source:
+        for s in source:
+            img = {s: 1}
             for _ in range(k):
-                img = algebra.bracket(x, img)
-            if not img.terms.keys() <= set(target_keys):
+                img = bracket({x: 1}, img)
+            if any(v and t not in target_keys for t, v in img.items()):
                 raise ValueError(f"element is not contained in the root space of {target}")
-            images.append(img.terms)
-        mat = [[img.get(key, 0) for img in images] for key in target_keys]
-        rk = mat_rank(mat)
-        if rk != len(source):
-            raise InjectivityViolation(
-                f"ad(X)^{k} on g_{alpha} has rank {rk} < {len(source)}"
-            )
+            images.append([img.get(t, 0) for t in target_keys])
+        if len(images) == 1:
+            det = images[0][0]
+        else:
+            (a, b), (c, d) = images
+            det = a * d - b * c
+        if not det:
+            rk = int(any(v for column in images for v in column))
+            raise InjectivityViolation(f"ad(X)^{k} on g_{alpha} has rank {rk} < {len(source)}")
 
 
 def check_root_space_identities(algebra: ChevalleyAlgebra) -> None:
@@ -221,13 +225,13 @@ def check_root_space_identities(algebra: ChevalleyAlgebra) -> None:
     the i h terms of [theta X, X] cancel only where the bracket rows of the
     i-copies agree.  String injectivity takes every power k of every
     beta-string through alpha, for all roots alpha and beta != +-alpha.
+    Everything runs on int term dicts: no element is built.
     """
     rs = algebra.rs
     for lam in algebra.roots:
         keys = algebra.root_indices([lam])
-        x = AlgebraElement(algebra, dict(zip(keys, (1, 2))))
-        y = AlgebraElement(algebra, dict(zip(keys, (-2, 1)))) if len(keys) == 2 else None
-        check_theta_bracket_identity(algebra, lam, x, y)
+        y = dict(zip(keys, (-2, 1))) if len(keys) == 2 else None
+        _theta_bracket_identity(algebra, lam, dict(zip(keys, (1, 2))), y)
     for alpha in algebra.roots:
         for beta in algebra.roots:
             if beta.coeffs != alpha.coeffs and beta.coeffs != (-alpha).coeffs:

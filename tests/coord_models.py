@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from c1atlas.linalg import solve
+from dense_refs import solve
 
 
 def _e(n, i, value=1):

@@ -1,8 +1,12 @@
 """Exact references that the package itself no longer needs.
 
 ``det`` is the reference for ``linalg.charpoly`` (det(t I - a) at integer
-points) and for Sylvester's criterion in the tests; it reuses the package's
-row reduction, which ``rank`` and ``solve`` run in ``src`` as well.
+points) and for Sylvester's criterion in the tests; ``rank`` and ``solve``
+serve the coordinate models and the trace-form references.  All three reuse
+the package's row reduction, ``linalg._eliminate``.
+
+``in_centraliser_of_flat`` tells whether an element lies in k_0, the i*h_i
+span, as ``verify`` tests it on term dicts.
 
 ``an_inner`` and ``levi_civita`` evaluate the metric and the Levi-Civita
 pairing of a ``shapeops.SolvableModel`` on elements, from the same int rows
@@ -34,6 +38,28 @@ def det(a) -> Fraction:
     return d if rk == n else Fraction(0)
 
 
+def rank(a) -> int:
+    if not a:
+        return 0
+    return _eliminate(a)[1]
+
+
+def solve(a, b):
+    """Solve a x = b for square invertible `a`; raises ValueError if singular."""
+    n = len(a)
+    aug = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a)]
+    echelon, rk, _ = _eliminate(aug, pivot_cols=n)
+    if rk < n or any(echelon[i][i] != 1 for i in range(n)):
+        raise ValueError("singular linear system")
+    return [echelon[i][n] for i in range(n)]
+
+
+def in_centraliser_of_flat(algebra, x) -> bool:
+    """Whether x lies in the compact centraliser of the flat (the k_0 part): the i*h_i span."""
+    d = algebra.split_dim
+    return all(d <= k < d + algebra.rs.rank for k in x.terms)
+
+
 def _check_in_an(model, vectors):
     for v in vectors:
         for k in v.terms:
@@ -44,16 +70,16 @@ def _check_in_an(model, vectors):
 def an_inner(model, x, y) -> Fraction:
     """<x, y>_AN = b_theta on the flat part plus half b_theta on n, read off the Gram rows."""
     _check_in_an(model, (x, y))
-    rows, yt = model._gram4_rows, y.terms
+    rows, yt = model._gram2_rows, y.terms
     total = sum(c * g * yt[kz] for k, c in x.terms.items() for kz, g in rows[k] if kz in yt)
-    return Fraction(total, 4)
+    return Fraction(total, 2)
 
 
 def levi_civita(model, x, y, z) -> Fraction:
     """<nabla_x y, z>_AN for left-invariant fields on AN, exactly: x's Koszul image paired with z."""
     _check_in_an(model, (x, y, z))
     image = model.koszul_image((x.terms,), y.terms)[0]
-    return Fraction(sum(image.get(k, 0) * v for k, v in z.terms.items()), 8)
+    return Fraction(sum(image.get(k, 0) * v for k, v in z.terms.items()), 4)
 
 
 def cpc_charpoly_constancy(orbit, samples) -> list:

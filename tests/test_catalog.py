@@ -17,9 +17,10 @@ from c1atlas.catalog import (
     rank_one_recognize,
 )
 from c1atlas.errors import DimensionMismatch, InvalidIndex, NotARoot, ParseError, UnknownSpace
-from c1atlas.linalg import solve
 from c1atlas import rootsys
-from c1atlas.rootsys import Root, RootSystemType
+from c1atlas.rootsys import Root, RootSystem, RootSystemType
+
+from dense_refs import solve
 
 
 def test_every_entry_satisfies_dim_identity(catalog):
@@ -186,6 +187,18 @@ def test_boundary_component_full_phi(catalog):
     comp = boundary_component(sp, frozenset(range(1, 6)))
     assert comp.flat_rank == 0 and comp.is_whole_space
     assert [f.rtype for f in comp.factors] == [RootSystemType("D", 5)]
+
+
+def test_boundary_component_takes_one_length_per_length_class(monkeypatch, catalog):
+    # the multiplicities are keyed by six-fold squared length, so a call
+    # makes at most one Fraction length per class, not one per root
+    calls = []
+    length_sq = RootSystem.length_sq
+    monkeypatch.setattr(RootSystem, "length_sq", lambda self, lam: calls.append(lam) or length_sq(self, lam))
+    for space in catalog:
+        calls.clear()
+        comp = boundary_component(space, range(1, space.rank + 1))
+        assert len(calls) <= sum(len(factor.mult) for factor in comp.factors), space.name
 
 
 def test_boundary_quaternionic_grassmannian(catalog):

@@ -21,11 +21,10 @@ from c1atlas.verify import (
     check_root_space_identities,
     check_string_injectivity,
     check_theta_bracket_identity,
-    in_centraliser_of_flat,
 )
 
 from coord_models import simple_gram
-from dense_refs import det
+from dense_refs import det, in_centraliser_of_flat
 
 
 def test_sl2_relations():
@@ -391,9 +390,11 @@ def test_string_injectivity_raises_on_a_rank_drop(monkeypatch):
     # ad(X) made to kill i*e_a1 has rank 1 on the two-dimensional g_a1
     alg = build_algebra(root_system("G2", 2), GAUSSIAN)
     a1, a2 = alg.rs.simple(1), alg.rs.simple(2)
-    bracket = alg.bracket
+    bracket_terms = alg.bracket_terms
     monkeypatch.setattr(
-        alg, "bracket", lambda x, y: alg.zero() if alg.index[("ie", a1)] in y.terms else bracket(x, y)
+        alg,
+        "bracket_terms",
+        lambda x, y, out=None: {} if alg.index[("ie", a1)] in y else bracket_terms(x, y, out),
     )
     with pytest.raises(InjectivityViolation):
         check_string_injectivity(alg, a1, a2, 1)
@@ -478,6 +479,39 @@ def test_coroot_coefficients_are_integral(g2_split):
 def test_root_space_identities_beyond_g2(family, rank, scalars):
     # `verify` runs them on G2 over both rings; every root space of the larger types here
     check_root_space_identities(build_algebra(root_system(family, rank), scalars))
+
+
+@pytest.mark.parametrize("scalars", [RATIONAL, GAUSSIAN])
+def test_root_space_identities_build_no_element(monkeypatch, scalars):
+    # both identities run on int term dicts: no element is built, and every
+    # b_theta value they read is an int
+    alg = build_algebra(root_system("G2", 2), scalars)
+    b_theta_terms = alg.b_theta_terms
+
+    def int_only(x, y):
+        value = b_theta_terms(x, y)
+        assert type(value) is int
+        return value
+
+    def refuse(*args):
+        raise AssertionError("an AlgebraElement was built")
+
+    monkeypatch.setattr(alg, "b_theta_terms", int_only)
+    monkeypatch.setattr(AlgebraElement, "__init__", refuse)
+    check_root_space_identities(alg)
+
+
+def test_root_space_identities_catch_a_negated_ih_cartan_term():
+    # [e_lam, i e_-lam] = i h_lam for lam = -a1; with its i h term negated the
+    # i h terms of [theta X, X] no longer cancel for X = e_a1 + 2i e_a1
+    alg = build_algebra(root_system("G2", 2), GAUSSIAN)
+    a1 = alg.rs.simple(1)
+    ka, kb = alg.root_indices([-a1])[0], alg.root_indices([a1])[1]
+    (k, v), *rest = alg._table[ka][kb]
+    assert k == alg.index[("ih", 1)]
+    alg._table[ka][kb] = ((k, -v), *rest)
+    with pytest.raises(IdentityViolation, match=r"\[theta X, X\] != \|X\|\^2 H"):
+        check_root_space_identities(alg)
 
 
 def test_theta_bracket_identity_every_root():
@@ -660,17 +694,18 @@ REDUCED_TYPES = (
 
 
 @pytest.mark.parametrize("scalars", [RATIONAL, GAUSSIAN])
-def test_b_theta_is_kept_as_int_rows_of_twice_itself(scalars):
-    # the root diagonal of b_theta is half-integral, so the algebra keeps the
-    # int rows of 2 b_theta, and b_theta of two basis vectors halves an entry
+def test_b_theta_and_killing_are_kept_as_int_rows_of_themselves(scalars):
+    # both forms are integral on the real basis, so the algebra keeps their
+    # int rows as they are, and a form of two basis vectors is an entry
     for family, rank in REDUCED_TYPES:
         alg = build_algebra(root_system(family, rank), scalars)
-        assert len(alg._b2_rows) == alg.dim
-        for k, row in enumerate(alg._b2_rows):
-            for kz, g in row:
-                assert type(g) is int, (family, rank, k, kz)
-                value = alg.b_theta(alg.unit(k), alg.unit(kz))
-                assert type(value) is Fraction and value == Fraction(g, 2)
+        for rows, form in ((alg._b_theta_rows, alg.b_theta), (alg._killing_rows, alg.killing)):
+            assert len(rows) == alg.dim
+            for k, row in enumerate(rows):
+                for kz, g in row:
+                    assert type(g) is int, (family, rank, k, kz)
+                    value = form(alg.unit(k), alg.unit(kz))
+                    assert type(value) is Fraction and value == g
 
 
 # Recorded structure constants and Killing Gram data, one entry per (type,

@@ -15,11 +15,9 @@ from c1atlas.linalg import (
     identity,
     inverse,
     mat_vec,
-    rank,
-    solve,
 )
 
-from dense_refs import det
+from dense_refs import det, rank, solve
 
 
 def mat_mul(a, b):

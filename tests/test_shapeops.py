@@ -356,9 +356,9 @@ def test_sparse_shape_operators_match_the_dense_path(family, rank, j, ring):
             assert [r for r, _ in column] == sorted({r for r, _ in column})
             assert all(type(v) is Fraction and v != 0 for _, v in column)
         assert op.is_zero == all(v == 0 for row in matrix for v in row)
-    # the int Gram rows the check reads are 4 x the dense Gram on h
-    rows = {k: dict(row) for k, row in orbit.model._gram4_rows.items()}
-    assert [[Fraction(rows[k].get(kz, 0), 4) for k in orbit.h_keys] for kz in orbit.h_keys] == gram
+    # the int Gram rows the check reads are 2 x the dense Gram on h
+    rows = {k: dict(row) for k, row in orbit.model._gram2_rows.items()}
+    assert [[Fraction(rows[k].get(kz, 0), 2) for k in orbit.h_keys] for kz in orbit.h_keys] == gram
 
 
 def test_shape_operators_call_no_b_theta(monkeypatch):
@@ -397,16 +397,16 @@ def test_shape_operators_build_no_element_past_xi(monkeypatch, family, rank, j, 
 
 
 @pytest.mark.parametrize("ring", ["rational", "gaussian"])
-def test_koszul_images_read_the_algebras_2b_theta_rows(monkeypatch, g2_split, g2_gaussian, ring):
-    # the model keeps no copy of the rows of 2 b_theta: doubling the algebra's
+def test_koszul_images_read_the_algebras_b_theta_rows(monkeypatch, g2_split, g2_gaussian, ring):
+    # the model keeps no copy of the rows of b_theta: doubling the algebra's
     # rows after the model is built doubles every Koszul covector, which the
-    # Gram check (on 4 x the AN Gram, built with the model) then catches
+    # Gram check (on 2 x the AN Gram, built with the model) then catches
     alg = g2_split if ring == "rational" else g2_gaussian
     orbit = OrbitSubalgebra(SolvableModel(alg), 2)
     xi = alg.e(Root((0, 1)))
     shape_operator(orbit, xi)
-    doubled = [tuple((kz, 2 * g) for kz, g in row) for row in alg._b2_rows]
-    monkeypatch.setattr(alg, "_b2_rows", doubled)
+    doubled = [tuple((kz, 2 * g) for kz, g in row) for row in alg._b_theta_rows]
+    monkeypatch.setattr(alg, "_b_theta_rows", doubled)
     with pytest.raises(FormulaMismatch):
         shape_operator(orbit, xi)
 

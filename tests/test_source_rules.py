@@ -56,6 +56,7 @@ UNREFERENCED_ALLOWED = {
     ("chevalley", "ChevalleyAlgebra.zero"): "an element constructor the tests build with",
     ("chevalley", "ChevalleyAlgebra.h"): "an element constructor the tests build with",
     ("chevalley", "ChevalleyAlgebra.e"): "an element constructor the tests build with",
+    ("chevalley", "ChevalleyAlgebra.bracket"): "the benchmark's tracer wraps it by name",
     ("rootsys", "RootSystem.inner"): "the benchmark's tracer wraps it by name",
 }
 
@@ -114,7 +115,7 @@ PRIVATE_READS_ALLOWED = {
     ("chevalley", "rootsys", "_length6"): "the coroot coefficients divide by the six-fold root length",
     ("verify", "rootsys", "_root_len6"): "root counts by length class, against the closed form",
     ("catalog", "rootsys", "_root_len6"): "a space's multiplicities are keyed by six-fold squared root length",
-    ("shapeops", "chevalley", "_b2_rows"): "chevalley owns the int rows of 2 b_theta; shapeops reads them in place",
+    ("shapeops", "chevalley", "_b_theta_rows"): "chevalley owns the int rows of b_theta; shapeops reads them in place",
 }
 
 

@@ -74,6 +74,9 @@ MID_CALLS = {
     ),
     "classify": (["classify", "--space", "E6^{-14}"], "classify", ("chevalley", "shapeops", "linalg", "verify")),
     "shape": (["shape", "--space", "G2^2/SO(4)", "--j", "2"], "shapeops", ("nilcon", "classify", "verify")),
+    # the battery's shape checks take no characteristic polynomial, and its
+    # root-space identities run on int term dicts: no solve, no rank
+    "verify": (["verify"], "verify", ("linalg",)),
 }
 
 
@@ -104,7 +107,6 @@ def test_catalog_load_builds_no_root_system():
 COMMAND_PATHS = {
     **LIGHT_CALLS,
     **{command: f"assert c1atlas.cli.main({argv!r}) == 0" for command, (argv, _, _) in MID_CALLS.items()},
-    "verify": 'assert c1atlas.cli.main(["verify"]) == 0',
     "api-dump": "from c1atlas import chevalley, rootsys; "
     "chevalley.dump_structure_constants(chevalley.build_algebra(rootsys.root_system('A', 3)))",
 }
