@@ -6,11 +6,13 @@ rejects the file on any mismatch, so a transcription error cannot survive the
 load.  It reads the number of roots per length class in closed form
 (``rootsys.length_class_counts``), so loading builds no root system: an
 entry's system is generated when a command first asks for it.  Entries are
-immutable after loading.
+immutable after loading.  A length key is read straight to six times the
+squared length, the int ``RootSystem.length6`` gives a root.
 
 Every malformed file is a ParseError, including bytes that are not UTF-8,
 JSON nested too deeply, a length key other than n, n/d (d > 0) or a decimal,
-and a name or alias that occurs twice (``find_space`` answers either).
+a length no root has, and a name or alias that occurs twice (``find_space``
+answers either).
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import os
 import re
 from collections import Counter
 from collections.abc import Iterable
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import DimensionMismatch, NotARoot, ParseError, UnknownSpace
-from .rootsys import Record, Root, RootSystem, RootSystemType, length_class_counts, root_system
+from .rootsys import Record, Root, RootSystem, RootSystemType, length_class_counts, length_text, root_system
 
 _DATA_ENV = "C1_ATLAS_CATALOG"
 
@@ -63,29 +64,17 @@ def rank_one_recognize(m1: int, m2: int) -> RankOneType | None:
     return None
 
 
-class _SixFoldMults(Record):
-    """Holds a SpaceEntry's multiplicities keyed by six-fold squared length; the slot is no field."""
-
-    __slots__ = ("_mult6",)
-
-
-class SpaceEntry(_SixFoldMults):
+class SpaceEntry(Record):
     """One irreducible symmetric space of noncompact type.
 
-    ``mult`` maps the squared root length (in the normalisation with long
-    roots of squared length 2) to the common multiplicity of that class, as
-    a sorted tuple of (Fraction squared length, int multiplicity) pairs.
-    Construction keys the same multiplicities by the int six-fold squared
-    length the root system stores per root, which ``mult_of`` reads.
+    ``mult`` maps each root length class to the common multiplicity of its
+    roots, as a sorted tuple of (six-fold squared length, multiplicity) int
+    pairs: the squared length is taken with long roots at 2, and six times
+    it is the int ``RootSystem.length6`` gives a root (4, 6, 12 or 24).
     """
 
     __slots__ = ("name", "rtype", "mult", "dim", "split_flag", "complexified_flag", "aliases")
     _defaults = {"split_flag": False, "complexified_flag": False, "aliases": ()}
-
-    def _check(self):
-        # a length that is no sixth of an integer is no root's; validate() rejects it
-        six_fold = ((6 * length, m) for length, m in self.mult)
-        object.__setattr__(self, "_mult6", {n.numerator: m for n, m in six_fold if n.denominator == 1})
 
     def root_system(self) -> RootSystem:
         return root_system(self.rtype.family, self.rtype.rank)
@@ -96,10 +85,11 @@ class SpaceEntry(_SixFoldMults):
 
     def mult_of(self, lam: Root) -> int:
         """Multiplicity of a root; NotARoot unless lam is a root of this space."""
-        len6 = self.root_system()._root_len6.get(lam.coeffs)
-        if len6 is None:
+        rs = self.root_system()
+        if not rs.contains(lam):
             raise NotARoot(f"{lam.coeffs} is not a root of {self.name}")
-        return self._mult6[len6]
+        len6 = rs.length6(lam)
+        return next(m for n6, m in self.mult if n6 == len6)
 
     def simple_mult(self, i: int) -> int:
         return self.mult_of(self.root_system().simple(i))
@@ -123,8 +113,8 @@ class SpaceEntry(_SixFoldMults):
         sizes = length_class_counts(self.rtype.family, self.rank)
         if set(table) != set(sizes):
             raise ParseError(
-                f"{self.name}: multiplicity classes {sorted(map(str, table))} do not "
-                f"match the root length classes {sorted(map(str, sizes))}"
+                f"{self.name}: multiplicity classes {sorted(map(length_text, table))} do not "
+                f"match the root length classes {sorted(map(length_text, sizes))}"
             )
         total = self.rank + sum(table[length] * k for length, k in sizes.items())
         if total != self.dim:
@@ -146,12 +136,12 @@ class SpaceEntry(_SixFoldMults):
         The space is irreducible, so its Weyl group acts irreducibly on the
         flat and B is kappa times the normalised form.  The trace against that
         form gives rank * kappa = sum over roots of m_mu |mu|^2, which is twice
-        the sum over length classes of m * length * count, and on roots the
-        dual of B is the normalised form divided by kappa.
+        the sum over length classes of m * length * count (six-fold here,
+        hence the 6), and on roots the dual of B is the normalised form over kappa.
         """
         sizes = length_class_counts(self.rtype.family, self.rank)
-        trace = 2 * sum(m * length * sizes[length] for length, m in self.mult)
-        return self.rank * self.root_system().length_sq(lam) / trace
+        trace6 = 2 * sum(m * n6 * sizes[n6] for n6, m in self.mult)
+        return 6 * self.rank * self.root_system().length_sq(lam) / trace6
 
     def __str__(self):
         return self.name
@@ -161,7 +151,7 @@ class BoundaryFactor(Record):
     """One irreducible factor of a boundary component.
 
     ``nodes`` are the ambient simple indices spanning the factor, ``mult``
-    the restricted (ambient squared length, multiplicity) pairs, and
+    the restricted multiplicities, keyed as in ``SpaceEntry.mult``, and
     ``rank_one`` the recognised RankOneType of a one-node factor, else None.
     """
 
@@ -194,13 +184,12 @@ def boundary_component(space: SpaceEntry, phi: Iterable[int]) -> BoundaryCompone
         sub_pos = [
             lam for lam in grading.sigma_phi_pos if lam.support <= set(nodes)
         ]
-        # one multiplicity per six-fold squared length, one Fraction per class
-        mult6 = {rs._root_len6[lam.coeffs]: space.mult_of(lam) for lam in sub_pos}
+        mult = {rs.length6(lam): space.mult_of(lam) for lam in sub_pos}
         factors.append(
             BoundaryFactor(
                 rtype=rtype,
                 nodes=nodes,
-                mult=tuple((Fraction(n6, 6), m) for n6, m in sorted(mult6.items())),
+                mult=tuple(sorted(mult.items())),
                 rank_one=space.rank_one(nodes[0]) if len(nodes) == 1 else None,
             )
         )
@@ -218,14 +207,20 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-# Fraction alone would also take an exponent ("1e9999999") and a zero denominator
+# no exponent ("1e9999999" would build a ten-million-digit int) and no zero denominator
 _LENGTH_KEY = re.compile(r"[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?")
 
 
-def _json_length(key, name: str) -> Fraction:
+def _json_length(key, name: str) -> int:
+    """Six times the squared length a key spells; ParseError unless some root could have it."""
     if not _LENGTH_KEY.fullmatch(key):
         raise ParseError(f"{name}: root length {key!r} is not n, n/d with d > 0, or a decimal")
-    return Fraction(key)
+    num, _, den = key.partition("/")
+    whole, _, decimals = num.partition(".")
+    n6, rem = divmod(6 * int(whole + decimals), int(den or 1) * 10 ** len(decimals))
+    if rem:
+        raise ParseError(f"{name}: root length {key!r} is not the squared length of any root")
+    return n6
 
 
 def _json_flag(obj, key: str) -> bool:

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .catalog import RankOneType, SpaceEntry, boundary_component, read_json
 from .errors import IdentityViolation, ParseError, RHHasNoNCModuli
-from .rootsys import Record
+from .rootsys import Record, length_text
 from . import nilcon
 
 CH_FORMULA = "(0,π/2) × {2,4,…,2⌊n/2⌋} ⊔ {π/2} × {2,…,n}"
@@ -188,7 +188,7 @@ def _boundary_name(space: SpaceEntry, comp) -> str:
     if len(comp.factors) == 1 and comp.factors[0].rank_one is not None:
         return str(comp.factors[0].rank_one)
     return " x ".join(
-        f"type-{f.rtype} (mults {dict((str(k), v) for k, v in f.mult)})"
+        f"type-{f.rtype} (mults {dict((length_text(n6), m) for n6, m in f.mult)})"
         for f in comp.factors
     )
 

@@ -27,7 +27,7 @@ import sys
 # elimination code.
 from .catalog import default_catalog, find_space, load_catalog
 from .errors import C1AtlasError, NotARoot, UsageError
-from .rootsys import FIXED_RANK, Root, RootSystem, root_system
+from .rootsys import FIXED_RANK, Root, RootSystem, length_text, root_system
 
 
 def _root_system_from(args) -> RootSystem:
@@ -70,14 +70,9 @@ def _load_selected_catalog(args):
 
 def _cmd_roots(args) -> int:
     rs = _root_system_from(args)
-    rows = [
-        {"coeffs": list(lam.coeffs), "height": lam.height, "length_sq": str(rs.length_sq(lam))}
-        for lam in rs.positives
-    ]
-    text = "\n".join(
-        f"{str(lam):24s} height {lam.height:3d}  length^2 {str(rs.length_sq(lam))}"
-        for lam in rs.positives
-    )
+    roots = [(lam, length_text(rs.length6(lam))) for lam in rs.positives]
+    rows = [{"coeffs": list(lam.coeffs), "height": lam.height, "length_sq": length} for lam, length in roots]
+    text = "\n".join(f"{str(lam):24s} height {lam.height:3d}  length^2 {length}" for lam, length in roots)
     _emit(args, rows, f"{rs.rtype}: {len(rs.positives)} positive roots\n{text}")
     return 0
 
@@ -243,7 +238,7 @@ def _cmd_catalog(args) -> int:
             "name": e.name,
             "family": e.rtype.family,
             "rank": e.rank,
-            "mults": {str(k): v for k, v in e.mult},
+            "mults": {length_text(n6): m for n6, m in e.mult},
             "dim": e.dim,
             "split": e.split_flag,
             "complexified": e.complexified_flag,
@@ -254,7 +249,7 @@ def _cmd_catalog(args) -> int:
     width = max((len(e.name) for e in entries), default=4)
     lines = [
         f"{e.name.ljust(width)}  {str(e.rtype):5s} dim {e.dim:4d}  mults "
-        + " ".join(f"{k}:{v}" for k, v in e.mult)
+        + " ".join(f"{length_text(n6)}:{m}" for n6, m in e.mult)
         for e in entries
     ]
     _emit(args, payload, "\n".join(lines))

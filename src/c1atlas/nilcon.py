@@ -124,7 +124,7 @@ def short_g2_root(space: SpaceEntry) -> int | None:
     if space.rtype.family != "G2":
         return None
     rs = space.root_system()
-    return min((1, 2), key=lambda i: rs.length_sq(rs.simple(i)))
+    return min((1, 2), key=lambda i: rs.length6(rs.simple(i)))
 
 
 def analyze(space: SpaceEntry, j: int) -> NCVerdict:

@@ -5,12 +5,13 @@ inner products are exact rationals with long roots normalised to squared
 length 2 (the BC families keep the squared-length ladder 1, 2, 4 for the
 classes e_i, e_i +- e_j, 2e_i).  Every squared length lies in {2/3, 1, 2, 4},
 so six times the Gram matrix is integral: inner products, squared lengths
-and Cartan pairings are computed on Python ints, and the first two are
-returned as exact Fractions.  Only the functions that return a Fraction
-import ``fractions``, when they run: building and dumping a Chevalley
-algebra computes on ints alone and never loads it.  Positive roots are
-generated by string closure from the Cartan matrix; the BC families are the
-corresponding B closure with the doubled short roots appended.
+and Cartan pairings are computed on Python ints.  A length is six times
+itself (``length6``) from the catalog to the text ``length_text`` prints;
+``inner`` and ``length_sq`` return Fractions and import ``fractions`` when
+they run, so the catalog, the sweep and the Chevalley build never load it.
+Positive roots are generated by string closure from the Cartan matrix; the
+BC families are the corresponding B closure with the doubled short roots
+appended.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -360,10 +361,14 @@ class RootSystem:
 
         return fractions.Fraction(self._inner6(self._vector(lam), self._vector(mu)), 6)
 
+    def length6(self, lam: Root) -> int:
+        """Six times the squared length of lam, an int; lam need not be a root."""
+        return self._length6(self._vector(lam))
+
     def length_sq(self, lam: Root) -> Fraction:
         import fractions
 
-        return fractions.Fraction(self._length6(self._vector(lam)), 6)
+        return fractions.Fraction(self.length6(lam), 6)
 
     def _pairing_coeffs(self, lam_coeffs, mu_coeffs) -> int:
         val, rem = divmod(2 * self._inner6(lam_coeffs, mu_coeffs), self._length6(mu_coeffs))
@@ -576,17 +581,21 @@ class ParabolicGrading(Record):
         return self.levels.get(nu, ())
 
 
+def length_text(n6: int) -> str:
+    """A squared length given as six times itself, as its reduced fraction: 4 -> '2/3', 12 -> '2'."""
+    g = next(d for d in (6, 3, 2, 1) if n6 % d == 0)  # gcd(n6, 6)
+    return str(n6 // g) if g == 6 else f"{n6 // g}/{6 // g}"
+
+
 def length_class_counts(family: str, rank: int) -> dict:
     """Number of positive roots of each squared length of a type, in closed form.
 
-    Keyed by the exact squared length, long roots at 2 as in ``RootSystem``
-    (Bourbaki, Ch. VI, Plates I-IX; BC_n is B_n plus the n doubled short
-    roots 2e_i).  A class with no roots is left out: BC1 has none of squared
-    length 2.  No root system is built.  The type is validated first, so an
-    unknown family or a bad rank raises InvalidRank.
+    Keyed by six times the squared length, long roots at 2 as in
+    ``RootSystem`` (Bourbaki, Ch. VI, Plates I-IX; BC_n is B_n plus the n
+    doubled short roots 2e_i).  A class with no roots is left out: BC1 has
+    none of squared length 2.  No root system is built.  The type is
+    validated first, so an unknown family or a bad rank raises InvalidRank.
     """
-    import fractions
-
     n = RootSystemType(family, rank).rank
     pairs = n * (n - 1)  # the roots e_i +- e_j with i < j
     six_fold = {
@@ -601,7 +610,7 @@ def length_class_counts(family: str, rank: int) -> dict:
         "G2": {4: 3, 12: 3},
         "BC": {6: n, 12: pairs, 24: n},
     }[family]
-    return {fractions.Fraction(n6, 6): k for n6, k in six_fold.items() if k}
+    return {n6: k for n6, k in six_fold.items() if k}
 
 
 _CACHE: dict = {}

@@ -51,8 +51,8 @@ def _check_root_counts():
     ]:
         rs = root_system(fam, rank)
         # generated roots per six-fold squared length, against the closed form
-        counted = Counter(rs._root_len6[lam.coeffs] for lam in rs.positives)
-        expected = {int(6 * length): k for length, k in length_class_counts(fam, rank).items()}
+        counted = Counter(rs.length6(lam) for lam in rs.positives)
+        expected = length_class_counts(fam, rank)
         _require(counted == expected, f"{rs.rtype}: {dict(counted)} roots by six-fold length, not {expected}")
 
 

@@ -102,10 +102,20 @@ _GOOD = {"name": "x", "family": "A", "rank": 1, "mults": {"2": 1}, "dim": 2}
 def test_length_keys_are_integers_fractions_or_decimals():
     b2 = {"name": "x", "family": "B", "rank": 2, "dim": 6}
     for mults in ({"1": 1, "2": 1}, {"1.0": 1, "4/2": 1}, {"01": 1, "2/01": 1}):
-        assert load_catalog([{**b2, "mults": mults}])[0].mult == ((1, 1), (2, 1))
+        assert load_catalog([{**b2, "mults": mults}])[0].mult == ((6, 1), (12, 1))
     for key in ("2 ", "+2", "-2", "2/0", "2/-1", ".5", "2e0", "\u0662"):
         with pytest.raises(ParseError, match="is not n, n/d with d > 0, or a decimal"):
             load_catalog([{**b2, "mults": {"1": 1, key: 1}}])
+
+
+def test_a_length_no_root_has_is_rejected():
+    # a key is read straight to six times the squared length it spells
+    b2 = {"name": "x", "family": "B", "rank": 2, "dim": 6}
+    for key in ("1/5", "0.1", "2/7"):
+        with pytest.raises(ParseError, match=f"root length '{key}' is not the squared length of any root"):
+            load_catalog([{**b2, "mults": {"2": 1, key: 1}}])
+    with pytest.raises(ParseError, match=r"classes \['1/2', '2'\] do not match the root length classes \['1', '2'\]"):
+        load_catalog([{**b2, "mults": {"2": 1, "0.5": 1}}])
 
 
 @pytest.mark.parametrize(
@@ -206,7 +216,7 @@ def test_boundary_quaternionic_grassmannian(catalog):
     comp = boundary_component(sp, {2})
     (factor,) = comp.factors
     assert factor.rtype == RootSystemType("BC", 1)
-    assert dict(factor.mult) == {Fraction(1): 4, Fraction(4): 3}
+    assert dict(factor.mult) == {6: 4, 24: 3}
     assert factor.rank_one == RankOneType("HH", 2)
 
 
@@ -314,14 +324,15 @@ def test_mult_of_rejects_non_roots(catalog, coeffs):
 
 
 def test_mult_of_reads_the_multiplicity_of_the_roots_length_class(catalog, monkeypatch):
-    # against the Fraction-keyed table, over every root of every entry; the
-    # lookup itself computes no Fraction length
+    # against the table keyed by six-fold squared length, read off the
+    # Fraction length of every root of every entry; the lookup itself
+    # computes no Fraction length
     expected = {}
     for entry in catalog:
         rs = entry.root_system()
         table = dict(entry.mult)
         for lam in rs.positives:
-            expected[entry.name, lam] = expected[entry.name, -lam] = table[rs.length_sq(lam)]
+            expected[entry.name, lam] = expected[entry.name, -lam] = table[6 * rs.length_sq(lam)]
 
     def refuse(*args):
         raise AssertionError("mult_of computed a Fraction length")
@@ -371,7 +382,7 @@ def boundary_records(catalog) -> list:
                     "space": space.name,
                     "nodes": list(factor.nodes),
                     "type": [factor.rtype.family, factor.rtype.rank],
-                    "mult": {str(length): m for length, m in factor.mult},
+                    "mult": {rootsys.length_text(n6): m for n6, m in factor.mult},
                 })
     return records
 

@@ -18,7 +18,7 @@ from c1atlas.shapeops import ShapeOperatorMatrix
 
 
 def _factor():
-    return BoundaryFactor(RootSystemType("A", 1), (2,), ((Fraction(2), 2),), RankOneType("CH", 3))
+    return BoundaryFactor(RootSystemType("A", 1), (2,), ((12, 2),), RankOneType("CH", 3))
 
 
 # each factory builds a new record from new field values on every call
@@ -27,7 +27,7 @@ FACTORIES = {
     Root: lambda: Root((1, 0)),
     ParabolicGrading: lambda: root_system("A", 3).grading({1, 3}),
     RankOneType: lambda: RankOneType("HH", 2),
-    SpaceEntry: lambda: SpaceEntry("SL(3,R)/SO(3)", RootSystemType("A", 2), ((Fraction(2), 1),), 5, split_flag=True),
+    SpaceEntry: lambda: SpaceEntry("SL(3,R)/SO(3)", RootSystemType("A", 2), ((12, 1),), 5, split_flag=True),
     BoundaryFactor: _factor,
     BoundaryComponent: lambda: BoundaryComponent(frozenset({2}), (_factor(),), 1),
     Snake: lambda: Snake(1, (Root((1, 0)), Root((1, 1)))),
@@ -105,7 +105,7 @@ def test_dict_defaults_are_fresh_per_record():
 
 
 def test_constructor_binds_positions_keywords_and_defaults():
-    entry = SpaceEntry(name="X", rtype=RootSystemType("A", 1), mult=((Fraction(2), 1),), dim=2)
+    entry = SpaceEntry(name="X", rtype=RootSystemType("A", 1), mult=((12, 1),), dim=2)
     assert (entry.split_flag, entry.complexified_flag, entry.aliases) == (False, False, ())
     assert BoundaryFactor(RootSystemType("A", 1), (1,), ()).rank_one is None
     with pytest.raises(TypeError, match="missing the field 'rank'"):

@@ -589,9 +589,11 @@ def test_length_class_counts_match_the_generated_roots():
     for family, ranks in ALL_TYPES.items():
         for rank in ranks:
             rs = root_system(family, rank)
-            counted = dict(Counter(rs.length_sq(lam) for lam in rs.positives))
+            lengths6 = [6 * rs.length_sq(lam) for lam in rs.positives]
+            assert all(n6.denominator == 1 for n6 in lengths6)
+            counted = dict(Counter(n6.numerator for n6 in lengths6))
             assert length_class_counts(family, rank) == counted, (family, rank)
-            assert all(type(length) is Fraction for length in counted)
+            assert all(type(n6) is int for n6 in length_class_counts(family, rank))
             checked += 1
     assert checked == 99
 

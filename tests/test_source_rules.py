@@ -113,8 +113,6 @@ PRIVATE_READS_ALLOWED = {
     ("chevalley", "rootsys", "_root_len6"): "six-fold squared root lengths drive the length-ratio divmods",
     ("chevalley", "rootsys", "_gram6"): "the coroot coefficients divide by six-fold simple-root lengths",
     ("chevalley", "rootsys", "_length6"): "the coroot coefficients divide by the six-fold root length",
-    ("verify", "rootsys", "_root_len6"): "root counts by length class, against the closed form",
-    ("catalog", "rootsys", "_root_len6"): "a space's multiplicities are keyed by six-fold squared root length",
     ("shapeops", "chevalley", "_b_theta_rows"): "chevalley owns the int rows of b_theta; shapeops reads them in place",
 }
 

@@ -116,13 +116,16 @@ COMMAND_PATHS = {
 # for annotations, which are strings here.
 NO_COMMAND_NEEDS = ("dataclasses", "inspect", "typing")
 
-# path -> the standard-library modules it must not load.  Building and
-# dumping an algebra computes on ints alone, so it loads no `fractions`, nor
-# the `decimal` that `fractions` imports; the CLI paths load both through the
-# catalog's Fraction lengths.
+# `fractions` and the `decimal` and `numbers` it imports: a root length is a
+# six-fold int from the catalog file to the printed text, and building and
+# dumping an algebra computes on ints alone.  `classify` (Killing lengths),
+# `shape` and `verify` compute with Fractions and may load it.
+FRACTIONS = ("fractions", "decimal", "numbers")
+INT_ONLY_PATHS = ("probe", "roots", "grading", "strings", "catalog", "analyze", "api-dump")
+
+# path -> the standard-library modules it must not load
 UNUSED_STDLIB = {
-    **{path: NO_COMMAND_NEEDS for path in COMMAND_PATHS},
-    "api-dump": NO_COMMAND_NEEDS + ("fractions", "decimal"),
+    path: NO_COMMAND_NEEDS + (FRACTIONS if path in INT_ONLY_PATHS else ()) for path in COMMAND_PATHS
 }
 
 
