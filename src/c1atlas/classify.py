@@ -16,6 +16,13 @@ Five families of actions exist on a symmetric space of noncompact type:
                         the rank-one moduli attached to CH/HH/OH boundary
                         components, plus the short-root G2 subgroup H_{2,0}.
 
+On a product, the symmetries are each factor's weighted diagram symmetries
+and the permutations of identical factors; every kind but HOROSPHERICAL
+lists one family per orbit under them, keyed by one ``_orbit_key``, so a
+family and its images are one action up to orbit equivalence.  A SOLVABLE or
+CE_TOTALLY_GEODESIC family's ``orbit_size`` counts its orbit over all the
+factors: the simple roots, or the connected node sets, it stands for.
+
 The nilpotent entries are derived twice (from boundary recognition and from
 the elimination sweep) and the two answers are required to agree.
 """
@@ -118,26 +125,32 @@ def _factor_auts(space: SpaceEntry):
 
 
 def _images(auts, nodes) -> set:
-    """Images of a node tuple under one factor's weighted diagram symmetries.
-
-    The symmetries form a group, so two node tuples of a factor lie in one
-    orbit exactly when they share their least image, and the orbit has as
-    many members as there are distinct images.  Identical factors of a
-    product share a catalog name, so (name, least image) keys an orbit under
-    the product symmetries, which also permute identical factors.
-    """
+    """Images of a node tuple under one factor's weighted diagram symmetries."""
     return {tuple(sorted(sigma[i - 1] for i in nodes)) for sigma in auts}
 
 
-def _orbit_representatives(auts, node_sets):
-    """The first node set of each orbit, in the given order, with its orbit size."""
-    seen = set()
-    for nodes in node_sets:
-        images = _images(auts, nodes)
-        least = min(images)
-        if least not in seen:
-            seen.add(least)
-            yield nodes, len(images)
+def _orbit_key(factors):
+    """Key of the orbit of a member (factor index, node tuple, ...) under the product symmetries.
+
+    These are each factor's weighted diagram symmetries, a group, and the
+    permutations of identical factors, which share a catalog name: so
+    (name, least image of the node tuple) keys the orbit.
+    """
+    auts = [_factor_auts(s) for s in factors]
+
+    def key(member):
+        f, nodes = member[:2]
+        return factors[f].name, min(_images(auts[f], nodes))
+
+    return key
+
+
+def _orbits(members, key) -> list:
+    """The members grouped by key, in order of first member: given every member, one group per orbit."""
+    groups: dict = {}
+    for member in members:
+        groups.setdefault(key(member), []).append(member)
+    return list(groups.values())
 
 
 def _connected_subsets(rs):
@@ -158,17 +171,18 @@ def derive_type_e_spaces(catalog):
     """
     out = []
     for space in sorted(catalog, key=lambda s: s.name):
-        hits = {}
-        for i in range(1, space.rank + 1):
-            rec = space.rank_one(i)
-            if rec is None or rec.kind == "RH":
-                continue
-            if rec.kind == "CH" and rec.n < 3:
-                continue  # the CH^2 moduli set is empty
-            hits[(i,)] = rec
-        for nodes, _ in _orbit_representatives(_factor_auts(space), hits):
-            out.append((space, frozenset(nodes), hits[nodes]))
+        for (_, nodes, rec), *_ in _orbits(_type_e_nodes(0, space), _orbit_key([space])):
+            out.append((space, frozenset(nodes), rec))
     return out
+
+
+def _type_e_nodes(f, space):
+    """(f, (i,), rank-one type) for each simple root of a CH (n>=3), HH or OH type."""
+    for i in range(1, space.rank + 1):
+        rec = space.rank_one(i)
+        # the CH^2 moduli set is empty
+        if rec is not None and rec.kind != "RH" and not (rec.kind == "CH" and rec.n < 3):
+            yield f, (i,), rec
 
 
 # -- totally geodesic table ------------------------------------------------------
@@ -206,11 +220,7 @@ def classify(factors, tg_table=None) -> ActionCatalog:
         raise ValueError("need at least one de Rham factor")
     families = []
     total_rank = sum(s.rank for s in factors)
-    auts = [_factor_auts(s) for s in factors]
-
-    def orbit_key(f, nodes):
-        """Key of the orbit of a node tuple of factor f under the product symmetries."""
-        return factors[f].name, min(_images(auts[f], nodes))
+    orbit_key = _orbit_key(factors)
 
     families.append(
         ActionFamily(
@@ -223,12 +233,9 @@ def classify(factors, tg_table=None) -> ActionCatalog:
         )
     )
 
-    orbits: dict = {}
-    for f, space in enumerate(factors):
-        for i in range(1, space.rank + 1):
-            orbits.setdefault(orbit_key(f, (i,)), []).append((f, i))
-    for orbit in orbits.values():  # ordered by least member
-        f, i = orbit[0]
+    roots = ((f, (i,)) for f, space in enumerate(factors) for i in range(1, space.rank + 1))
+    for orbit in _orbits(roots, orbit_key):
+        (f, (i,)) = orbit[0]
         families.append(
             ActionFamily(
                 "SOLVABLE",
@@ -241,28 +248,32 @@ def classify(factors, tg_table=None) -> ActionCatalog:
             )
         )
 
-    for f, space in enumerate(factors):
-        subsets = sorted(_connected_subsets(space.root_system()), key=lambda s: (len(s), sorted(s)))
-        for phi, orbit_size in _orbit_representatives(auts[f], subsets):
-            comp = boundary_component(space, phi)
-            name = _boundary_name(space, comp)
-            entry = {
-                "factor": f,
-                "phi": sorted(phi),
-                "boundary": name,
-                "orbit_size": orbit_size,
-                "whole_space": comp.is_whole_space and len(factors) == 1,
-            }
-            if tg_table and name in tg_table:
-                entry["actions"] = tg_table[name]
-            else:
-                entry["actions"] = "TG(B_phi): requires external table"
-            families.append(
-                ActionFamily("CE_TOTALLY_GEODESIC", entry, provenance="canonical extension of totally geodesic orbit")
-            )
+    subsets = (
+        (f, phi)
+        for f, space in enumerate(factors)
+        for phi in sorted(_connected_subsets(space.root_system()), key=lambda s: (len(s), sorted(s)))
+    )
+    for orbit in _orbits(subsets, orbit_key):
+        f, phi = orbit[0]
+        comp = boundary_component(factors[f], phi)
+        name = _boundary_name(factors[f], comp)
+        entry = {
+            "factor": f,
+            "phi": sorted(phi),
+            "boundary": name,
+            "orbit_size": len(orbit),
+            "whole_space": comp.is_whole_space and len(factors) == 1,
+        }
+        if tg_table and name in tg_table:
+            entry["actions"] = tg_table[name]
+        else:
+            entry["actions"] = "TG(B_phi): requires external table"
+        families.append(
+            ActionFamily("CE_TOTALLY_GEODESIC", entry, provenance="canonical extension of totally geodesic orbit")
+        )
 
     families.extend(_diagonal_families(factors, orbit_key))
-    families.extend(_nilpotent_families(factors))
+    families.extend(_nilpotent_families(factors, orbit_key))
 
     return ActionCatalog(
         spaces=tuple(s.name for s in factors), families=tuple(families)
@@ -286,58 +297,57 @@ def _diagonal_families(factors, orbit_key):
             rec = space.rank_one(i)
             if rec is not None:
                 nodes.append((f, i, rec, space.killing_length_sq(rs.simple(i))))
-    seen = set()
-    out = []
-    for (f1, i, rec, length), (f2, k, rec2, length2) in combinations(nodes, 2):
-        if (rec, length) != (rec2, length2):
-            continue
+    pairs = [
+        (f1, i, f2, k, rec)
+        for (f1, i, rec, length), (f2, k, rec2, length2) in combinations(nodes, 2)
+        if (rec, length) == (rec2, length2)
+        and not (f1 == f2 and k in factors[f1].root_system().dynkin_neighbors(i))
+    ]
+
+    def pair_key(pair):
+        f1, i, f2, k, _ = pair
         if f1 == f2:
-            if k in factors[f1].root_system().dynkin_neighbors(i):
-                continue
-            key = ("within", orbit_key(f1, (i, k)))
-        else:
-            key = ("across", *sorted((orbit_key(f1, (i,)), orbit_key(f2, (k,)))))
-        if key not in seen:
-            seen.add(key)
-            out.append(
-                ActionFamily(
-                    "CE_DIAGONAL",
-                    {"pair": [[f1, i], [f2, k]], "boundary": f"{rec} x {rec}"},
-                    provenance="canonical extension of diagonal action",
-                )
-            )
-    return out
+            return "within", orbit_key((f1, (i, k)))
+        return "across", *sorted((orbit_key((f1, (i,))), orbit_key((f2, (k,)))))
+
+    return [
+        ActionFamily(
+            "CE_DIAGONAL",
+            {"pair": [[f1, i], [f2, k]], "boundary": f"{rec} x {rec}"},
+            provenance="canonical extension of diagonal action",
+        )
+        for (f1, i, f2, k, rec), *_ in _orbits(pairs, pair_key)
+    ]
 
 
-def _nilpotent_families(factors):
+def _nilpotent_families(factors, orbit_key):
     """Families of the fifth kind, derived twice and reconciled.
 
     Path one reads the catalog data: rank-one CH/HH/OH boundary components
     supply canonical extensions of their moduli, and the two G2-type spaces
-    supply the short-root subgroup.  Path two runs the elimination sweep and
-    records its survivors.  The survivor set must be exactly the short G2
-    roots of the G2-type factors, otherwise the classifier refuses to emit.
+    supply the short-root subgroup, one family per orbit of simple roots.
+    Path two runs the elimination sweep and records its survivors.  The
+    survivor set must be exactly the short G2 roots of the G2-type factors,
+    otherwise the classifier refuses to emit.
     """
-    families = []
+    members = []  # (factor, node tuple, family), in factor order
     sweep_survivors = set()
     g2_factors = set()
+    decorations = {"other_factors": "full isometry group"} if len(factors) > 1 else {}
     for f, space in enumerate(factors):
-        decorations = (
-            {"other_factors": "full isometry group"} if len(factors) > 1 else {}
-        )
-        for sp, phi, rec in derive_type_e_spaces([space]):
+        for _, nodes, rec in _type_e_nodes(f, space):
             desc = moduli(rec)
             if desc.is_empty:
                 continue
             params = {
                 "factor": f,
-                "phi": sorted(phi),
+                "phi": list(nodes),
                 "boundary": str(rec),
                 "moduli": desc.to_json(),
                 **decorations,
             }
-            families.append(
-                ActionFamily("NILPOTENT", params, provenance="canonical extension of rank-one moduli")
+            members.append(
+                (f, nodes, ActionFamily("NILPOTENT", params, provenance="canonical extension of rank-one moduli"))
             )
         short = nilcon.short_g2_root(space)
         if short is not None:
@@ -349,8 +359,8 @@ def _nilpotent_families(factors):
                 "moduli": ModuliDescriptor("G2_SINGLETON", G2_FORMULA).to_json(),
                 **decorations,
             }
-            families.append(
-                ActionFamily("NILPOTENT", params, provenance="short-root nilpotent construction")
+            members.append(
+                (f, (short,), ActionFamily("NILPOTENT", params, provenance="short-root nilpotent construction"))
             )
         if space.rank >= 2:
             verdicts = [nilcon.analyze(space, j) for j in range(1, space.rank + 1)]
@@ -360,4 +370,4 @@ def _nilpotent_families(factors):
             "catalog-driven G2 families and elimination-sweep survivors disagree: "
             f"{sorted(g2_factors)} vs {sorted(sweep_survivors)}"
         )
-    return families
+    return [family for (_, _, family), *_ in _orbits(members, orbit_key)]

@@ -323,6 +323,10 @@ def _check_classification():
         ac = classify([find_space(cat, name)])
         subgroups = [f.parameters.get("subgroup") for f in ac.by_kind("NILPOTENT")]
         _require(subgroups == ["H_{2,0}"], f"{name}: nilpotent families {subgroups}")
+    # the factor swap is an isometry: one family of each kind up to orbit equivalence
+    ch3 = find_space(cat, "CH^3")
+    kinds = Counter(f.kind for f in classify([ch3, ch3]).families)
+    _require(list(kinds.values()) == [1] * 5, f"CH^3 x CH^3: families per kind {dict(kinds)}")
 
 
 CHECKS = [

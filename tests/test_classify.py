@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -134,7 +135,8 @@ def test_classify_product_of_identical_rank_one_spaces(catalog):
     assert [f.parameters["pair"] for f in diag] == [[[0, 1], [1, 1]]]
     assert len(ac.by_kind("SOLVABLE")) == 1  # the factor swap identifies the two roots
     nil = ac.by_kind("NILPOTENT")
-    assert {f.parameters["factor"] for f in nil} == {0, 1}
+    # the swap identifies the CH^3 moduli families of the two factors too
+    assert [(f.parameters["factor"], f.parameters["phi"]) for f in nil] == [(0, [1])]
     assert all(f.parameters["other_factors"] == "full isometry group" for f in nil)
 
 
@@ -226,9 +228,46 @@ def test_diagonal_pair_orbits_match_independent_enumeration():
     assert len(emitted) == len(orbits) == 9
 
 
-@pytest.mark.parametrize(
-    "expected", PRODUCTS, ids=["ch3-ch3", "d4-d4", "a3-ch3-a3", "e6-e6", "rh2-rh2-d5"]
-)
+PRODUCT_IDS = ["ch3-ch3", "d4-d4", "a3-ch3-a3", "e6-e6", "rh2-rh2-d5"]
+
+
+@pytest.mark.parametrize("expected", PRODUCTS, ids=PRODUCT_IDS)
 def test_product_catalogs_match_recorded_output(catalog, expected):
     factors = [find_space(catalog, name) for name in expected["spaces"]]
     assert classify(factors).to_json() == expected
+
+
+def _up_to_factor_labels(ac) -> list:
+    # each factor index replaced by its space's name, a diagonal pair sorted,
+    # and the families as a sorted list: identical factors are interchangeable
+    names = ac.spaces
+    out = []
+    for family in ac.to_json()["families"]:
+        params = dict(family["parameters"])
+        if "factor" in params:
+            params["factor"] = names[params["factor"]]
+        if "pair" in params:
+            params["pair"] = sorted([names[f], i] for f, i in params["pair"])
+        out.append(json.dumps({**family, "parameters": params}, sort_keys=True))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("expected", PRODUCTS, ids=PRODUCT_IDS)
+def test_product_catalogs_do_not_depend_on_the_factor_order(catalog, expected):
+    factors = [find_space(catalog, name) for name in expected["spaces"]]
+    reference = _up_to_factor_labels(classify(factors))
+    for order in set(permutations(factors)):
+        assert _up_to_factor_labels(classify(list(order))) == reference, [s.name for s in order]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_identical_copies_list_each_totally_geodesic_family_once(catalog, k):
+    # the copies' boundary components are one orbit under the factor
+    # permutations: one family, orbit_size k times the single-space value
+    for space in catalog if k == 2 else [find_space(catalog, n) for n in ("CH^3", "SL(4,R)/SO(4)", "SO(4,4)/SO(4)SO(4)")]:
+        single = classify([space]).by_kind("CE_TOTALLY_GEODESIC")
+        expected = [
+            {**f.parameters, "orbit_size": k * f.parameters["orbit_size"], "whole_space": False} for f in single
+        ]
+        product = classify([space] * k).by_kind("CE_TOTALLY_GEODESIC")
+        assert [f.parameters for f in product] == expected, space.name
