@@ -11,11 +11,11 @@ load of the box; the w = 0 orbits of the 26 snake verdicts, computed in one
 model per space (15 models), take about 0.03-0.05 s.
 
 The root-space identities (``check_theta_bracket_identity`` on every root
-space and ``check_string_injectivity`` on every root string) run on G2 over
-Q and Q(i), on int term dicts, in about 0.002 s and 0.003 s in process on
-that box (best of 5).  The larger types take 0.023 s (F4) to 0.48 s (E8)
-over Q, and 0.055 s (E6) to 0.59 s (E8) over Q(i), so the tests run them
-and `verify --full` does not.
+space and ``check_string_injectivity`` on every root string, each string
+walked once) run on G2 over Q and Q(i), on int term dicts, in about 0.001 s
+and 0.002 s in process on that box (best of 5).  The larger types take
+0.010 s (F4) to 0.18 s (E8) over Q, and 0.016 s (F4) to 0.27 s (E8) over
+Q(i), so the tests run them and `verify --full` does not.
 """
 
 from __future__ import annotations
@@ -190,11 +190,14 @@ def check_string_injectivity(algebra: ChevalleyAlgebra, alpha: Root, beta: Root,
     the matrix of ad(X)^k between them is a 1 x 1 or 2 x 2 int matrix, and
     it is injective iff its determinant is nonzero.
     """
-    rs = algebra.rs
-    string = rs.root_string(alpha, beta)
+    string = algebra.rs.root_string(alpha, beta)
     if k < 1 or k >= len(string):
         raise ValueError(f"power {k} outside the string through {alpha}")
-    target = string[k]
+    _string_injectivity(algebra, alpha, beta, k, string[k])
+
+
+def _string_injectivity(algebra: ChevalleyAlgebra, alpha: Root, beta: Root, k: int, target: Root) -> None:
+    """``check_string_injectivity`` with the root target = alpha + k beta already known."""
     target_keys = algebra.root_indices([target])
     bracket = algebra.bracket_terms
     source = algebra.root_indices([alpha])
@@ -225,6 +228,8 @@ def check_root_space_identities(algebra: ChevalleyAlgebra) -> None:
     the i h terms of [theta X, X] cancel only where the bracket rows of the
     i-copies agree.  String injectivity takes every power k of every
     beta-string through alpha, for all roots alpha and beta != +-alpha.
+    Each string is walked once, testing alpha + k beta for a root; beta =
+    +-alpha stops at once, as 2 alpha and 0 are no roots of a reduced system.
     Everything runs on int term dicts: no element is built.
     """
     rs = algebra.rs
@@ -234,9 +239,10 @@ def check_root_space_identities(algebra: ChevalleyAlgebra) -> None:
         _theta_bracket_identity(algebra, lam, dict(zip(keys, (1, 2))), y)
     for alpha in algebra.roots:
         for beta in algebra.roots:
-            if beta.coeffs != alpha.coeffs and beta.coeffs != (-alpha).coeffs:
-                for k in range(1, len(rs.root_string(alpha, beta))):
-                    check_string_injectivity(algebra, alpha, beta, k)
+            k = 1
+            while rs.contains(target := alpha.shifted(beta, k)):
+                _string_injectivity(algebra, alpha, beta, k, Root(target))
+                k += 1
 
 
 def _check_root_space_identities():

@@ -501,6 +501,33 @@ def test_root_space_identities_build_no_element(monkeypatch, scalars):
     check_root_space_identities(alg)
 
 
+@pytest.mark.parametrize("family, rank", [("G2", 2), ("B", 3), ("A", 3)])
+def test_root_space_identities_walk_every_root_string_once(monkeypatch, family, rank):
+    # the driver tests injectivity at every (alpha, beta, k) that root_string
+    # gives, each once and with its target, and makes no root_string call
+    from c1atlas import verify
+
+    alg = build_algebra(root_system(family, rank))
+    rs = alg.rs
+    expected = sorted(
+        (alpha, beta, k, string[k])
+        for alpha in alg.roots
+        for beta in alg.roots
+        if beta not in (alpha, -alpha)
+        for string in [rs.root_string(alpha, beta)]
+        for k in range(1, len(string))
+    )
+    walked = []
+
+    def refuse(*args):
+        raise AssertionError("root_string was called")
+
+    monkeypatch.setattr(verify, "_string_injectivity", lambda algebra, *case: walked.append(case))
+    monkeypatch.setattr(RootSystem, "root_string", refuse)
+    check_root_space_identities(alg)
+    assert sorted(walked) == expected and len(expected) > 0
+
+
 def test_root_space_identities_catch_a_negated_ih_cartan_term():
     # [e_lam, i e_-lam] = i h_lam for lam = -a1; with its i h term negated the
     # i h terms of [theta X, X] no longer cancel for X = e_a1 + 2i e_a1
