@@ -129,19 +129,25 @@ class SpaceEntry(Record):
             if self.rtype.family == "BC":
                 raise ParseError(f"{self.name}: complexified entries need a reduced system")
 
-    def killing_length_sq(self, lam: Root) -> Fraction:
-        """Squared length of lam in the Killing scale of this space.
+    def killing_length_sq(self, lam: Root) -> tuple:
+        """Squared length of lam in the Killing scale of this space, as a
+        reduced int pair (numerator, denominator).
 
         On a maximal flat B(H, H') = sum over roots mu of m_mu mu(H) mu(H').
         The space is irreducible, so its Weyl group acts irreducibly on the
         flat and B is kappa times the normalised form.  The trace against that
         form gives rank * kappa = sum over roots of m_mu |mu|^2, which is twice
-        the sum over length classes of m * length * count (six-fold here,
-        hence the 6), and on roots the dual of B is the normalised form over kappa.
+        the sum over length classes of m * length * count (six-fold on both
+        sides here), and on roots the dual of B is the normalised form over
+        kappa.  Reduced, two pairs are equal exactly when the lengths are.
         """
+        import math
+
         sizes = length_class_counts(self.rtype.family, self.rank)
         trace6 = 2 * sum(m * n6 * sizes[n6] for n6, m in self.mult)
-        return 6 * self.rank * self.root_system().length_sq(lam) / trace6
+        numerator = self.rank * self.root_system().length6(lam)
+        g = math.gcd(numerator, trace6)
+        return numerator // g, trace6 // g
 
     def __str__(self):
         return self.name

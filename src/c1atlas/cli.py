@@ -13,21 +13,30 @@ Subcommands
 
 Each subcommand is declared once, in ``COMMANDS``.  Every subcommand accepts
 --format json|text.  Exit codes: 0 success, 1 data errors, 2 usage errors.
+
+A plain argv is read straight from ``COMMANDS``: a subcommand, then only its
+long flags spelled exactly, each value a separate word not led by ``-``,
+converted by its declared type and inside its declared choices, with every
+required flag present.  Any other argv goes to argparse, which is imported
+only then: no arguments, ``-h``/``--help``, unknown or abbreviated flags,
+``--flag=value``, dash-led values such as ``--j -1``, a bad type or choice, a
+missing required flag or a stray word.  It prints the help and the usage
+errors, and it reads the argv forms it accepts beyond the plain ones.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 # Only the layers every command needs load here; each handler imports the
 # rest itself, so `roots` or `grading` never loads the Chevalley, shape or
 # elimination code.
 from .catalog import default_catalog, find_space, load_catalog
 from .errors import C1AtlasError, NotARoot, UsageError
-from .rootsys import FIXED_RANK, Root, RootSystem, length_text, root_system
+from .rootsys import FAMILIES, FIXED_RANK, Root, RootSystem, length_text, root_system
 
 
 def _root_system_from(args) -> RootSystem:
@@ -226,6 +235,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    if args.family is not None and args.family not in FAMILIES:
+        raise UsageError(f"unknown family {args.family!r}: choose from {', '.join(FAMILIES)}")
     catalog = _load_selected_catalog(args)
     entries = [
         e
@@ -368,7 +379,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="c1atlas",
         description="exact root-system and shape-operator toolkit for "
@@ -382,9 +395,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_plain(argv):
+    """The namespace `build_parser().parse_args(argv)` gives a plain argv, else None.
+
+    The module docstring says which argv are plain.  A flag that is not given
+    takes its declared default (False for store_true); a repeated store flag
+    keeps its last value and an append flag collects every value.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    declared = dict(COMMANDS[argv[0]][2])
+    dests = {flag: flag[2:].replace("-", "_") for flag in declared}
+    values = {
+        dests[flag]: False if options.get("action") == "store_true" else options.get("default")
+        for flag, options in declared.items()
+    }
+    values["command"] = argv[0]
+    given = set()
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in declared:
+            return None
+        given.add(flag)
+        options, dest = declared[flag], dests[flag]
+        if options.get("action") == "store_true":
+            values[dest] = True
+            continue
+        word = next(words, None)
+        if word is None or word.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(word)
+        except (TypeError, ValueError):
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        values[dest] = (values[dest] or []) + [value] if options.get("action") == "append" else value
+    if any(options.get("required") and flag not in given for flag, options in declared.items()):
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         code = COMMANDS[args.command][1](args)
         sys.stdout.flush()

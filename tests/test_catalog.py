@@ -4,6 +4,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -289,8 +290,11 @@ def test_killing_length_closed_form_matches_the_trace_form(catalog):
     checked = 0
     for space in catalog:
         for lam in space.root_system().positives:
-            assert space.killing_length_sq(lam) == _trace_form_killing_length_sq(space, lam), (
+            numerator, denominator = space.killing_length_sq(lam)
+            assert Fraction(numerator, denominator) == _trace_form_killing_length_sq(space, lam), (
                 space.name, lam)
+            # reduced, so equal pairs are equal lengths
+            assert denominator > 0 and gcd(numerator, denominator) == 1, (space.name, lam)
             checked += 1
     assert checked == 713
 
@@ -345,8 +349,8 @@ def test_killing_scale_is_consistent(catalog):
     # within one space the Killing lengths are proportional to the normalised ones
     sp = find_space(catalog, "SO(3,4)/SO(3)SO(4)")
     rs = sp.root_system()
-    k1 = sp.killing_length_sq(rs.simple(1))
-    k3 = sp.killing_length_sq(rs.simple(3))
+    k1 = Fraction(*sp.killing_length_sq(rs.simple(1)))
+    k3 = Fraction(*sp.killing_length_sq(rs.simple(3)))
     assert k1 / k3 == rs.length_sq(rs.simple(1)) / rs.length_sq(rs.simple(3))
     assert k1 > 0 and k3 > 0
 

@@ -17,7 +17,7 @@ import c1atlas
 from c1atlas import nilcon, verify
 from c1atlas.catalog import default_catalog, find_space
 from c1atlas.classify import classify
-from c1atlas.cli import main, render_hasse
+from c1atlas.cli import COMMANDS, _read_plain, build_parser, main, render_hasse
 from c1atlas.errors import C1AtlasError, CheckFailed
 from c1atlas.rootsys import FAMILIES, FIXED_RANK, RootSystem, root_system
 from c1atlas.verify import CHECKS, run_verify
@@ -230,6 +230,14 @@ def test_catalog_subcommand_filters(capsys):
     assert names == {"G2^2/SO(4)", "G2(C)/G2"}
     code, out, _ = run(capsys, "catalog", "--min-rank", "5")
     assert code == 0 and "E8^8/SO(16)" in out
+
+
+@pytest.mark.parametrize("family", ["Q", "e6", ""])
+def test_catalog_with_an_unknown_family_is_a_usage_error(capsys, family):
+    # an unknown family is refused, not answered with an empty list
+    code, out, err = run(capsys, "catalog", "--family", family)
+    assert code == 2 and out == ""
+    assert err == f"error: unknown family {family!r}: choose from A, B, C, D, E6, E7, E8, F4, G2, BC\n"
 
 
 def test_unknown_space_is_a_data_error(capsys):
@@ -557,18 +565,27 @@ _SPACE = st.sampled_from([e.name for e in default_catalog()]) | _TEXT
 def _cli_argv(draw):
     """Argv of roots, grading, strings, analyze --space/--j or catalog at rank <= 8.
 
-    Each option is left out one time in ten, and a vector is drawn from the
-    roots of the drawn system two times in three, so most draws get past
-    argparse and many succeed.
+    Each option, required or not, is left out one time in ten.  One time in
+    twenty each it is abbreviated, written as --flag=value, given a dash-led
+    value (--j -1) or repeated; these forms go to argparse, so both readers
+    of `main` are fuzzed.  A vector is drawn from the roots of the drawn
+    system two times in three, so many draws succeed.
     """
     command = draw(st.sampled_from(["roots", "grading", "strings", "analyze", "catalog"]))
     argv = [command]
 
     def option(flag, values=None):
-        if draw(st.integers(min_value=0, max_value=9)):
-            argv.append(flag)
-            if values is not None:
-                argv.append(str(draw(values)))
+        form = draw(st.integers(min_value=0, max_value=19))
+        if form < 2:
+            return
+        word = flag[: draw(st.integers(min_value=3, max_value=len(flag)))] if form == 2 else flag
+        for _ in range(2 if form == 5 else 1):
+            if values is None:
+                argv.append(word)
+            elif form == 3:
+                argv.append(f"{word}={draw(values)}")
+            else:
+                argv.extend([word, ("-" if form == 4 else "") + str(draw(values))])
 
     def vector(roots):
         if roots and draw(st.integers(min_value=0, max_value=2)):
@@ -635,3 +652,121 @@ def test_cli_surface_matches_the_recording(case, monkeypatch):
         except SystemExit as exc:
             code = exc.code
     assert (code, out.getvalue(), err.getvalue()) == (case["code"], case["stdout"], case["stderr"])
+
+
+# -- the plain-argv reader: argparse's namespace wherever it accepts ----------
+
+_INT_WORDS = st.integers(min_value=-3, max_value=12).map(str) | st.sampled_from(
+    [" 3", "+2", "1_0", "\u0663", "0x1", "2.0", ""]
+)
+_WORDS = _TEXT | _INTS | _SPACE | st.sampled_from(["-", "--", "-x", "--all", "json"])
+
+
+def _value_words(options):
+    if "choices" in options:
+        # a declared choice three times in four
+        return st.one_of(*[st.sampled_from(options["choices"])] * 3, _WORDS)
+    if options.get("type") is int:
+        return _INT_WORDS
+    return _WORDS
+
+
+@st.composite
+def _command_argv(draw):
+    """Argv of any subcommand, drawn from its declared flags and values.
+
+    Every required flag is given three times in four, and any flag may be
+    repeated.  One time in fifteen each, a flag is abbreviated, written as
+    --flag=value or followed by a stray word, and values may be dash-led,
+    outside the choices or not ints.  So the plain reader accepts some draws
+    and refuses the rest.
+    """
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    declared = dict(COMMANDS[command][2])
+    required = [flag for flag, options in declared.items() if options.get("required")]
+    flags = required if draw(st.integers(min_value=0, max_value=3)) else []
+    flags = flags + draw(st.lists(st.sampled_from(sorted(declared)), max_size=4))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        options = declared[flag]
+        form = draw(st.integers(min_value=0, max_value=14))
+        word = flag[: draw(st.integers(min_value=3, max_value=len(flag)))] if form == 0 else flag
+        if options.get("action") == "store_true":
+            argv.append(word)
+        elif form == 1:
+            argv.append(f"{word}={draw(_value_words(options))}")
+        else:
+            argv.extend([word, draw(_value_words(options))])
+        if form == 2:
+            argv.append(draw(_WORDS))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_argv())
+def test_plain_reader_agrees_with_argparse(argv):
+    plain = _read_plain(argv)
+    if plain is not None:
+        assert vars(plain) == vars(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["roots", "-h"],
+        ["root", "--type", "A", "--rank", "2"],
+        ["roots", "--ty", "A", "--rank", "2"],
+        ["roots", "--type=A", "--rank", "2"],
+        ["roots", "--type", "A", "--rank", "-2"],
+        ["roots", "--type", "A", "--rank", "x"],
+        ["roots", "--type", "A", "--rank", "2", "--format", "xml"],
+        ["roots", "--rank", "2"],
+        ["roots", "--type", "A", "--rank", "2", "extra"],
+        ["roots", "--type"],
+        ["analyze", "--all", "--"],
+        ["--format", "json", "verify"],
+    ],
+)
+def test_other_argv_forms_go_to_argparse(argv):
+    assert _read_plain(argv) is None
+
+
+def test_plain_reader_fills_defaults_flags_and_lists():
+    args = _read_plain(["classify", "--space", "CH^3", "--format", "json", "--space", "RH^2", "--format", "text"])
+    assert vars(args) == {
+        "command": "classify", "space": ["CH^3", "RH^2"], "all": False,
+        "tg_table": None, "format": "text", "catalog": None,
+    }
+    assert vars(_read_plain(["shape", "--j", " 3", "--space", ""])) == {
+        "command": "shape", "space": "", "j": 3, "w": "zero", "format": "text", "catalog": None,
+    }
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+GOLDEN_CLI_ARGV = [
+    request["argv"][1:]
+    for workload in ("sweep", "shape", "algebra")
+    for request in json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))["requests"]
+    if request["argv"][0] == "cli"
+]
+
+
+def test_every_benchmark_request_is_read_without_argparse():
+    # each request's namespace is argparse's, and reading them all in a fresh
+    # interpreter imports no argparse
+    assert len(GOLDEN_CLI_ARGV) == 554
+    for argv in GOLDEN_CLI_ARGV:
+        plain = _read_plain(argv)
+        assert plain is not None and vars(plain) == vars(build_parser().parse_args(argv)), argv
+    env = dict(os.environ, PYTHONPATH=str(Path(c1atlas.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import json, sys\n"
+         "from c1atlas.cli import _read_plain\n"
+         "assert all(_read_plain(argv) is not None for argv in json.load(sys.stdin))\n"
+         "print('argparse' in sys.modules)\n"],
+        input=json.dumps(GOLDEN_CLI_ARGV), env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -58,6 +58,7 @@ UNREFERENCED_ALLOWED = {
     ("chevalley", "ChevalleyAlgebra.e"): "an element constructor the tests build with",
     ("chevalley", "ChevalleyAlgebra.bracket"): "the benchmark's tracer wraps it by name",
     ("rootsys", "RootSystem.inner"): "the benchmark's tracer wraps it by name",
+    ("rootsys", "RootSystem.length_sq"): "the benchmark's recorder calls it by name",
 }
 
 

@@ -116,16 +116,21 @@ COMMAND_PATHS = {
 # for annotations, which are strings here.
 NO_COMMAND_NEEDS = ("dataclasses", "inspect", "typing")
 
+# `argparse` and the `gettext`, `locale` and `shutil` it imports: a plain argv
+# is read straight from `cli.COMMANDS`, and only help and usage errors build
+# the parser.
+ARGPARSE = ("argparse", "gettext", "locale", "shutil")
+
 # `fractions` and the `decimal` and `numbers` it imports: a root length is a
-# six-fold int from the catalog file to the printed text, and building and
-# dumping an algebra computes on ints alone.  `classify` (Killing lengths),
-# `shape` and `verify` compute with Fractions and may load it.
+# six-fold int from the catalog file to the printed text, a Killing length a
+# reduced pair of ints, and building and dumping an algebra computes on ints
+# alone.  `shape` and `verify` compute with Fractions and may load it.
 FRACTIONS = ("fractions", "decimal", "numbers")
-INT_ONLY_PATHS = ("probe", "roots", "grading", "strings", "catalog", "analyze", "api-dump")
+INT_ONLY_PATHS = ("probe", "roots", "grading", "strings", "catalog", "analyze", "classify", "api-dump")
 
 # path -> the standard-library modules it must not load
 UNUSED_STDLIB = {
-    path: NO_COMMAND_NEEDS + (FRACTIONS if path in INT_ONLY_PATHS else ()) for path in COMMAND_PATHS
+    path: NO_COMMAND_NEEDS + ARGPARSE + (FRACTIONS if path in INT_ONLY_PATHS else ()) for path in COMMAND_PATHS
 }
 
 
@@ -142,6 +147,23 @@ def test_command_paths_import_no_unused_stdlib_module(path):
     assert "c1atlas.rootsys" in loaded
     unused = set(UNUSED_STDLIB[path])
     assert not unused & loaded, sorted(unused & loaded)
+
+
+def test_help_still_builds_the_parser():
+    # help and usage errors are argparse's, so `--help` loads it
+    out = _fresh(
+        "import io, json, sys, contextlib\n"
+        "import c1atlas.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as help_text:\n"
+        "    try:\n"
+        "        c1atlas.cli.main(['roots', '--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "assert help_text.getvalue().startswith('usage: c1atlas roots'), help_text.getvalue()\n"
+        "print(json.dumps(sorted(sys.modules)))\n",
+        "-S",
+    )
+    assert "argparse" in set(json.loads(out))
 
 
 def test_bare_import_loads_no_layer():
