@@ -100,10 +100,9 @@ class SpaceEntry(Record):
     def rank_one(self, i: int) -> RankOneType | None:
         """The rank-one type recognised at a_i from (m(a_i), m(2a_i)), m(2a_i) = 0 off the roots."""
         rs = self.root_system()
-        doubled = Root(tuple(2 * n for n in rs.simple(i).coeffs))
-        return rank_one_recognize(
-            self.simple_mult(i), self.mult_of(doubled) if rs.contains(doubled) else 0
-        )
+        simple = rs.simple(i)
+        doubled = Root(tuple(2 * n for n in simple.coeffs))
+        return rank_one_recognize(self.mult_of(simple), self.mult_of(doubled) if rs.contains(doubled) else 0)
 
     def validate(self):
         """Check the entry against the closed-form class counts of its type; no root system is built."""
@@ -182,20 +181,15 @@ class BoundaryComponent(Record):
 def boundary_component(space: SpaceEntry, phi: Iterable[int]) -> BoundaryComponent:
     """Split a simple subset into irreducible factors with inherited multiplicities."""
     rs = space.root_system()
-    grading = rs.grading(phi)
-    phi = grading.phi
+    phi = frozenset(phi)
     factors = []
     for nodes in rs.components(phi):
-        rtype = rs.subsystem_type(nodes)
-        sub_pos = [
-            lam for lam in grading.sigma_phi_pos if lam.support <= set(nodes)
-        ]
-        mult = {rs.length6(lam): space.mult_of(lam) for lam in sub_pos}
+        lengths = set(map(rs.length6, rs.positives_on(nodes)))
         factors.append(
             BoundaryFactor(
-                rtype=rtype,
+                rtype=rs.subsystem_type(nodes),
                 nodes=nodes,
-                mult=tuple(sorted(mult.items())),
+                mult=tuple((n6, m) for n6, m in space.mult if n6 in lengths),
                 rank_one=space.rank_one(nodes[0]) if len(nodes) == 1 else None,
             )
         )

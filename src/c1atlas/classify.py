@@ -153,12 +153,13 @@ def _orbits(members, key) -> list:
     return list(groups.values())
 
 
-def _connected_subsets(rs):
-    subsets = (
-        frozenset(i + 1 for i in range(rs.rank) if mask & (1 << i))
-        for mask in range(1, 1 << rs.rank)
-    )
-    return [phi for phi in subsets if len(rs.components(phi)) == 1]
+def _connected_subsets(rs) -> set:
+    """Every connected node set of the Dynkin diagram, grown one neighbour at a time."""
+    found, level = set(), {frozenset({i}) for i in range(1, rs.rank + 1)}
+    while level:
+        found |= level
+        level = {phi | {j} for phi in level for i in phi for j in rs.dynkin_neighbors(i) - phi}
+    return found
 
 
 # -- the type-(e) derivation ----------------------------------------------------

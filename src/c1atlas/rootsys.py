@@ -20,6 +20,7 @@ threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections import Counter
 from collections.abc import Iterable, Mapping
@@ -169,10 +170,6 @@ class Root(Record):
         """Coefficient n_i of the simple root a_i (1-based)."""
         return self.coeffs[i - 1]
 
-    @property
-    def support(self) -> frozenset:
-        return frozenset(i + 1 for i, n in enumerate(self.coeffs) if n != 0)
-
     def __neg__(self) -> "Root":
         return Root(tuple(-n for n in self.coeffs))
 
@@ -275,19 +272,15 @@ class RootSystem:
         self._gram6 = tuple(tuple(g for g, _ in row) for row in gram6)
         self.non_reduced = rtype.family == "BC"
 
-        # Six times the squared length of every root; a non-root vector's is
-        # computed on demand.
+        # Six times the squared length of every root, keyed by its coefficients:
+        # the keys are the root set.  A non-root vector's is computed on demand.
         len6 = self._generate_positives()
         if self.non_reduced:
             for coeffs, n in list(len6.items()):
                 if n == 6:  # squared length 1: the short roots e_i, doubled to 2e_i
                     len6[tuple(2 * c for c in coeffs)] = 4 * n
-        ordered = sorted(len6, key=root_order)
-        self.positives = tuple(Root(c) for c in ordered)
-        self._posset = frozenset(ordered)
-        negatives = {tuple(-c for c in coeffs): n for coeffs, n in len6.items()}
-        self._allset = self._posset | frozenset(negatives)
-        len6.update(negatives)
+        self.positives = tuple(Root(c) for c in sorted(len6, key=root_order))
+        len6.update({tuple(-c for c in coeffs): n for coeffs, n in len6.items()})
         self._root_len6 = len6
 
     # -- generation -------------------------------------------------------
@@ -394,7 +387,7 @@ class RootSystem:
     def simple(self, i: int) -> Root:
         """The simple root a_i; InvalidIndex unless 1 <= i <= rank."""
         self._check_index(i)
-        return Root(tuple(int(j == i - 1) for j in range(self.rank)))
+        return Root((0,) * (i - 1) + (1,) + (0,) * (self.rank - i))
 
     @property
     def simples(self):
@@ -403,7 +396,7 @@ class RootSystem:
     def contains(self, coeffs: Root | tuple) -> bool:
         if isinstance(coeffs, Root):
             coeffs = coeffs.coeffs
-        return coeffs in self._allset
+        return coeffs in self._root_len6
 
     # -- strings --------------------------------------------------------------
     def _check_string_ends(self, lam: Root, beta: Root) -> None:
@@ -419,7 +412,7 @@ class RootSystem:
         self._check_string_ends(lam, beta)
         out = [lam]
         k = 1
-        while lam.shifted(beta, k) in self._allset:
+        while lam.shifted(beta, k) in self._root_len6:
             out.append(Root(lam.shifted(beta, k)))
             k += 1
         return out
@@ -428,7 +421,7 @@ class RootSystem:
         """Largest p with lam - p*beta still a root (the classical string depth)."""
         self._check_string_ends(lam, beta)
         p = 0
-        while lam.shifted(beta, -(p + 1)) in self._allset:
+        while lam.shifted(beta, -(p + 1)) in self._root_len6:
             p += 1
         return p
 
@@ -439,7 +432,7 @@ class RootSystem:
         fixed = [i for i in range(self.rank) if (i + 1) not in phi]
         out = set()
         zero = (0,) * self.rank
-        for coeffs in self._allset | {zero}:
+        for coeffs in self._root_len6.keys() | {zero}:
             if all(coeffs[i] == lam_coeffs[i] for i in fixed):
                 out.add(Root(coeffs))
         return out
@@ -454,10 +447,11 @@ class RootSystem:
 
     def grading(self, phi: Iterable[int]) -> "ParabolicGrading":
         phi = self._simple_subset(phi)
+        off = [i + 1 not in phi for i in range(self.rank)]
         levels: dict = {}
         sigma = []
         for lam in self.positives:  # in root order, so each level is too
-            nu = sum(lam.coeffs[i - 1] for i in range(1, self.rank + 1) if i not in phi)
+            nu = sum(itertools.compress(lam.coeffs, off))
             if nu == 0:
                 sigma.append(lam)
             else:
@@ -484,9 +478,9 @@ class RootSystem:
         """Connected components of the Dynkin subdiagram on nodes.
 
         Each component is a sorted tuple; components come in order of their
-        least node.
+        least node.  Nodes outside 1..rank raise InvalidIndex.
         """
-        remaining = set(nodes)
+        remaining = set(self._simple_subset(nodes))
         comps = []
         while remaining:
             seed = min(remaining)
@@ -512,9 +506,18 @@ class RootSystem:
         IdentityViolation.
         """
         nodes = self._simple_subset(nodes)
-        off = [i for i in range(self.rank) if i + 1 not in nodes]
-        sizes = Counter(self._root_len6[c] for c in self._posset if not any(c[i] for i in off))
+        sizes = Counter(self._root_len6[lam.coeffs] for lam in self.positives_on(nodes))
         return _type_with_counts(len(nodes), tuple(sizes[n] for n in sorted(sizes)))
+
+    def positives_on(self, nodes: Iterable[int]) -> tuple:
+        """The positive roots supported on nodes, in root order; InvalidIndex off 1..rank."""
+        nodes = self._simple_subset(nodes)
+        off = [i for i in range(self.rank) if i + 1 not in nodes]
+        if not off:
+            return self.positives
+        coeffs_off = operator.itemgetter(*off)  # an int for one index, else a tuple
+        zero = coeffs_off((0,) * self.rank)
+        return tuple([lam for lam in self.positives if coeffs_off(lam.coeffs) == zero])
 
     def weighted_diagram_automorphisms(self, mult: Mapping[int, object] | None = None):
         """All index permutations preserving the Cartan matrix and the weights.

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -11,6 +12,7 @@ import pytest
 
 from c1atlas.catalog import (
     RankOneType,
+    SpaceEntry,
     boundary_component,
     default_catalog,
     find_space,
@@ -200,16 +202,21 @@ def test_boundary_component_full_phi(catalog):
     assert [f.rtype for f in comp.factors] == [RootSystemType("D", 5)]
 
 
-def test_boundary_component_takes_one_length_per_length_class(monkeypatch, catalog):
-    # the multiplicities are keyed by six-fold squared length, so a call
-    # makes at most one Fraction length per class, not one per root
-    calls = []
-    length_sq = RootSystem.length_sq
-    monkeypatch.setattr(RootSystem, "length_sq", lambda self, lam: calls.append(lam) or length_sq(self, lam))
+def test_boundary_component_builds_no_grading_and_asks_multiplicities_only_at_rank_one(monkeypatch, catalog):
+    # the roots on a factor are filtered once from the positive roots, not
+    # read off a parabolic grading, and a factor's multiplicities are read
+    # from the space's length classes; only the rank-one recognition of a
+    # one-node factor asks for m(a_i) and m(2a_i)
+    calls = Counter()
+    grading, mult_of = RootSystem.grading, SpaceEntry.mult_of
+    monkeypatch.setattr(RootSystem, "grading", lambda self, phi: calls.update(["grading"]) or grading(self, phi))
+    monkeypatch.setattr(SpaceEntry, "mult_of", lambda self, lam: calls.update(["mult_of"]) or mult_of(self, lam))
     for space in catalog:
         calls.clear()
         comp = boundary_component(space, range(1, space.rank + 1))
-        assert len(calls) <= sum(len(factor.mult) for factor in comp.factors), space.name
+        one_node = sum(len(factor.nodes) == 1 for factor in comp.factors)
+        assert calls["grading"] == 0, space.name
+        assert calls["mult_of"] <= 2 * one_node, space.name
 
 
 def test_boundary_quaternionic_grassmannian(catalog):

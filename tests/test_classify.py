@@ -11,12 +11,14 @@ from c1atlas.catalog import RankOneType, find_space
 from c1atlas.classify import (
     CH_FORMULA,
     OH2_FORMULA,
+    _connected_subsets,
     classify,
     derive_type_e_spaces,
     load_tg_table,
     moduli,
 )
 from c1atlas.errors import ParseError, RHHasNoNCModuli
+from c1atlas.rootsys import MAX_RANK, root_system
 
 TG_SAMPLE = Path(__file__).parent / "data" / "tg_table_sample.json"
 # Recorded action catalogs of products that reach every symmetry branch: a
@@ -271,3 +273,31 @@ def test_identical_copies_list_each_totally_geodesic_family_once(catalog, k):
         ]
         product = classify([space] * k).by_kind("CE_TOTALLY_GEODESIC")
         assert [f.parameters for f in product] == expected, space.name
+
+
+def _connected_by_mask(rs) -> set:
+    """The connected node sets by the mask walk: every nonempty node mask whose subdiagram is one component."""
+    subsets = (frozenset(i + 1 for i in range(rs.rank) if mask >> i & 1) for mask in range(1, 1 << rs.rank))
+    return {phi for phi in subsets if len(rs.components(phi)) == 1}
+
+
+UP_TO_RANK_8 = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(3, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("BC", r) for r in range(1, 9)]
+    + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", UP_TO_RANK_8, ids=lambda v: str(v))
+def test_connected_subsets_match_the_mask_walk(family, rank):
+    rs = root_system(family, rank)
+    assert _connected_subsets(rs) == _connected_by_mask(rs)
+
+
+def test_connected_subsets_of_a_chain_are_its_intervals():
+    for r in range(1, MAX_RANK + 1):
+        assert len(_connected_subsets(root_system("A", r))) == r * (r + 1) // 2
+

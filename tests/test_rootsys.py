@@ -224,11 +224,12 @@ def test_grading_b5_levels():
 
 @pytest.mark.parametrize("phi", [{0}, {4}, {1, 2, 7}, {-1}])
 def test_out_of_range_phi_is_an_invalid_index(phi):
-    rs = root_system("B", 3)
-    with pytest.raises(InvalidIndex, match="not a set of simple indices 1..3"):
-        rs.grading(phi)
-    with pytest.raises(InvalidIndex, match="not a set of simple indices 1..3"):
-        rs.phi_string(rs.simple(1), phi)
+    # every method that reads a node set, on B3 and on A3
+    for rs in (root_system("B", 3), root_system("A", 3)):
+        calls = (rs.grading, lambda nodes: rs.phi_string(rs.simple(1), nodes), rs.components, rs.positives_on)
+        for call in calls:
+            with pytest.raises(InvalidIndex, match="not a set of simple indices 1..3"):
+                call(phi)
 
 
 @pytest.mark.parametrize("i", [0, 3, -1, 7])
@@ -450,6 +451,21 @@ def test_level_zero_subsystem_is_bracket_closed(family, rank):
                 s = a.shifted(b)
                 if rs.contains(s) and any(c != 0 for c in s):
                     assert Root(s) in full
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("D", 5), ("BC", 3), ("F4", 4), ("G2", 2), ("E6", 6)])
+def test_positives_on_a_node_set_are_the_level_zero_of_its_grading(family, rank):
+    rs = root_system(family, rank)
+    for mask in range(1 << rank):
+        phi = frozenset(i + 1 for i in range(rank) if mask & (1 << i))
+        assert rs.positives_on(iter(phi)) == rs.grading(phi).sigma_phi_pos
+
+
+def test_node_set_readers_take_an_iterator():
+    # each validates its nodes once, so a one-shot iterator is read once
+    rs = root_system("F4", 4)
+    assert rs.subsystem_type(iter((1, 2, 3))) == RootSystemType("B", 3)
+    assert rs.components(iter((1, 2, 4))) == [(1, 2), (4,)]
 
 
 def test_phi_string_of_a_negative_root():
