@@ -32,8 +32,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .catalog import RankOneType, SpaceEntry, boundary_component, read_json
-from .errors import IdentityViolation, ParseError, RHHasNoNCModuli
-from .rootsys import Record, length_text
+from .errors import IdentityViolation, InvalidRank, ParseError, RHHasNoNCModuli
+from .rootsys import MAX_RANK, Record, length_text
 from . import nilcon
 
 CH_FORMULA = "(0,π/2) × {2,4,…,2⌊n/2⌋} ⊔ {π/2} × {2,…,n}"
@@ -215,12 +215,15 @@ def classify(factors, tg_table=None) -> ActionCatalog:
 
     ``factors`` is a nonempty list of SpaceEntry (the de Rham factors);
     ``tg_table`` optionally maps boundary-component names to lists of actions
-    with totally geodesic singular orbits.
+    with totally geodesic singular orbits.  Factors whose ranks sum to more
+    than ``rootsys.MAX_RANK`` raise InvalidRank.
     """
     if not factors:
         raise ValueError("need at least one de Rham factor")
     families = []
     total_rank = sum(s.rank for s in factors)
+    if total_rank > MAX_RANK:
+        raise InvalidRank(f"the product has rank {total_rank}, above the cap of {MAX_RANK}")
     orbit_key = _orbit_key(factors)
 
     families.append(

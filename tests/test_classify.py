@@ -17,7 +17,7 @@ from c1atlas.classify import (
     load_tg_table,
     moduli,
 )
-from c1atlas.errors import ParseError, RHHasNoNCModuli
+from c1atlas.errors import InvalidRank, ParseError, RHHasNoNCModuli
 from c1atlas.rootsys import MAX_RANK, root_system
 
 TG_SAMPLE = Path(__file__).parent / "data" / "tg_table_sample.json"
@@ -301,3 +301,9 @@ def test_connected_subsets_of_a_chain_are_its_intervals():
     for r in range(1, MAX_RANK + 1):
         assert len(_connected_subsets(root_system("A", r))) == r * (r + 1) // 2
 
+
+def test_a_product_above_the_rank_cap_is_refused(catalog):
+    e8 = find_space(catalog, "E8^8/SO(16)")
+    assert classify([e8, e8]).spaces == (e8.name, e8.name)  # rank 16
+    with pytest.raises(InvalidRank, match="rank 24, above the cap of 20"):
+        classify([e8] * 3)

@@ -400,6 +400,46 @@ def test_rank_above_the_cap_is_a_data_error(capsys):
     assert err.startswith("error: ") and "cap of 20" in err
 
 
+def test_product_above_the_rank_cap_is_a_data_error(capsys):
+    # three copies of a rank-8 space: rank 24
+    code, out, err = run(capsys, "classify", *["--space", "E8^8/SO(16)"] * 3)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "cap of 20" in err
+
+
+# one split entry per classical family at the rank cap, and BC20 as SU(20,21)
+RANK_CAP_CATALOG = [
+    {"name": "A20", "family": "A", "rank": 20, "mults": {"2": 1}, "dim": 230, "split": True},
+    {"name": "B20", "family": "B", "rank": 20, "mults": {"1": 1, "2": 1}, "dim": 420, "split": True},
+    {"name": "C20", "family": "C", "rank": 20, "mults": {"1": 1, "2": 1}, "dim": 420, "split": True},
+    {"name": "D20", "family": "D", "rank": 20, "mults": {"2": 1}, "dim": 400, "split": True},
+    {"name": "BC20", "family": "BC", "rank": 20, "mults": {"1": 2, "2": 2, "4": 1}, "dim": 840},
+]
+
+
+# seconds each command may take in process, at least three times what it takes
+# on a 2-vCPU x86 box; walking all 2^20 node masks took classify about 10 s on
+# A20 alone
+@pytest.mark.parametrize(
+    "argv,budget",
+    [
+        (("catalog",), 0.5),
+        (("analyze", "--all"), 1.0),
+        (("classify", "--all"), 3.0),
+        (("shape", "--space", "B20", "--j", "20"), 2.0),
+    ],
+    ids=["catalog", "analyze", "classify", "shape"],
+)
+def test_commands_at_the_rank_cap_answer_within_budget(tmp_path, capsys, argv, budget):
+    path = tmp_path / "rank20.json"
+    path.write_text(json.dumps({"spaces": RANK_CAP_CATALOG}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--catalog", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out and not err
+    assert elapsed < budget, f"{' '.join(argv)} took {elapsed:.2f} s"
+
+
 def test_hasse_text_and_dot(capsys):
     code, out, _ = run(capsys, "grading", "--type", "B", "--rank", "5", "--j", "1", "--hasse")
     assert code == 0 and "9 nodes" in out
