@@ -31,6 +31,19 @@ ELIMINATED_MULTIPLICITY = "ELIMINATED_MULTIPLICITY"
 ELIMINATED_SHAPE_THEOREM = "ELIMINATED_SHAPE_THEOREM"
 W_ZERO_TOTALLY_GEODESIC = "W_ZERO_TOTALLY_GEODESIC"
 SURVIVES_W_ZERO_G2 = "SURVIVES_W_ZERO_G2"
+# the note each verdict carries, by status
+NOTES = {
+    RANK_ONE_KNOWN: "rank-one moduli are catalog data, not searched here",
+    ELIMINATED_CORNER: "a_j is attached to more than one node; two height-2 level-one roots",
+    ELIMINATED_HEIGHT_COLLISION: "two level-one roots of equal height",
+    ELIMINATED_MULTIPLICITY: "no chain root reaches twice the multiplicity of a_i; only the "
+    "trivial subspace remains and its orbit would be totally geodesic",
+    ELIMINATED_SHAPE_THEOREM: "short-end chain with passing multiplicities: the shape-operator "
+    "theorem forces a totally geodesic singular orbit",
+    W_ZERO_TOTALLY_GEODESIC: "only the trivial subspace remains; its singular orbit, when the "
+    "action exists, is totally geodesic",
+    SURVIVES_W_ZERO_G2: "trivial subspace at the short G2 root; non-totally-geodesic singular orbit",
+}
 # the statuses past a snake: each says whether the w = 0 singular orbit bends
 SNAKE_STATUSES = frozenset(
     (ELIMINATED_MULTIPLICITY, ELIMINATED_SHAPE_THEOREM, W_ZERO_TOTALLY_GEODESIC, SURVIVES_W_ZERO_G2)
@@ -127,93 +140,51 @@ def short_g2_root(space: SpaceEntry) -> int | None:
     return min((1, 2), key=lambda i: rs.length6(rs.simple(i)))
 
 
-def analyze(space: SpaceEntry, j: int) -> NCVerdict:
-    """Run the full elimination ladder for (space, a_j)."""
+def _ladder(space: SpaceEntry, j: int):
+    """(status, witness) from the first rung of the ladder that fires for (space, a_j)."""
     rs = space.root_system()
     snake = snake_check(rs, j)  # rejects j outside 1..rank
-    name = space.name
     if rs.rank == 1:
         recognised = space.rank_one(1)
-        return NCVerdict(
-            name,
-            j,
-            RANK_ONE_KNOWN,
-            witness={"recognized": str(recognised) if recognised else None},
-            note="rank-one moduli are catalog data, not searched here",
-        )
-
+        return RANK_ONE_KNOWN, {"recognized": str(recognised) if recognised else None}
     neighbors = rs.dynkin_neighbors(j)
     if len(neighbors) != 1:
-        return NCVerdict(
-            name,
-            j,
-            ELIMINATED_CORNER,
-            witness={"neighbors": sorted(neighbors)},
-            note="a_j is attached to more than one node; two height-2 level-one roots",
-        )
-
+        return ELIMINATED_CORNER, {"neighbors": sorted(neighbors)}
     if isinstance(snake, tuple):
         first, second = snake
-        return NCVerdict(
-            name,
-            j,
-            ELIMINATED_HEIGHT_COLLISION,
-            witness={"pair": [list(first.coeffs), list(second.coeffs)], "height": first.height},
-            note="two level-one roots of equal height",
-        )
-
+        return ELIMINATED_HEIGHT_COLLISION, {
+            "pair": [list(first.coeffs), list(second.coeffs)],
+            "height": first.height,
+        }
     untouched = ce_reduction_check(rs, snake)
     if untouched:
         raise UnknownConfiguration(
-            f"{name}, j={j}: snake misses simple roots {sorted(untouched)} on a "
+            f"{space.name}, j={j}: snake misses simple roots {sorted(untouched)} on a "
             "connected diagram; this must not happen"
         )
-
+    chain = [list(r.coeffs) for r in snake.roots]
     violator = multiplicity_check(space, snake)
     if violator is not None:
         if j == short_g2_root(space):
-            return NCVerdict(
-                name,
-                j,
-                SURVIVES_W_ZERO_G2,
-                witness={"snake": [list(r.coeffs) for r in snake.roots], "w": "zero"},
-                note="trivial subspace at the short G2 root; non-totally-geodesic singular orbit",
-            )
+            return SURVIVES_W_ZERO_G2, {"snake": chain, "w": "zero"}
         if space.rtype.family == "G2":
-            return NCVerdict(
-                name,
-                j,
-                W_ZERO_TOTALLY_GEODESIC,
-                witness={"index": violator, "snake": [list(r.coeffs) for r in snake.roots]},
-                note="only the trivial subspace remains; its singular orbit, when the "
-                "action exists, is totally geodesic",
-            )
-        return NCVerdict(
-            name,
-            j,
-            ELIMINATED_MULTIPLICITY,
-            witness={
-                "index": violator,
-                "required": 2 * space.simple_mult(violator),
-                "max_chain_mult": max(space.mult_of(r) for r in snake.roots),
-            },
-            note="no chain root reaches twice the multiplicity of a_i; only the "
-            "trivial subspace remains and its orbit would be totally geodesic",
-        )
-
+            return W_ZERO_TOTALLY_GEODESIC, {"index": violator, "snake": chain}
+        return ELIMINATED_MULTIPLICITY, {
+            "index": violator,
+            "required": 2 * space.simple_mult(violator),
+            "max_chain_mult": max(space.mult_of(r) for r in snake.roots),
+        }
     if space.rtype.family in ("B", "BC") and j == rs.rank:
-        return NCVerdict(
-            name,
-            j,
-            ELIMINATED_SHAPE_THEOREM,
-            witness={"snake": [list(r.coeffs) for r in snake.roots]},
-            note="short-end chain with passing multiplicities: the shape-operator "
-            "theorem forces a totally geodesic singular orbit",
-        )
-
+        return ELIMINATED_SHAPE_THEOREM, {"snake": chain}
     raise UnknownConfiguration(
-        f"{name}, j={j}: multiplicity bound passes outside the short B/BC end"
+        f"{space.name}, j={j}: multiplicity bound passes outside the short B/BC end"
     )
+
+
+def analyze(space: SpaceEntry, j: int) -> NCVerdict:
+    """Run the full elimination ladder for (space, a_j)."""
+    status, witness = _ladder(space, j)
+    return NCVerdict(space.name, j, status, witness=witness, note=NOTES[status])
 
 
 def analyze_all(catalog) -> list:
@@ -226,7 +197,7 @@ def analyze_all(catalog) -> list:
 
 
 def survivors(verdicts) -> list:
-    return [v for v in verdicts if v.status.startswith("SURVIVES")]
+    return [v for v in verdicts if v.status == SURVIVES_W_ZERO_G2]
 
 
 def verify_witness(space: SpaceEntry, verdict: NCVerdict) -> bool:
