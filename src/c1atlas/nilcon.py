@@ -201,36 +201,62 @@ def survivors(verdicts) -> list:
 
 
 def verify_witness(space: SpaceEntry, verdict: NCVerdict) -> bool:
-    """Re-check a verdict's witness using the root system and catalog alone."""
+    """Re-check a verdict from the root system and catalog alone.
+
+    The rung helpers walk the ladder again, without ``analyze``: every rung
+    before the verdict's status must pass and its own must fire.  The whole
+    witness dict, in key order, the note and the space name must then match.
+    The witness is only compared, so a malformed one gives False.
+    """
     rs = space.root_system()
+    status, j = verdict.status, verdict.j
+    if verdict.space != space.name or verdict.note != NOTES.get(status) or j not in range(1, rs.rank + 1):
+        return False
+    if rs.rank == 1:
+        recognised = space.rank_one(1)
+        return status == RANK_ONE_KNOWN and _same(verdict, recognized=str(recognised) if recognised else None)
+    neighbors = rs.dynkin_neighbors(j)
+    if status == ELIMINATED_CORNER or len(neighbors) != 1:
+        return status == ELIMINATED_CORNER and len(neighbors) != 1 and _same(verdict, neighbors=sorted(neighbors))
+    snake = snake_check(rs, j)
+    if status == ELIMINATED_HEIGHT_COLLISION or isinstance(snake, tuple):
+        return (
+            status == ELIMINATED_HEIGHT_COLLISION
+            and isinstance(snake, tuple)
+            and _same(verdict, pair=[list(r.coeffs) for r in snake], height=snake[0].height)
+        )
+    if ce_reduction_check(rs, snake):
+        return False
+    chain = [list(r.coeffs) for r in snake.roots]
+    violator = multiplicity_check(space, snake)
+    if violator is None:
+        return (
+            status == ELIMINATED_SHAPE_THEOREM
+            and space.rtype.family in ("B", "BC")
+            and j == rs.rank
+            and _same(verdict, snake=chain)
+        )
+    short = short_g2_root(space)
+    if status == SURVIVES_W_ZERO_G2:
+        return j == short and _same(verdict, snake=chain, w="zero")
+    if status == W_ZERO_TOTALLY_GEODESIC:
+        return short not in (None, j) and _same(verdict, index=violator, snake=chain)
+    return (
+        status == ELIMINATED_MULTIPLICITY
+        and short is None
+        and _same(
+            verdict,
+            index=violator,
+            required=2 * space.simple_mult(violator),
+            max_chain_mult=max(space.mult_of(r) for r in snake.roots),
+        )
+    )
+
+
+def _same(verdict: NCVerdict, **expected) -> bool:
+    """Whether the verdict's witness is exactly ``expected``, key order included."""
     w = verdict.witness
-    if verdict.status == ELIMINATED_CORNER:
-        return frozenset(w["neighbors"]) == rs.dynkin_neighbors(verdict.j)
-    if verdict.status == ELIMINATED_HEIGHT_COLLISION:
-        first, second = (Root(tuple(c)) for c in w["pair"])
-        level_one = set(rs.maximal_grading(verdict.j).level(1))
-        return (
-            first != second
-            and first.height == second.height
-            and {first, second} <= level_one
-        )
-    if verdict.status == ELIMINATED_MULTIPLICITY:
-        i = w["index"]
-        snake = snake_check(rs, verdict.j)
-        if not isinstance(snake, Snake):
-            return False
-        return all(space.mult_of(r) < 2 * space.simple_mult(i) for r in snake.roots)
-    if verdict.status == ELIMINATED_SHAPE_THEOREM:
-        return (
-            space.rtype.family in ("B", "BC")
-            and verdict.j == rs.rank
-            and isinstance(snake_check(rs, verdict.j), Snake)
-        )
-    if verdict.status in (W_ZERO_TOTALLY_GEODESIC, SURVIVES_W_ZERO_G2):
-        return isinstance(snake_check(rs, verdict.j), Snake)
-    if verdict.status == RANK_ONE_KNOWN:
-        return rs.rank == 1
-    return False
+    return isinstance(w, dict) and list(w.items()) == list(expected.items())
 
 
 def verdict_table(verdicts) -> str:

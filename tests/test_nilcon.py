@@ -12,6 +12,7 @@ from c1atlas.nilcon import (
     RANK_ONE_KNOWN,
     SURVIVES_W_ZERO_G2,
     W_ZERO_TOTALLY_GEODESIC,
+    NOTES,
     NCVerdict,
     Snake,
     analyze,
@@ -174,6 +175,44 @@ def test_sweep_survivor_set_is_exactly_the_g2_pair(catalog):
 def test_sweep_witnesses_all_verify(catalog):
     for verdict in analyze_all(catalog):
         assert verify_witness(find_space(catalog, verdict.space), verdict)
+
+
+def _wrong_values(value):
+    """Values near a witness field that differ from it."""
+    if isinstance(value, int):
+        candidates = [value - 1, value + 1]
+    elif isinstance(value, list):
+        candidates = [value[::-1], value[:-1], value + value[:1]]
+    else:
+        candidates = [value + "x"]
+    return [c for c in candidates if c != value]
+
+
+def _altered_verdicts(v: NCVerdict):
+    """(what changed, verdict) for each one-step alteration of a verdict."""
+    w = v.witness
+    for key, value in w.items():
+        for wrong in _wrong_values(value):
+            yield f"{key} = {wrong!r}", NCVerdict(v.space, v.j, v.status, {**w, key: wrong}, v.note)
+        dropped = {k: x for k, x in w.items() if k != key}
+        yield f"{key} dropped", NCVerdict(v.space, v.j, v.status, dropped, v.note)
+    yield "extra key", NCVerdict(v.space, v.j, v.status, {**w, "extra": 0}, v.note)
+    for status in NOTES:
+        if status != v.status:
+            yield f"status {status}", NCVerdict(v.space, v.j, status, w, NOTES[status])
+    yield "note edited", NCVerdict(v.space, v.j, v.status, w, v.note + ".")
+
+
+def test_verify_witness_rejects_every_altered_verdict(catalog):
+    # every field of every witness is re-checked, so no one-step alteration of
+    # a shipped verdict passes, and a malformed witness gives False, not an error
+    altered = 0
+    for verdict in analyze_all(catalog):
+        space = find_space(catalog, verdict.space)
+        for what, wrong in _altered_verdicts(verdict):
+            assert verify_witness(space, wrong) is False, (verdict.space, verdict.j, what)
+            altered += 1
+    assert altered == 2264
 
 
 def test_collision_witness_pairs_are_distinct_level_one_roots(catalog):
