@@ -178,11 +178,10 @@ def derive_type_e_spaces(catalog):
 
 
 def _type_e_nodes(f, space):
-    """(f, (i,), rank-one type) for each simple root of a CH (n>=3), HH or OH type."""
+    """(f, (i,), rank-one type) for each simple root of a type with nonempty moduli: CH (n>=3), HH or OH."""
     for i in range(1, space.rank + 1):
         rec = space.rank_one(i)
-        # the CH^2 moduli set is empty
-        if rec is not None and rec.kind != "RH" and not (rec.kind == "CH" and rec.n < 3):
+        if rec is not None and rec.kind != "RH" and not moduli(rec).is_empty:
             yield f, (i,), rec
 
 
@@ -341,8 +340,6 @@ def _nilpotent_families(factors, orbit_key):
     for f, space in enumerate(factors):
         for _, nodes, rec in _type_e_nodes(f, space):
             desc = moduli(rec)
-            if desc.is_empty:
-                continue
             params = {
                 "factor": f,
                 "phi": list(nodes),
